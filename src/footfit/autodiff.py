@@ -28,7 +28,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "dot", "matmul",
     "sqrt", "exp", "log", "sin", "cos", "tanh", "arccos", "acos_safe",
     "clamp", "sigmoid", "norm2", "detach",
-    "take", "segment_sum", "concat", "stack", "scatter_into",
+    "take", "segment_sum", "concat", "stack", "scatter_into", "custom",
     "grad_check",
 ]
 
@@ -498,9 +498,10 @@ def stack(vars_, axis=0):
     tape = _tape_of(*vars_)
     vars_ = [_lift(tape, v) for v in vars_]
     out = np.stack([v.value for v in vars_], axis=axis)
+    n = len(vars_)   # the closure must not hold the Vars: Var -> tape -> closure
 
     def vjp(g):
-        return tuple(np.take(g, k, axis=axis) for k in range(len(vars_)))
+        return tuple(np.take(g, k, axis=axis) for k in range(n))
 
     return tape._record(out, tuple(v._i for v in vars_), vjp,
                         any(v.requires_grad for v in vars_))
@@ -549,6 +550,17 @@ def scatter_into(base, idx, values):
         return (g.reshape(-1)[idx],)
 
     return values.tape._record(out, (values._i,), vjp, values.requires_grad)
+
+
+def custom(parents, value, vjp):
+    """One node whose ``value`` was computed outside the tape from the
+    parents' values.  ``vjp(g)`` returns one cotangent per parent.  The
+    closure must not hold Vars: a Var holds its tape, and a tape that is
+    part of a reference cycle waits for the cyclic collector."""
+    tape = _tape_of(*parents)
+    return tape._record(np.asarray(value, dtype=np.float64),
+                        tuple(p._i for p in parents), vjp,
+                        any(p.requires_grad for p in parents))
 
 
 def grad_check(fn, inputs, h=1e-5):

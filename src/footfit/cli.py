@@ -12,6 +12,7 @@ one JSON summary line.  Exit codes: 0 ok, 2 config error, 3 IO error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -392,7 +393,33 @@ def _fit_config(cfg):
         sil_threshold_deg=cfg["sil_threshold_deg"])
 
 
+# glibc's mallopt parameter for the freed heap top that malloc keeps
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_heap_top():
+    """Let glibc keep up to ``_TOP_PAD_BYTES`` of freed heap top.
+
+    A fit builds one tape per epoch and frees it when the epoch ends.  By
+    default glibc hands the freed heap top back to the kernel at once, and
+    the next epoch faults the same pages in again: a 1,000-epoch stage-1
+    fit spent about a fifth of its time there.  Returns whether the setting
+    took; False on other C libraries.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (ValueError, OSError):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, _TOP_PAD_BYTES) == 1
+
+
 def cmd_fit(cfg):
+    _keep_heap_top()
     model = _load_model(cfg["model"])
     try:
         fit_cfg = _fit_config(cfg).validate()

@@ -5,7 +5,9 @@ scale) against keypoints only.  Stage 2 frees the shape and pose codes
 as well and adds soft-silhouette and normal-map terms.  Both stages run
 full-batch Adam with a fixed epoch count; each epoch builds one tape,
 runs the model forward once, and shares the resulting vertices across
-all views.
+all views.  Stage 2 computes the world-frame vertex normals once per
+epoch, and each view's projection feeds both its keypoint and its
+silhouette term.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     kp_obs = [o.keypoints for o in observations]
     topo = None
     sil_targets = None
-    if with_render:
+    if with_render and epochs > 0:
         topo = renderer.ContourTopology.build(asset.mesh)
         sil_targets = [losses.silhouette_from_uncertainty(
             o.normals.kappa, config.sil_threshold_deg) for o in observations]
@@ -160,20 +162,23 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         l_norm = tape.const(0.0)
         if with_render:
             mesh_now = asset.mesh.copy_with(verts.value)
+            n_world = renderer.vertex_normals_var(verts, faces)
         for view, cam in enumerate(cameras):
-            proj, _vis = renderer.project_keypoints_var(
-                verts, asset.keypoint_ids, cam)
-            projections.append(proj)
+            proj = renderer.project_vertices_var(verts, cam)
+            kp, _vis = renderer.project_keypoints_var(
+                verts, asset.keypoint_ids, cam, proj=proj)
+            projections.append(kp)
             if not with_render:
                 continue
             frag = renderer.rasterize(mesh_now, cam)
             target = sil_targets[view]
-            n_map, _ = renderer.render_normals_var(verts, faces, cam, frag=frag)
+            n_map, _ = renderer.render_normals_var(verts, faces, cam, frag=frag,
+                                                   n_world=n_world)
             l_norm = l_norm + losses.normal_fit_loss(
                 n_map, observations[view].normals, frag.mask & target)
             soft, _ = renderer.render_silhouette_soft_var(
                 verts, faces, cam, sharpness=config.sharpness,
-                frag=frag, topo=topo)
+                frag=frag, topo=topo, proj=proj)
             l_sil = l_sil + losses.silhouette_l2(soft, target.astype(np.float64))
         l_kp = losses.kp_fit_loss(projections, kp_obs)
         if with_render:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, special
 
 from . import autodiff as ad
 from .geometry import Mesh
@@ -164,13 +164,19 @@ def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
     return acc / ad.norm2(acc, axis=1, keepdims=True)
 
 
-def render_normals_var(verts: ad.Var, faces, camera, frag: FragmentBuffer = None):
-    """Camera-frame normal map (H,W,3) as a Var; zero outside coverage."""
+def render_normals_var(verts: ad.Var, faces, camera, frag: FragmentBuffer = None,
+                       n_world: ad.Var = None):
+    """Camera-frame normal map (H,W,3) as a Var; zero outside coverage.
+
+    ``n_world`` takes the result of :func:`vertex_normals_var`, so that
+    callers rendering several views can compute it once.
+    """
     if frag is None:
         frag = rasterize(Mesh(verts.value, faces), camera)
     tape = verts.tape
     H, W = camera.height, camera.width
-    n_world = vertex_normals_var(verts, faces)
+    if n_world is None:
+        n_world = vertex_normals_var(verts, faces)
     n_cam = n_world @ tape.const(camera.R.T)
     flat = np.nonzero(frag.face.reshape(-1) >= 0)[0]
     if flat.size == 0:
@@ -221,18 +227,170 @@ def _contour_edges(topo: ContourTopology, front_faces):
     return topo.edges[f0.astype(int) + f1.astype(int) == 1]
 
 
+def _band_pixels(mask, band):
+    """Flat indices, ascending, of the pixels whose centre lies within
+    ``band + 1.5`` px of a centre of the other coverage class.
+
+    Both distance transforms run on the mask's bounding box grown by
+    ``ceil(band + 2)`` px and clipped to the image.  A pixel within the
+    reach of the other class has its nearest such pixel inside that crop,
+    so the result equals the full-image transforms'; pixels outside the
+    crop are farther than the reach from any covered pixel.
+    """
+    H, W = mask.shape
+    grow = int(np.ceil(band + 2.0))
+    rows = np.nonzero(mask.any(axis=1))[0]
+    cols = np.nonzero(mask.any(axis=0))[0]
+    r0, r1 = max(rows[0] - grow, 0), min(rows[-1] + grow + 1, H)
+    c0, c1 = max(cols[0] - grow, 0), min(cols[-1] + grow + 1, W)
+    crop = mask[r0:r1, c0:c1]
+    dist = np.where(crop, ndimage.distance_transform_edt(crop),
+                    ndimage.distance_transform_edt(~crop))
+    ii, jj = np.nonzero(dist <= band + 1.5)
+    return (ii + r0) * W + (jj + c0)
+
+
+def _segment_d2(px, py, ax, ay, abx, aby, denom):
+    """Squared distance from points (px, py) to segments a + t·ab, t in
+    [0, 1]; the arguments broadcast against each other."""
+    t = (px - ax) * abx
+    t += (py - ay) * aby
+    t = np.clip(t / denom, 0.0, 1.0)
+    dx = ax + t * abx - px
+    dy = ay + t * aby - py
+    return dx * dx + dy * dy
+
+
+def _nearest_edge(pc, a, b, radius):
+    """Index of the segment (a[e], b[e]) nearest to each point of ``pc``.
+
+    Exact for any ``radius > 0``; the radius only sets the work.  Each
+    segment goes into every cell of a uniform grid (side ``radius``) that
+    its bounding box, grown by ``radius``, touches, so a point's cell holds
+    every segment within ``radius`` of it.  Only those candidates are
+    tested.  A point whose nearest candidate is farther than ``radius``
+    (or that has none) is searched densely over all segments.  Ties in the
+    squared distance go to the lowest segment index, as ``np.argmin`` does.
+    """
+    ab = b - a
+    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
+    P, E = len(pc), len(a)
+    origin = pc.min(axis=0)
+    pcell = np.floor((pc - origin) / radius).astype(np.int64)
+    gw, gh = pcell.max(axis=0) + 1
+    # grown boxes; the 1e-6 px slack covers rounding at the box edge
+    reach = radius + 1e-6
+    lo = np.floor((np.minimum(a, b) - reach - origin) / radius)
+    hi = np.floor((np.maximum(a, b) + reach - origin) / radius)
+    top = np.array([gw - 1, gh - 1])
+    live = np.all((hi >= 0) & (lo <= top), axis=1)
+    lo = np.clip(lo, 0, top).astype(np.int64)
+    hi = np.clip(hi, 0, top).astype(np.int64)
+    nx = hi[:, 0] - lo[:, 0] + 1
+    cells_per_edge = np.where(live, nx * (hi[:, 1] - lo[:, 1] + 1), 0)
+
+    eid = np.repeat(np.arange(E), cells_per_edge)
+    off = np.arange(len(eid)) - np.repeat(np.cumsum(cells_per_edge) - cells_per_edge,
+                                          cells_per_edge)
+    cell = ((lo[eid, 1] + off // nx[eid]) * gw + lo[eid, 0] + off % nx[eid])
+    bucket = eid[np.argsort(cell, kind="stable")]
+    count = np.bincount(cell, minlength=gw * gh)
+    first = np.cumsum(count) - count
+
+    pid = pcell[:, 1] * gw + pcell[:, 0]
+    n = count[pid]
+    n_pairs = int(n.sum())
+    nearest = np.zeros(P, dtype=np.int64)
+    dense = n == 0
+    if n_pairs:
+        seg_start = np.cumsum(n) - n
+        pix = np.repeat(np.arange(P), n)
+        edge = bucket[np.repeat(first[pid] - seg_start, n) + np.arange(n_pairs)]
+        d2 = _segment_d2(pc[pix, 0], pc[pix, 1], a[edge, 0], a[edge, 1],
+                         ab[edge, 0], ab[edge, 1], denom[edge])
+        has = ~dense
+        starts = seg_start[has]
+        best = np.minimum.reduceat(d2, starts)
+        tied = d2 == np.repeat(best, n[has])
+        nearest[has] = np.minimum.reduceat(np.where(tied, edge, E), starts)
+        dense[has] = best > radius * radius
+    if dense.any():
+        q = pc[dense]
+        nearest[dense] = np.argmin(_segment_d2(
+            q[:, None, 0], q[:, None, 1], a[None, :, 0], a[None, :, 1],
+            ab[None, :, 0], ab[None, :, 1], denom[None, :]), axis=1)
+    return nearest
+
+
+def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
+    """One tape node: ``sigmoid(scale · |pc − a − t·(b − a)|)`` per row,
+    with ``a = pix[ia]``, ``b = pix[ib]`` and t the clamped foot parameter.
+
+    The VJP keeps the clamp conventions of :mod:`footfit.autodiff`:
+    gradient passes only inside the closed intervals of t (``[0, 1]``),
+    the denominator ``|b − a|²`` (``[1e-30, 1e30]``) and the squared
+    distance (``[1e-24, 1e60]``; the lower clamp keeps the gradient finite
+    for pixel centres exactly on an edge).
+    """
+    pix = pix_var.value
+    n_verts = len(pix)
+    pa = pc - pix[ia]
+    ab = pix[ib] - pix[ia]
+    num = (pa * ab).sum(axis=1)
+    dd = (ab * ab).sum(axis=1)
+    den = np.clip(dd, 1e-30, 1e30)
+    q = num / den
+    t = np.clip(q, 0.0, 1.0)
+    res = pa - t[:, None] * ab
+    sq = (res * res).sum(axis=1)
+    dist = np.sqrt(np.clip(sq, 1e-24, 1e60))
+    out = special.expit(dist * scale)
+    pass_t = (q >= 0.0) & (q <= 1.0)
+    pass_den = (dd >= 1e-30) & (dd <= 1e30)
+    pass_sq = (sq >= 1e-24) & (sq <= 1e60)
+    rows = np.concatenate([ia, ib])
+
+    def vjp(g):
+        g_sq = g * out * (1.0 - out) * scale * 0.5 / dist * pass_sq
+        g_res = 2.0 * res * g_sq[:, None]
+        g_q = -(g_res * ab).sum(axis=1) * pass_t
+        g_num = g_q / den
+        g_den = -g_q * num / (den * den) * pass_den
+        g_pa = g_res + g_num[:, None] * ab
+        g_ab = (-t[:, None] * g_res + g_num[:, None] * pa
+                + 2.0 * g_den[:, None] * ab)
+        g_a = -g_pa - g_ab
+        grad = np.empty((n_verts, 2))
+        for c in range(2):
+            grad[:, c] = np.bincount(rows, np.concatenate([g_a[:, c], g_ab[:, c]]),
+                                     minlength=n_verts)
+        return (grad,)
+
+    return ad.custom((pix_var,), out, vjp)
+
+
 def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
-                               frag: FragmentBuffer = None, topo: ContourTopology = None):
+                               frag: FragmentBuffer = None, topo: ContourTopology = None,
+                               proj=None):
     """Soft silhouette: sigmoid(sharpness × signed distance to the nearest
     occluding-contour edge in pixel space), positive inside coverage.
 
     Pixels farther than a saturation band from the contour take their
     limit values (1 inside, 0 outside) with zero gradient; the sigmoid
     there differs from the limit by less than exp(-sharpness × band).
+    ``proj`` takes the result of :func:`project_vertices_var` for this
+    camera, so that callers can share one projection per view.
+
+    The band holds the pixels within ``R = band + 1.5`` px of a pixel of
+    the other coverage class.  Each band pixel's nearest contour edge lies
+    within R of it: the segment to that other pixel leaves (or enters) the
+    union of camera-facing triangles, and the union's boundary lies on
+    contour edges.  The nearest-edge search therefore looks only at edges
+    near each pixel (see :func:`_nearest_edge`).  Ties in the squared
+    distance go to the lowest contour-edge row.
     """
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
-    H, W = camera.height, camera.width
     tape = verts.tape
     if frag is None:
         frag = rasterize(Mesh(verts.value, faces), camera)
@@ -244,44 +402,18 @@ def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
         return tape.const(mask.astype(np.float64)), frag
 
     band = max(3.0, 12.0 / sharpness)
-    dist_in = ndimage.distance_transform_edt(mask)
-    dist_out = ndimage.distance_transform_edt(~mask)
-    band_mask = np.where(mask, dist_in, dist_out) <= band + 1.5
-    flat = np.nonzero(band_mask.reshape(-1))[0]
-
-    pix_var, _ = project_vertices_var(verts, camera)
+    flat = _band_pixels(mask, band)
+    pix_var, _ = project_vertices_var(verts, camera) if proj is None else proj
     pix = pix_var.value
-    ii, jj = np.divmod(flat, W)
+    ii, jj = np.divmod(flat, camera.width)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
 
     # nearest contour edge per band pixel, chosen outside the tape
-    a = pix[contour[:, 0]]
-    b = pix[contour[:, 1]]
-    ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
-    t = (pc[:, None, 0] - a[None, :, 0]) * ab[None, :, 0]
-    t += (pc[:, None, 1] - a[None, :, 1]) * ab[None, :, 1]
-    t = np.clip(t / denom[None, :], 0.0, 1.0)
-    dx = a[None, :, 0] + t * ab[None, :, 0] - pc[:, None, 0]
-    dy = a[None, :, 1] + t * ab[None, :, 1] - pc[:, None, 1]
-    nearest = np.argmin(dx * dx + dy * dy, axis=1)
-
-    va = ad.take(pix_var, contour[nearest, 0])
-    vb = ad.take(pix_var, contour[nearest, 1])
-    pa = tape.const(pc) - va
-    ab_v = vb - va
-    tt = ad.clamp((pa * ab_v).sum(axis=1, keepdims=True)
-                  / ad.clamp((ab_v * ab_v).sum(axis=1, keepdims=True), 1e-30, 1e30),
-                  0.0, 1.0)
-    res = pa - tt * ab_v
-    # sqrt of a clamped square keeps the gradient finite for pixel
-    # centers that land exactly on a contour edge (sigmoid there is 0.5)
-    dist = ad.sqrt(ad.clamp((res * res).sum(axis=1), 1e-24, 1e60))
+    nearest = contour[_nearest_edge(pc, pix[contour[:, 0]], pix[contour[:, 1]],
+                                    band + 1.5)]
     sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
-    vals = ad.sigmoid(dist * (sign * sharpness))
-    base = mask.astype(np.float64).reshape(-1)
-    img = ad.scatter_into(base, flat, vals)
-    return img.reshape((H, W)), frag
+    vals = _edge_sigmoid(pix_var, nearest[:, 0], nearest[:, 1], pc, sign * sharpness)
+    return ad.scatter_into(mask.astype(np.float64), flat, vals), frag
 
 
 def render_silhouette_soft(mesh: Mesh, camera, sharpness=40.0):
@@ -291,14 +423,15 @@ def render_silhouette_soft(mesh: Mesh, camera, sharpness=40.0):
     return img.value, frag
 
 
-def project_keypoints_var(verts: ad.Var, kp_vertex_ids, camera):
+def project_keypoints_var(verts: ad.Var, kp_vertex_ids, camera, proj=None):
     """Normalized keypoint positions (K,2) as a Var plus 0/1 visibility.
 
     A keypoint is visible when it lands in [0, W) × [0, H) pixel bounds
-    with positive depth.  Visibility is a value, not a Var.
+    with positive depth.  Visibility is a value, not a Var.  ``proj``
+    takes the result of :func:`project_vertices_var` for this camera.
     """
     kp_ids = np.asarray(kp_vertex_ids)
-    pix_var, z = project_vertices_var(verts, camera)
+    pix_var, z = project_vertices_var(verts, camera) if proj is None else proj
     kp_pix = ad.take(pix_var, kp_ids)
     norm = kp_pix / np.array([camera.width, camera.height], dtype=np.float64)
     p = kp_pix.value

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,60 @@ class TestGradCheck:
             return (img * v.tape.const(weights)).sum()
 
         assert ad.grad_check(f, [vals], h=1e-5) < 1e-6
+
+
+# One expression per op in autodiff, built from x (3,) and m (3,3).
+OPS = {
+    "add": lambda x, m: x + x,
+    "sub": lambda x, m: x - 1.0,
+    "mul": lambda x, m: x * m,
+    "div": lambda x, m: x / (x * x + 1.0),
+    "neg": lambda x, m: -x,
+    "sum": lambda x, m: m.sum(axis=0),
+    "mean": lambda x, m: m.mean(axis=1),
+    "dot": lambda x, m: ad.dot(x, x),
+    "matmul": lambda x, m: m @ m,
+    "sqrt": lambda x, m: ad.sqrt(x * x + 1.0),
+    "exp": lambda x, m: ad.exp(x),
+    "log": lambda x, m: ad.log(x * x + 1.0),
+    "sin": lambda x, m: ad.sin(x),
+    "cos": lambda x, m: ad.cos(x),
+    "tanh": lambda x, m: ad.tanh(x),
+    "arccos": lambda x, m: ad.arccos(x * 0.1),
+    "acos_safe": lambda x, m: ad.acos_safe(x * 0.1),
+    "clamp": lambda x, m: ad.clamp(x, -0.5, 0.5),
+    "sigmoid": lambda x, m: ad.sigmoid(x),
+    "norm2": lambda x, m: ad.norm2(m, axis=1),
+    "detach": lambda x, m: ad.detach(x) * x,
+    "take": lambda x, m: ad.take(m, np.array([0, 2, 2])),
+    "segment_sum": lambda x, m: ad.segment_sum(m, np.array([0, 0, 1]), 2),
+    "concat": lambda x, m: ad.concat([x, x * 2.0]),
+    "stack": lambda x, m: ad.stack([x, x * 2.0], axis=1),
+    "reshape": lambda x, m: m.reshape((9,)),
+    "transpose": lambda x, m: m.T,
+    "index": lambda x, m: m[1, :2],
+    "scatter_into": lambda x, m: ad.scatter_into(np.zeros(5), np.array([0, 2, 4]), x),
+    "custom": lambda x, m: ad.custom((x,), 2.0 * x.value, lambda g: (2.0 * g,)),
+}
+
+
+def _tape_after(op):
+    """Weak reference to a tape that ran one op forward and backward, taken
+    after every strong reference the caller holds has gone."""
+    tape = ad.Tape()
+    x = tape.leaf(np.array([0.3, -0.7, 1.1]))
+    m = tape.leaf(np.arange(9.0).reshape(3, 3) * 0.1 + 0.5)
+    tape.backward(op(x, m).sum())
+    return weakref.ref(tape)
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_tape_freed_without_cyclic_collector(self, name):
+        # a closure that holds a Var makes Var -> tape -> node -> closure a
+        # cycle, which only the cyclic collector frees
+        gc.disable()
+        try:
+            assert _tape_after(OPS[name])() is None
+        finally:
+            gc.enable()

@@ -159,6 +159,13 @@ class TestSynth:
 
 
 class TestFit:
+    def test_heap_top_kept_under_glibc(self):
+        try:
+            glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+        except (ValueError, OSError):
+            glibc = False
+        assert cli._keep_heap_top() == glibc
+
     def test_artifacts(self, fit_dir):
         assert (fit_dir / "fitted.obj").exists()
         params = json.loads((fit_dir / "params.json").read_text())

@@ -209,3 +209,37 @@ class TestStage2:
         b, _ = fitting.fit_stage2(model, obs, cams, start, config)
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_one_normal_pass_and_one_projection_per_view(self, model, stage2_setup,
+                                                         monkeypatch):
+        _, cams, obs = stage2_setup
+        calls = {"normals": 0, "project": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(renderer, "vertex_normals_var",
+                            counting("normals", renderer.vertex_normals_var))
+        monkeypatch.setattr(renderer, "project_vertices_var",
+                            counting("project", renderer.project_vertices_var))
+        config = fitting.FitConfig(stage2_epochs=3)
+        fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
+        assert calls == {"normals": 3, "project": 3 * len(cams)}
+
+    def test_zero_epochs_builds_nothing(self, model, stage2_setup, monkeypatch):
+        _, cams, obs = stage2_setup
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage 2 with no epochs built render inputs")
+
+        monkeypatch.setattr(renderer.ContourTopology, "build", forbidden)
+        monkeypatch.setattr(losses, "silhouette_from_uncertainty", forbidden)
+        start = fm.FootParams.identity()
+        fitted, trace = fitting.fit_stage2(model, obs, cams, start,
+                                           fitting.FitConfig(stage2_epochs=0))
+        assert trace.rows == []
+        for name in fitting.PARAM_ORDER:
+            assert np.array_equal(getattr(fitted, name), getattr(start, name))

@@ -143,13 +143,8 @@ class TestExpectedAngularError:
     def test_strictly_decreasing(self):
         e = expected_angular_error(np.array([0.1, 1.0, 10.0]))
         assert e[2] < e[1] < e[0]
-        grid, values = losses._table()
-        assert np.all(np.diff(values) < 0)
-
-    def test_table_resolution(self):
-        grid, values = losses._table()
-        assert len(values) == 4096
-        assert np.abs(np.diff(values)).max() < 0.5
+        ks = 100.0 * (np.arange(4096) / 4095.0) ** 2
+        assert np.all(np.diff(expected_angular_error(ks)) < 0)
 
     def test_lookup_close_to_quadrature(self):
         rng = np.random.default_rng(5)
@@ -189,12 +184,10 @@ class TestSilhouetteFromUncertainty:
         mask = silhouette_from_uncertainty(
             np.array([[k_star + 1e-6, k_star - 1e-3]]))
         assert mask[0, 0] and not mask[0, 1]
-        # exact equality at a table node must classify as foreground
-        grid, values = losses._table()
-        i = int(np.searchsorted(-values, -30.0))  # first node at or below 30
-        at_node = np.array([[grid[i]]])
-        assert expected_angular_error(at_node)[0, 0] == values[i]
-        assert silhouette_from_uncertainty(at_node, threshold_deg=values[i])[0, 0]
+        # an error exactly at the threshold must classify as foreground
+        k = np.array([[losses.kappa_for_expected_error(30.0)]])
+        at = expected_angular_error(k)[0, 0]
+        assert silhouette_from_uncertainty(k, threshold_deg=at)[0, 0]
 
     def test_loose_threshold_takes_all(self):
         rng = np.random.default_rng(8)

@@ -1,8 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from footfit import autodiff as ad
+from footfit import camera as cam_mod
+from footfit import footmodel as fm
 from footfit import renderer as rd
+from footfit import synth
 from footfit.camera import Camera
 from footfit.geometry import Mesh
 
@@ -296,6 +303,175 @@ class TestSoftSilhouette:
         cam = front_cam()
         with pytest.raises(ValueError):
             rd.render_silhouette_soft(quad_mesh(), cam, sharpness=0.0)
+
+
+# ---------------------------------------------------------------------------
+# References for the soft silhouette's fast paths: the dense nearest-edge
+# search, the full-image band and the op-by-op silhouette chain.
+
+def dense_nearest(pc, a, b):
+    """Nearest segment per point over a dense points × segments matrix."""
+    ab = b - a
+    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
+    t = (pc[:, None, 0] - a[None, :, 0]) * ab[None, :, 0]
+    t += (pc[:, None, 1] - a[None, :, 1]) * ab[None, :, 1]
+    t = np.clip(t / denom[None, :], 0.0, 1.0)
+    dx = a[None, :, 0] + t * ab[None, :, 0] - pc[:, None, 0]
+    dy = a[None, :, 1] + t * ab[None, :, 1] - pc[:, None, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
+
+
+def full_band(mask, band):
+    """Band pixels from distance transforms over the whole image."""
+    dist = np.where(mask, ndimage.distance_transform_edt(mask),
+                    ndimage.distance_transform_edt(~mask))
+    return np.nonzero((dist <= band + 1.5).reshape(-1))[0]
+
+
+def chain_silhouette(verts, faces, cam, sharpness, frag, topo):
+    """The soft silhouette as a chain of small tape ops, with the nearest
+    edge from the dense search; returns (image Var, frag) like
+    ``render_silhouette_soft_var``."""
+    tape = verts.tape
+    H, W = cam.height, cam.width
+    mask = frag.mask
+    contour = rd._contour_edges(topo, frag.front_faces)
+    band = max(3.0, 12.0 / sharpness)
+    flat = full_band(mask, band)
+    pix_var, _ = rd.project_vertices_var(verts, cam)
+    pix = pix_var.value
+    ii, jj = np.divmod(flat, W)
+    pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
+    nearest = dense_nearest(pc, pix[contour[:, 0]], pix[contour[:, 1]])
+    va = ad.take(pix_var, contour[nearest, 0])
+    vb = ad.take(pix_var, contour[nearest, 1])
+    pa = tape.const(pc) - va
+    ab_v = vb - va
+    tt = ad.clamp((pa * ab_v).sum(axis=1, keepdims=True)
+                  / ad.clamp((ab_v * ab_v).sum(axis=1, keepdims=True), 1e-30, 1e30),
+                  0.0, 1.0)
+    res = pa - tt * ab_v
+    dist = ad.sqrt(ad.clamp((res * res).sum(axis=1), 1e-24, 1e60))
+    sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
+    vals = ad.sigmoid(dist * (sign * sharpness))
+    img = ad.scatter_into(mask.astype(np.float64).reshape(-1), flat, vals)
+    return img.reshape((H, W)), frag
+
+
+@pytest.fixture(scope="module")
+def ac05_views(tmp_path_factory):
+    """AC-05's ground-truth foot and its eight cameras: (mesh, cameras)."""
+    model = fm.make_default_model(seed=0)
+    asset, field = model
+    gt = synth.random_scene_params(np.random.default_rng(23), field.d_s, field.d_p)
+    spec = synth.SceneSpec(gt, arc=cam_mod.ArcSamplerConfig(width=160, height=120),
+                           n_views=8, sigma_view_deg=5.0, seed=9)
+    out = str(tmp_path_factory.mktemp("ac05"))
+    synth.generate_scene(spec, model, out)
+    _, cams, _ = synth.load_scene(out)
+    return fm.forward_mesh(asset, field, gt), cams
+
+
+def band_and_contour(mesh, cam, band=3.0):
+    frag = rd.rasterize(mesh, cam)
+    contour = rd._contour_edges(rd.ContourTopology.build(mesh), frag.front_faces)
+    flat = rd._band_pixels(frag.mask, band)
+    ii, jj = np.divmod(flat, cam.width)
+    pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
+    pix, _ = rd._project_np(mesh.vertices, cam)
+    return frag, pc, pix[contour[:, 0]], pix[contour[:, 1]]
+
+
+class TestNearestEdge:
+    def test_matches_dense_on_ac05_scene(self, ac05_views):
+        mesh, cams = ac05_views
+        for cam in cams:
+            _, pc, a, b = band_and_contour(mesh, cam)
+            assert len(pc) > 1000
+            np.testing.assert_array_equal(rd._nearest_edge(pc, a, b, 4.5),
+                                          dense_nearest(pc, a, b))
+
+    def test_matches_dense_on_sphere(self):
+        cam = front_cam(width=160, height=120, f=133.0)
+        mesh = uv_sphere(np.array([0.01, -0.004, 0.4]), 0.07, n_lat=24, n_lon=48)
+        _, pc, a, b = band_and_contour(mesh, cam)
+        np.testing.assert_array_equal(rd._nearest_edge(pc, a, b, 4.5),
+                                      dense_nearest(pc, a, b))
+
+    def test_exact_tie_goes_to_lowest_row(self):
+        # (2.5, 2.5) lies exactly 2 px from the segments at x = 0.5 and
+        # x = 4.5; the segment at x = 9.5 is far
+        pc = np.array([[2.5, 2.5], [9.5, 2.5]])
+        for order in ([0.5, 4.5, 9.5], [4.5, 9.5, 0.5], [9.5, 4.5, 0.5]):
+            x = np.array(order)
+            a = np.stack([x, np.full(3, -3.0)], axis=1)
+            b = np.stack([x, np.full(3, 8.0)], axis=1)
+            got = rd._nearest_edge(pc, a, b, 4.5)
+            np.testing.assert_array_equal(got, dense_nearest(pc, a, b))
+            assert got[0] == min(order.index(0.5), order.index(4.5))
+
+    def test_fallback_when_no_candidate_within_radius(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.0, 60.0, size=(30, 2))
+        b = a + rng.normal(scale=2.0, size=(30, 2))
+        pc = rng.integers(0, 80, size=(400, 2)) + 0.5
+        # at radius 0.5 most points find no segment near their cell and
+        # take the dense search; some find only candidates beyond it
+        for radius in (0.5, 2.0, 4.5):
+            np.testing.assert_array_equal(rd._nearest_edge(pc, a, b, radius),
+                                          dense_nearest(pc, a, b))
+
+
+class TestBand:
+    @pytest.mark.parametrize("band", [3.0, 4.25])
+    def test_cropped_equals_full_image(self, ac05_views, band):
+        mesh, cams = ac05_views
+        masks = [rd.rasterize(mesh, cam).mask for cam in cams]
+        edge = np.zeros((30, 40), dtype=bool)
+        edge[:6, 35:] = True                  # touches two image borders
+        one = np.zeros((30, 40), dtype=bool)
+        one[15, 20] = True
+        for mask in masks + [edge, one, ~one]:
+            np.testing.assert_array_equal(rd._band_pixels(mask, band),
+                                          full_band(mask, band))
+
+
+class TestFusedSilhouette:
+    @pytest.mark.parametrize("sharpness", [8.0, 40.0])
+    def test_matches_op_chain(self, ac05_views, sharpness):
+        mesh, cams = ac05_views
+        topo = rd.ContourTopology.build(mesh)
+        w = np.random.default_rng(3).normal(size=(cams[0].height, cams[0].width))
+        for cam in cams[:3]:
+            frag = rd.rasterize(mesh, cam)
+            out = []
+            for render in (rd.render_silhouette_soft_var, chain_silhouette):
+                tape = ad.Tape()
+                verts = tape.leaf(mesh.vertices)
+                img, _ = render(verts, mesh.faces, cam, sharpness, frag, topo)
+                out.append((img.value, tape.backward((img * w).sum())[verts]))
+            (v_fused, g_fused), (v_chain, g_chain) = out
+            # same expressions up to the order of a few float64 operations
+            np.testing.assert_allclose(v_fused, v_chain, rtol=1e-12, atol=1e-15)
+            scale = np.abs(g_chain).max()
+            assert scale > 0
+            np.testing.assert_allclose(g_fused, g_chain, rtol=0, atol=1e-12 * scale)
+
+    def test_tape_freed_without_collector(self):
+        cam = front_cam()
+        mesh = quad_mesh(cx=0.011, half=0.08)
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            ref = weakref.ref(tape)
+            verts = tape.leaf(mesh.vertices)
+            img, _ = rd.render_silhouette_soft_var(verts, mesh.faces, cam)
+            n_map, _ = rd.render_normals_var(verts, mesh.faces, cam)
+            tape.backward((img * img).sum() + n_map.sum())
+            del tape, verts, img, n_map
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestContours:
