@@ -1,4 +1,4 @@
-"""Pinhole cameras, arc-of-views sampling, and perspective rotations.
+"""Pinhole cameras and arc-of-views sampling.
 
 Camera frame convention used across the package: right-handed with x
 right, y down, z forward (the camera looks down +z).  World points map
@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "Camera", "ArcSamplerConfig", "project", "unproject", "look_at",
-    "make_camera", "sample_arc", "rotate_camera", "scale_camera",
+    "Camera", "ArcSamplerConfig", "project", "look_at",
+    "make_camera", "sample_arc", "scale_camera",
     "save_cameras", "load_cameras",
 ]
 
@@ -43,9 +43,6 @@ class Camera:
     def center(self):
         """Camera position in world coordinates."""
         return -self.R.T @ self.t
-
-    def to_camera(self, points):
-        return np.asarray(points, dtype=np.float64) @ self.R.T + self.t
 
 
 @dataclass(frozen=True)
@@ -78,14 +75,6 @@ def project(camera: Camera, points):
     if np.asarray(points).ndim == 1:
         return pixels[0], float(z[0])
     return pixels, z
-
-
-def unproject(camera: Camera, pixel, depth):
-    """World point whose projection is ``pixel`` at camera depth ``depth``."""
-    px, py = np.asarray(pixel, dtype=np.float64)
-    x = (px - camera.cx) / camera.fx * depth
-    y = (py - camera.cy) / camera.fy * depth
-    return camera.R.T @ (np.array([x, y, depth]) - camera.t)
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)):
@@ -131,25 +120,6 @@ def sample_arc(config: ArcSamplerConfig, rng) -> Camera:
                          radius * np.cos(polar)])
     R, t = look_at(position, np.zeros(3))
     return make_camera(config, R, t)
-
-
-def rotate_camera(camera: Camera, yaw, pitch, roll) -> Camera:
-    """Rotate about the camera-local yaw (y), pitch (x), roll (z) axes.
-
-    Intrinsics and the camera center are preserved; only the viewing
-    direction changes.  Camera-frame quantities (points, normals)
-    transform by the same delta rotation.
-    """
-    cy_, sy_ = np.cos(yaw), np.sin(yaw)
-    cx_, sx_ = np.cos(pitch), np.sin(pitch)
-    cz_, sz_ = np.cos(roll), np.sin(roll)
-    Ry = np.array([[cy_, 0, sy_], [0, 1, 0], [-sy_, 0, cy_]])
-    Rx = np.array([[1, 0, 0], [0, cx_, -sx_], [0, sx_, cx_]])
-    Rz = np.array([[cz_, -sz_, 0], [sz_, cz_, 0], [0, 0, 1]])
-    delta = Rz @ Rx @ Ry
-    center = camera.center()
-    R_new = delta @ camera.R
-    return replace(camera, R=R_new, t=-R_new @ center)
 
 
 def scale_camera(camera: Camera, factor: int) -> Camera:

@@ -157,16 +157,6 @@ def _check_angmf(rng, h):
     return ad.grad_check(fn, [mu0, k0], h=h)
 
 
-def _check_kp_train(rng, h):
-    k_gt = rng.normal(size=(1, 4, 2)) * 0.3 + 0.5
-    v = (rng.uniform(size=(1, 4)) > 0.3).astype(np.float64)
-    v[0, 0] = 1.0
-    k0 = k_gt + rng.normal(size=k_gt.shape) * 0.05
-    s0 = rng.uniform(0.05, 0.4, size=k_gt.shape)
-    return ad.grad_check(lambda k, s: losses.kp_train_nll(k, s, v, k_gt),
-                         [k0, s0], h=h)
-
-
 def _check_kp_fit(rng, h):
     obs = [losses.KeypointObservation(
         rng.uniform(0.2, 0.8, size=(3, 2)),
@@ -316,7 +306,6 @@ def _check_model_forward(rng, h, seed):
 
 CHECKS = {
     "angmf_nll": _check_angmf,
-    "kp_train_nll": _check_kp_train,
     "kp_fit_loss": _check_kp_fit,
     "normal_fit_loss": _check_normal_fit,
     "silhouette_l2": _check_silhouette_l2,

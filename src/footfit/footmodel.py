@@ -21,13 +21,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import Mesh, euler_rotation
+from .geometry import Mesh
 
 __all__ = [
     "FootParams", "ParamVars", "DeformationField", "TemplateAsset",
     "ModelFormatError", "KEYPOINT_NAMES", "build_template", "zero_field",
     "random_field", "make_default_model", "forward", "forward_mesh",
-    "blendshape_forward", "lift_params", "save_model", "load_model",
+    "lift_params", "save_model", "load_model",
 ]
 
 KEYPOINT_NAMES = (
@@ -110,7 +110,6 @@ class TemplateAsset:
     mesh: Mesh
     keypoint_ids: np.ndarray
     keypoint_names: tuple = KEYPOINT_NAMES
-    blend_basis: np.ndarray = None    # (K, V, 3) displacement fields
 
     def validate(self):
         self.mesh.validate()
@@ -251,8 +250,8 @@ def build_template():
     if vol < 0:
         faces = faces[:, ::-1]
     mesh = Mesh(verts, np.ascontiguousarray(faces)).validate()
-    return TemplateAsset(mesh, _assign_keypoints(verts), KEYPOINT_NAMES,
-                         _blend_basis(verts)).validate()
+    return TemplateAsset(mesh, _assign_keypoints(verts),
+                         KEYPOINT_NAMES).validate()
 
 
 def _pick(score, taken):
@@ -288,19 +287,6 @@ def _assign_keypoints(verts):
         d = np.linalg.norm(verts - np.asarray(anchor), axis=1)
         ids.append(_pick(d, taken))
     return np.asarray(ids, dtype=np.int64)
-
-
-def _blend_basis(verts):
-    """Four hand-built displacement fields: length, width, toe lift, instep."""
-    x, y, z = verts[:, 0], verts[:, 1], verts[:, 2]
-    n = len(verts)
-    basis = np.zeros((4, n, 3))
-    basis[0, :, 0] = 0.08 * (x - x.mean())
-    basis[1, :, 1] = 0.15 * y
-    basis[2, :, 2] = 0.012 / (1.0 + np.exp(-(x - 0.06) / 0.015))
-    basis[3, :, 2] = 0.010 * np.exp(-0.5 * (((x - (-0.01)) / 0.03) ** 2)) \
-        * np.clip((z - 0.02) / 0.05, 0.0, 1.0)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +396,6 @@ def forward_mesh(asset, field, params: FootParams) -> Mesh:
     return asset.mesh.copy_with(forward(asset, field, pv).value)
 
 
-def blendshape_forward(asset, coeffs, params: FootParams) -> Mesh:
-    """Linear fallback: template + Σ coeffs_k · basis_k, then registration."""
-    if asset.blend_basis is None:
-        raise ValueError("asset carries no blendshape basis")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (len(asset.blend_basis),):
-        raise ValueError(f"expected {len(asset.blend_basis)} coefficients")
-    params.validate()
-    u = asset.mesh.vertices + np.einsum("k,kvc->vc", coeffs, asset.blend_basis)
-    R = euler_rotation(params.r)
-    v = (u @ R.T) * params.s + params.t
-    return asset.mesh.copy_with(v)
-
-
 # ---------------------------------------------------------------------------
 # Model file IO.
 
@@ -451,11 +423,7 @@ def save_model(path, asset: TemplateAsset, field: DeformationField):
             fh.write(struct.pack("<II", W.shape[0], W.shape[1]))
             _write_array(fh, W.astype("<f8"))
             _write_array(fh, b.astype("<f8"))
-        if asset.blend_basis is None:
-            fh.write(struct.pack("<I", 0))
-        else:
-            fh.write(struct.pack("<I", len(asset.blend_basis)))
-            _write_array(fh, asset.blend_basis.astype("<f8"))
+        fh.write(struct.pack("<I", 0))      # basis count; no basis follows
 
 
 def _read_exact(fh, n, path):
@@ -493,17 +461,17 @@ def load_model(path):
             W = _read_array(fh, "<f8", (din, dout), path)
             b = _read_array(fh, "<f8", (dout,), path)
             weights.append((W, b))
+        # files written before the blendshape basis was dropped carry
+        # n_basis (V,3) displacement fields here; skip them
         (n_basis,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        basis = None
-        if n_basis:
-            basis = _read_array(fh, "<f8", (n_basis, nv, 3), path)
+        _read_exact(fh, n_basis * nv * 3 * 8, path)
     try:
         field = DeformationField(weights, d_s, d_p)
     except ModelFormatError:
         raise
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    asset = TemplateAsset(Mesh(vertices, faces), kp_ids, tuple(names), basis)
+    asset = TemplateAsset(Mesh(vertices, faces), kp_ids, tuple(names))
     try:
         asset.validate()
     except ValueError as exc:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import ndimage, special
 
 from . import autodiff as ad
+from . import camera as cam_mod
 from .geometry import Mesh
 
 __all__ = [
@@ -46,21 +47,12 @@ class FragmentBuffer:
         return self.face >= 0
 
 
-def _project_np(vertices, camera):
-    cam = vertices @ camera.R.T + camera.t
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = camera.fx * cam[:, 0] / z + camera.cx
-        py = camera.fy * cam[:, 1] / z + camera.cy
-    return np.stack([px, py], axis=1), z
-
-
 def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
     depth_buf = np.zeros((H, W))
-    pix, z = _project_np(mesh.vertices, camera)
+    pix, z = cam_mod.project(camera, mesh.vertices)
     tri = mesh.faces
     front = np.all(z[tri] > Z_NEAR, axis=1)
 

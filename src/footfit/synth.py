@@ -1,4 +1,4 @@
-"""Synthetic multi-view label generation and image augmentations.
+"""Synthetic multi-view label generation.
 
 A scene is a ground-truth model instance observed from an arc of
 cameras.  Each view gets a label bundle: noiseless GT normal map,
@@ -29,7 +29,6 @@ import os
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
-from scipy import ndimage
 
 from . import camera as cam_mod
 from . import footmodel as fm
@@ -40,9 +39,6 @@ from . import renderer
 __all__ = [
     "SceneSpec", "ViewBundle", "synthesize_kappa", "render_view",
     "generate_scene", "load_scene", "scene_gt_params", "random_scene_params",
-    "flip_bundle", "downsample_upsample", "gaussian_blur", "add_noise",
-    "color_jitter", "grayscale", "perspective_bundle", "augment",
-    "apply_augmentations", "FLIP_KEYPOINT_REMAP", "AUGMENT_PROBS",
 ]
 
 CALIBRATION = np.sqrt(2.0 / np.pi)   # mean of |N(0,1)|
@@ -245,196 +241,3 @@ def scene_gt_params(meta) -> fm.FootParams:
                          np.asarray(p["s"]), np.asarray(p["z_s"]),
                          np.asarray(p["z_p"]))
 
-
-# ---------------------------------------------------------------------------
-# Augmentations.  Images are float (H,W,3) in [0,1].
-
-def _flip_remap(names):
-    """Index remap under a horizontal flip: toes reverse order, the
-    ball width pair swaps, midline and unpaired landmarks keep their
-    identity (the flip produces the opposite foot)."""
-    remap = list(range(len(names)))
-    names = list(names)
-    for i in range(5):
-        remap[i] = names.index(f"toe_{5 - i}")
-    bm, bl = names.index("ball_medial"), names.index("ball_lateral")
-    remap[bm], remap[bl] = bl, bm
-    return np.asarray(remap)
-
-
-FLIP_KEYPOINT_REMAP = _flip_remap(fm.KEYPOINT_NAMES)
-
-
-def flip_bundle(bundle: ViewBundle) -> ViewBundle:
-    """Horizontal mirror of image and labels.  Applying it twice gives
-    the original back bit for bit.  The camera is kept as-is: the
-    flipped bundle is a 2D training sample, not a renderable view."""
-    remap = FLIP_KEYPOINT_REMAP
-    obs = bundle.obs
-    mu = obs.normals.mu[:, ::-1].copy()
-    mu[..., 0] = -mu[..., 0]
-    gt = bundle.gt_normals[:, ::-1].copy()
-    gt[..., 0] = -gt[..., 0]
-    kp = obs.keypoints
-    k = kp.k[remap].copy()
-    k[:, 0] = 1.0 - k[:, 0]
-    flipped = losses.Observation(
-        losses.NormalObservation(mu, obs.normals.kappa[:, ::-1].copy()),
-        losses.KeypointObservation(k, kp.sigma[remap].copy(), kp.v[remap].copy()),
-        obs.mask[:, ::-1].copy())
-    return ViewBundle(bundle.camera, flipped, bundle.image[:, ::-1].copy(), gt)
-
-
-def _resize_bilinear(image, h2, w2):
-    H, W = image.shape[:2]
-    ii = (np.arange(h2) + 0.5) * (H / h2) - 0.5
-    jj = (np.arange(w2) + 0.5) * (W / w2) - 0.5
-    grid_i, grid_j = np.meshgrid(ii, jj, indexing="ij")
-    out = np.empty((h2, w2, image.shape[2]))
-    for c in range(image.shape[2]):
-        out[:, :, c] = ndimage.map_coordinates(
-            image[:, :, c], [grid_i, grid_j], order=1, mode="nearest")
-    return out
-
-
-def downsample_upsample(image, ratio):
-    """Bilinear downsample by ``ratio`` then back to the original size."""
-    if not 0 < ratio <= 1:
-        raise ValueError("ratio must be in (0, 1]")
-    H, W = image.shape[:2]
-    h2 = max(1, int(round(H * ratio)))
-    w2 = max(1, int(round(W * ratio)))
-    return _resize_bilinear(_resize_bilinear(image, h2, w2), H, W)
-
-
-def gaussian_blur(image, sigma):
-    """7x7 Gaussian blur per channel (truncation pinned to radius 3)."""
-    return ndimage.gaussian_filter(image, sigma=(sigma, sigma, 0),
-                                   truncate=3.0 / sigma)
-
-
-def add_noise(image, rng, sigma=0.01):
-    return np.clip(image + rng.normal(0.0, sigma, size=image.shape), 0.0, 1.0)
-
-
-def _rgb_to_hsv(rgb):
-    mx = rgb.max(axis=2)
-    mn = rgb.min(axis=2)
-    d = mx - mn
-    safe = np.where(d == 0, 1.0, d)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    h = np.where(mx == r, ((g - b) / safe) % 6.0,
-                 np.where(mx == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0))
-    h = np.where(d == 0, 0.0, h / 6.0)
-    s = np.where(mx == 0, 0.0, d / np.where(mx == 0, 1.0, mx))
-    return h, s, mx
-
-
-def _hsv_to_rgb(h, s, v):
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    channels = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)]
-    out = np.zeros(h.shape + (3,))
-    for idx, (rr, gg, bb) in enumerate(channels):
-        sel = i == idx
-        out[sel, 0] = rr[sel]
-        out[sel, 1] = gg[sel]
-        out[sel, 2] = bb[sel]
-    return out
-
-
-def color_jitter(image, rng, brightness=0.5, contrast=0.5, saturation=0.5,
-                 hue=0.1):
-    """Brightness / contrast / saturation factors in 1 +/- the given
-    ranges, hue shifted by up to +/-``hue`` of the full wheel."""
-    out = image * rng.uniform(1.0 - brightness, 1.0 + brightness)
-    mean = out.mean()
-    out = np.clip((out - mean) * rng.uniform(1.0 - contrast, 1.0 + contrast)
-                  + mean, 0.0, 1.0)
-    h, s, v = _rgb_to_hsv(out)
-    s = np.clip(s * rng.uniform(1.0 - saturation, 1.0 + saturation), 0.0, 1.0)
-    h = (h + rng.uniform(-hue, hue)) % 1.0
-    return np.clip(_hsv_to_rgb(h, s, v), 0.0, 1.0)
-
-
-def grayscale(image):
-    luma = image.mean(axis=2, keepdims=True)
-    return np.repeat(luma, 3, axis=2)
-
-
-def perspective_bundle(bundle: ViewBundle, gt_mesh, kp_ids, sigma_deg,
-                       kp_sigma, rng) -> ViewBundle:
-    """Random camera rotation with all labels re-rendered to match:
-    yaw and pitch up to 20 degrees, roll anywhere."""
-    lim = np.radians(20.0)
-    yaw, pitch = rng.uniform(-lim, lim, size=2)
-    roll = rng.uniform(-np.pi, np.pi)
-    cam2 = cam_mod.rotate_camera(bundle.camera, yaw, pitch, roll)
-    return render_view(gt_mesh, kp_ids, cam2, sigma_deg, kp_sigma, rng)
-
-
-AUGMENT_PROBS = {
-    "downsample": 0.5,
-    "flip": 0.5,
-    "blur": 0.5,
-    "noise": 0.5,
-    "jitter": 1.0,
-    "grayscale": 0.02,
-    "perspective": 1.0,
-}
-
-
-def augment(bundle: ViewBundle, ops, rng, gt_mesh=None, kp_ids=None,
-            sigma_deg=5.0, kp_sigma=0.01) -> ViewBundle:
-    """Apply named ops in order.  Image-only ops keep labels untouched;
-    flip and perspective rewrite them consistently.  perspective needs
-    the GT mesh to re-render from the rotated camera."""
-    for op in ops:
-        if op == "downsample":
-            img = downsample_upsample(bundle.image, rng.uniform(0.2, 1.0))
-            bundle = ViewBundle(bundle.camera, bundle.obs, img,
-                                bundle.gt_normals)
-        elif op == "flip":
-            bundle = flip_bundle(bundle)
-        elif op == "blur":
-            img = gaussian_blur(bundle.image, rng.uniform(0.1, 10.0))
-            bundle = ViewBundle(bundle.camera, bundle.obs, img,
-                                bundle.gt_normals)
-        elif op == "noise":
-            bundle = ViewBundle(bundle.camera, bundle.obs,
-                                add_noise(bundle.image, rng),
-                                bundle.gt_normals)
-        elif op == "jitter":
-            bundle = ViewBundle(bundle.camera, bundle.obs,
-                                color_jitter(bundle.image, rng),
-                                bundle.gt_normals)
-        elif op == "grayscale":
-            bundle = ViewBundle(bundle.camera, bundle.obs,
-                                grayscale(bundle.image), bundle.gt_normals)
-        elif op == "perspective":
-            if gt_mesh is None:
-                raise ValueError("perspective augmentation needs the GT mesh")
-            bundle = perspective_bundle(bundle, gt_mesh, kp_ids, sigma_deg,
-                                        kp_sigma, rng)
-        else:
-            raise ValueError(f"unknown augmentation {op!r}")
-    return bundle
-
-
-def apply_augmentations(bundle: ViewBundle, rng, gt_mesh=None, kp_ids=None,
-                        sigma_deg=5.0, kp_sigma=0.01) -> ViewBundle:
-    """Roll the standard per-op probabilities and apply what comes up.
-    perspective is skipped unless the GT mesh is provided."""
-    ops = []
-    for op in ("perspective", "downsample", "flip", "blur", "noise",
-               "jitter", "grayscale"):
-        if op == "perspective" and gt_mesh is None:
-            continue
-        if rng.uniform() < AUGMENT_PROBS[op]:
-            ops.append(op)
-    return augment(bundle, ops, rng, gt_mesh=gt_mesh, kp_ids=kp_ids,
-                   sigma_deg=sigma_deg, kp_sigma=kp_sigma)

@@ -23,18 +23,6 @@ class TestProject:
         _, depth = cam.project(identity_camera(), [0.0, 0.0, -1.0])
         assert depth < 0
 
-    def test_project_unproject_identity(self):
-        rng = np.random.default_rng(4)
-        c = identity_camera()
-        for _ in range(100):
-            p = rng.normal(size=3)
-            p[2] = abs(p[2]) + 0.1
-            pixel, depth = cam.project(c, p)
-            back = cam.unproject(c, pixel, depth)
-            pixel2, _ = cam.project(c, back)
-            np.testing.assert_allclose(pixel2, pixel, atol=1e-9)
-            np.testing.assert_allclose(back, p, atol=1e-12)
-
 
 class TestLookAt:
     def test_axis_case(self):
@@ -97,41 +85,6 @@ class TestSampleArc:
         b = cam.sample_arc(config, np.random.default_rng(7))
         np.testing.assert_array_equal(a.R, b.R)
         np.testing.assert_array_equal(a.t, b.t)
-
-
-class TestRotateCamera:
-    def test_zero_is_identity(self):
-        c = cam.sample_arc(cam.ArcSamplerConfig(), np.random.default_rng(3))
-        r = cam.rotate_camera(c, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(r.R, c.R, atol=1e-15)
-        np.testing.assert_allclose(r.t, c.t, atol=1e-15)
-
-    def test_roll_180_spins_about_principal_point(self):
-        c = identity_camera()
-        r = cam.rotate_camera(c, 0.0, 0.0, np.pi)
-        p = np.array([0.07, -0.03, 1.3])
-        before, _ = cam.project(c, p)
-        after, _ = cam.project(r, p)
-        pp = np.array([c.cx, c.cy])
-        np.testing.assert_allclose(after - pp, -(before - pp), atol=1e-9)
-
-    def test_center_preserved(self):
-        rng = np.random.default_rng(5)
-        c = cam.sample_arc(cam.ArcSamplerConfig(), rng)
-        for _ in range(50):
-            r = cam.rotate_camera(c, *rng.uniform(-3, 3, 3))
-            np.testing.assert_allclose(r.center(), c.center(), atol=1e-12)
-            np.testing.assert_allclose(r.R.T @ r.R, np.eye(3), atol=1e-12)
-
-    def test_normals_transform_isometrically(self):
-        rng = np.random.default_rng(6)
-        c = identity_camera()
-        r = cam.rotate_camera(c, 0.2, -0.1, 0.5)
-        delta = r.R @ c.R.T
-        n = rng.normal(size=(10, 3))
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        moved = n @ delta.T
-        np.testing.assert_allclose(np.linalg.norm(moved, axis=1), 1.0, rtol=1e-12)
 
 
 class TestCameraIO:

@@ -144,32 +144,6 @@ class TestFieldInit:
             assert np.array_equal(ba, bb)
 
 
-class TestBlendshapes:
-    def test_zero_coeffs_identity(self, asset):
-        out = fm.blendshape_forward(asset, np.zeros(4), fm.FootParams.identity())
-        assert np.array_equal(out.vertices, asset.mesh.vertices)
-
-    def test_unit_coefficient_adds_basis(self, asset):
-        coeffs = np.zeros(4)
-        coeffs[1] = 1.0
-        out = fm.blendshape_forward(asset, coeffs, fm.FootParams.identity())
-        np.testing.assert_allclose(out.vertices,
-                                   asset.mesh.vertices + asset.blend_basis[1],
-                                   atol=1e-15)
-
-    def test_linearity(self, asset):
-        c = np.array([0.3, -0.2, 0.5, 0.1])
-        d1 = fm.blendshape_forward(asset, c, fm.FootParams.identity()).vertices \
-            - asset.mesh.vertices
-        d2 = fm.blendshape_forward(asset, 2.0 * c, fm.FootParams.identity()).vertices \
-            - asset.mesh.vertices
-        np.testing.assert_allclose(d2, 2.0 * d1, atol=1e-12)
-
-    def test_rejects_wrong_length(self, asset):
-        with pytest.raises(ValueError):
-            fm.blendshape_forward(asset, np.zeros(3), fm.FootParams.identity())
-
-
 class TestModelFile:
     def test_round_trip_bit_exact(self, asset, field, tmp_path):
         path = tmp_path / "foot.fmdl"
@@ -179,12 +153,36 @@ class TestModelFile:
         assert np.array_equal(asset2.mesh.faces, asset.mesh.faces)
         assert np.array_equal(asset2.keypoint_ids, asset.keypoint_ids)
         assert asset2.keypoint_names == asset.keypoint_names
-        assert np.array_equal(asset2.blend_basis, asset.blend_basis)
         p = fm.FootParams(np.array([0.1, 0.2, 0.3]), np.array([0.01, 0.0, 0.02]),
                           np.array([1.02, 0.99, 1.0]), np.full(8, 0.4), np.full(8, -0.3))
         a = fm.forward_mesh(asset, field, p).vertices
         b = fm.forward_mesh(asset2, field2, p).vertices
         assert np.array_equal(a, b)
+
+    def test_loads_file_with_blendshape_basis(self, asset, field, tmp_path):
+        # files written before the basis was dropped end with a basis
+        # count and count x V x 3 doubles; the loader skips them
+        path = tmp_path / "foot.fmdl"
+        fm.save_model(path, asset, field)
+        raw = path.read_bytes()
+        assert raw[-4:] == struct.pack("<I", 0)
+        nv = len(asset.mesh.vertices)
+        basis = np.random.default_rng(3).normal(size=(4, nv, 3)).astype("<f8")
+        old = raw[:-4] + struct.pack("<I", 4) + basis.tobytes()
+        old_path = tmp_path / "old.fmdl"
+        old_path.write_bytes(old)
+        asset2, field2 = fm.load_model(old_path)
+        assert np.array_equal(asset2.mesh.vertices, asset.mesh.vertices)
+        assert np.array_equal(asset2.mesh.faces, asset.mesh.faces)
+        assert np.array_equal(asset2.keypoint_ids, asset.keypoint_ids)
+        assert asset2.keypoint_names == asset.keypoint_names
+        assert (field2.d_s, field2.d_p) == (field.d_s, field.d_p)
+        for (w2, b2), (w, b) in zip(field2.weights, field.weights, strict=True):
+            assert np.array_equal(w2, w)
+            assert np.array_equal(b2, b)
+        old_path.write_bytes(old[: len(raw) + basis.nbytes // 2])
+        with pytest.raises(fm.ModelFormatError):
+            fm.load_model(old_path)
 
     def test_corrupt_magic(self, asset, field, tmp_path):
         path = tmp_path / "foot.fmdl"

@@ -12,19 +12,15 @@ from footfit.losses import (
     NormalObservation,
     Observation,
     angmf_nll,
-    background_nll,
     downsample_observation,
     expected_angular_error,
     expected_angular_error_quad,
     kp_fit_loss,
-    kp_train_nll,
     load_observation,
     normal_fit_loss,
-    sample_hemisphere,
     save_observation,
     silhouette_from_uncertainty,
     silhouette_l2,
-    visibility_l2,
 )
 
 
@@ -97,46 +93,15 @@ class TestAngularNLL:
             angmf_nll(mu, -np.ones(1), mu)
 
 
-class TestBackgroundNLL:
-    def test_hemisphere_sampler_range(self):
-        labels = sample_hemisphere(10_000, np.random.default_rng(7))
-        assert np.abs(np.linalg.norm(labels, axis=1) - 1).max() < 1e-12
-        assert np.all(labels[:, 2] < 0)
-
-    def test_mu_gets_no_gradient(self):
-        rng = np.random.default_rng(11)
-        tape = ad.Tape()
-        mu = tape.leaf(unit_rows(rng, 20))
-        kappa = tape.leaf(rng.uniform(0.0, 2.0, size=20))
-        out = background_nll(mu, kappa, np.random.default_rng(0))
-        grads = tape.backward(out)
-        assert np.all(grads[mu] == 0.0)
-        assert np.any(grads[kappa] != 0.0)
-
-    def test_is_tenth_of_plain_nll(self):
-        rng = np.random.default_rng(12)
-        mu = unit_rows(rng, 30)
-        k0 = rng.uniform(0.1, 3.0, size=30)
-        tape = ad.Tape()
-        kappa = tape.leaf(k0)
-        out = background_nll(tape.const(mu), kappa, np.random.default_rng(42))
-        labels = sample_hemisphere(30, np.random.default_rng(42))
-        tape2 = ad.Tape()
-        kappa2 = tape2.leaf(k0)
-        plain = angmf_nll(tape2.const(mu), kappa2, labels)
-        assert np.isclose(out.value, 0.1 * plain.value, rtol=1e-12)
-        g = tape.backward(out)[kappa]
-        g2 = tape2.backward(plain)[kappa2]
-        np.testing.assert_allclose(g, 0.1 * g2, rtol=1e-12)
-
-
 class TestExpectedAngularError:
     def test_kappa_zero_is_ninety(self):
         assert expected_angular_error_quad(0.0) == 90.0
         assert expected_angular_error(0.0) == 90.0
 
     def test_matches_closed_form(self):
-        for k in np.geomspace(1e-3, 100.0, 25):
+        # 66.896: where the quadrature with scipy's default absolute
+        # tolerance was off by 7e-4 deg
+        for k in [*np.geomspace(1e-3, 100.0, 25), 66.896]:
             assert abs(expected_angular_error_quad(k)
                        - expected_error_closed_form(k)) < 1e-9
 
@@ -193,53 +158,6 @@ class TestSilhouetteFromUncertainty:
         rng = np.random.default_rng(8)
         k = rng.uniform(0.0, 50.0, size=(5, 5))
         assert silhouette_from_uncertainty(k, threshold_deg=180.0).all()
-
-
-class TestKeypointTrainNLL:
-    def test_perfect_unit_sigma_is_zero(self):
-        rng = np.random.default_rng(9)
-        k = rng.normal(size=(2, 5, 2))
-        out = kp_train_nll(k, np.ones((2, 5, 2)), np.ones((2, 5)), k.copy())
-        assert out.value == 0.0
-
-    def test_single_point_example(self):
-        k_pred = np.array([[[0.1, 0.0]]])
-        k_gt = np.zeros((1, 1, 2))
-        sigma = np.full((1, 1, 2), 0.1)
-        out = kp_train_nll(k_pred, sigma, np.ones((1, 1)), k_gt)
-        expect = 1.0 + 2 * np.log(0.1 * 0.1)      # (0.1/0.1)^2 + log(sx^2 sy^2)
-        assert abs(out.value - expect) < 1e-12
-        assert round(out.value, 5) == -8.21034
-
-    def test_visibility_gates_terms(self):
-        rng = np.random.default_rng(10)
-        k_pred = rng.normal(size=(1, 4, 2))
-        k_gt = rng.normal(size=(1, 4, 2))
-        sigma = rng.uniform(0.05, 0.5, size=(1, 4, 2))
-        v = np.array([[1.0, 0.0, 1.0, 0.0]])
-        out = kp_train_nll(k_pred, sigma, v, k_gt)
-        manual = 0.0
-        for j in (0, 2):
-            d = (k_pred[0, j] - k_gt[0, j]) / sigma[0, j]
-            manual += (d ** 2).sum() + 2 * np.log(sigma[0, j]).sum()
-        assert np.isclose(out.value, manual, rtol=1e-12)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(13)
-        k_gt = rng.normal(size=(2, 3, 2))
-        v = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        k0 = rng.normal(size=(2, 3, 2))
-        s0 = rng.uniform(0.1, 0.6, size=(2, 3, 2))
-
-        def fn(kp, sig):
-            return kp_train_nll(kp, sig, v, k_gt)
-
-        assert ad.grad_check(fn, [k0, s0]) < 1e-4
-
-    def test_rejects_nonpositive_sigma(self):
-        k = np.zeros((1, 2, 2))
-        with pytest.raises(ValueError):
-            kp_train_nll(k, np.zeros((1, 2, 2)), np.ones((1, 2)), k)
 
 
 def make_kp_obs(rng, K=12):
@@ -407,12 +325,6 @@ class TestSilhouetteL2:
         tape = ad.Tape()
         with pytest.raises(ValueError):
             silhouette_l2(tape.leaf(np.zeros((2, 2))), np.zeros((2, 3)))
-
-    def test_visibility_l2(self):
-        tape = ad.Tape()
-        v = tape.leaf(np.array([1.0, 0.0, 0.5]))
-        out = visibility_l2(v, np.array([1.0, 1.0, 0.0]))
-        assert np.isclose(out.value, (0.0 + 1.0 + 0.25) / 3, rtol=1e-12)
 
 
 class TestKappaMinimizer:

@@ -378,7 +378,7 @@ def band_and_contour(mesh, cam, band=3.0):
     flat = rd._band_pixels(frag.mask, band)
     ii, jj = np.divmod(flat, cam.width)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
-    pix, _ = rd._project_np(mesh.vertices, cam)
+    pix, _ = cam_mod.project(cam, mesh.vertices)
     return frag, pc, pix[contour[:, 0]], pix[contour[:, 1]]
 
 
@@ -490,7 +490,7 @@ class TestContours:
         topo = rd.ContourTopology.build(mesh)
         contour = rd._contour_edges(topo, frag.front_faces)
         assert len(contour) > 10
-        pix, _ = rd._project_np(mesh.vertices, cam)
+        pix, _ = cam_mod.project(cam, mesh.vertices)
         r = np.linalg.norm(pix[contour].reshape(-1, 2) - [cam.cx, cam.cy], axis=1)
         r_sil = cam.fx * 0.06 / np.sqrt(0.4 ** 2 - 0.06 ** 2)
         assert np.abs(r - r_sil).max() < 1.5
@@ -501,7 +501,7 @@ class TestKeypoints:
         cam = front_cam()
         mesh = quad_mesh()
         norm, vis = rd.project_keypoints(mesh, [0, 1, 2, 3], cam)
-        pix, _ = rd._project_np(mesh.vertices, cam)
+        pix, _ = cam_mod.project(cam, mesh.vertices)
         np.testing.assert_allclose(norm * [cam.width, cam.height], pix, atol=1e-12)
         assert vis.tolist() == [1, 1, 1, 1]
 

@@ -250,159 +250,3 @@ class TestLoadScene:
             synth.load_scene(dup)
         assert "view_001" in str(exc.value)
         assert "kappa.pfm" in str(exc.value)
-
-
-class TestFlip:
-    def test_remap_is_expected_involution(self):
-        r = synth.FLIP_KEYPOINT_REMAP
-        assert r.tolist() == [4, 3, 2, 1, 0, 6, 5, 7, 8, 9, 10, 11]
-        assert np.array_equal(r[r], np.arange(len(r)))
-
-    def test_normal_rule(self, bundle):
-        flipped = synth.flip_bundle(bundle)
-        mu = bundle.obs.normals.mu
-        want = mu[:, ::-1].copy()
-        want[..., 0] = -want[..., 0]
-        assert np.array_equal(flipped.obs.normals.mu, want)
-        assert np.array_equal(flipped.gt_normals[..., 1:],
-                              bundle.gt_normals[:, ::-1][..., 1:])
-
-    def test_keypoint_rule(self, bundle):
-        flipped = synth.flip_bundle(bundle)
-        r = synth.FLIP_KEYPOINT_REMAP
-        kp = bundle.obs.keypoints
-        assert np.array_equal(flipped.obs.keypoints.k[:, 0],
-                              1.0 - kp.k[r, 0])
-        assert np.array_equal(flipped.obs.keypoints.k[:, 1], kp.k[r, 1])
-        assert np.array_equal(flipped.obs.keypoints.v, kp.v[r])
-
-    def test_involution(self, bundle):
-        back = synth.flip_bundle(synth.flip_bundle(bundle))
-        assert np.array_equal(back.image, bundle.image)
-        assert np.array_equal(back.obs.mask, bundle.obs.mask)
-        assert np.array_equal(back.obs.normals.mu, bundle.obs.normals.mu)
-        assert np.array_equal(back.obs.normals.kappa,
-                              bundle.obs.normals.kappa)
-        assert np.array_equal(back.obs.keypoints.v, bundle.obs.keypoints.v)
-        assert np.array_equal(back.obs.keypoints.sigma,
-                              bundle.obs.keypoints.sigma)
-        # x mirrors as 1-x, which rounds once when x sits on a finer
-        # grid than [0.5, 1); the round trip lands within one spacing
-        k0, k2 = bundle.obs.keypoints.k, back.obs.keypoints.k
-        assert np.array_equal(k0[:, 1], k2[:, 1])
-        assert np.all(np.abs(k2[:, 0] - k0[:, 0]) <= np.spacing(k0[:, 0]))
-
-
-class TestImageOps:
-    def test_downsample_upsample_shape_and_range(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(size=(40, 30, 3))
-        out = synth.downsample_upsample(img, 0.5)
-        assert out.shape == img.shape
-        assert out.min() >= img.min() - 1e-12
-        assert out.max() <= img.max() + 1e-12
-
-    def test_downsample_spectral(self):
-        # checkerboard: all energy at Nyquist; half-res resampling must
-        # strictly lose power above half-Nyquist
-        n = 64
-        board = np.indices((n, n)).sum(axis=0) % 2
-        img = np.repeat(board[:, :, None].astype(float), 3, axis=2)
-        out = synth.downsample_upsample(img, 0.5)
-        f = np.fft.fftfreq(n)
-        hi = (np.abs(f[:, None]) > 0.125) | (np.abs(f[None, :]) > 0.125)
-        p_in = (np.abs(np.fft.fft2(img[:, :, 0])) ** 2)[hi].sum()
-        p_out = (np.abs(np.fft.fft2(out[:, :, 0])) ** 2)[hi].sum()
-        assert p_out < p_in
-
-    def test_downsample_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            synth.downsample_upsample(np.zeros((4, 4, 3)), 0.0)
-
-    def test_blur_kernel_radius(self):
-        img = np.zeros((15, 15, 3))
-        img[7, 7] = 1.0
-        out = synth.gaussian_blur(img, 5.0)
-        assert out[7, 3, 0] == 0.0 and out[7, 11, 0] == 0.0
-        assert out[7, 4, 0] > 0.0 and out[7, 10, 0] > 0.0
-
-    def test_blur_preserves_constant(self):
-        img = np.full((12, 12, 3), 0.37)
-        out = synth.gaussian_blur(img, 2.0)
-        assert np.abs(out - 0.37).max() < 1e-12
-
-    def test_noise_bounded_and_seeded(self):
-        img = np.full((8, 8, 3), 0.5)
-        a = synth.add_noise(img, np.random.default_rng(9))
-        b = synth.add_noise(img, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-        assert a.min() >= 0.0 and a.max() <= 1.0
-        assert not np.array_equal(a, img)
-
-    def test_hsv_round_trip(self):
-        rng = np.random.default_rng(1)
-        rgb = rng.uniform(0.05, 1.0, size=(16, 16, 3))
-        h, s, v = synth._rgb_to_hsv(rgb)
-        back = synth._hsv_to_rgb(h, s, v)
-        assert np.abs(back - rgb).max() < 1e-12
-
-    def test_jitter_keeps_gray_gray(self):
-        img = np.repeat(np.random.default_rng(2).uniform(
-            size=(10, 10, 1)), 3, axis=2)
-        out = synth.color_jitter(img, np.random.default_rng(3))
-        assert np.abs(out[..., 0] - out[..., 1]).max() < 1e-12
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_grayscale(self):
-        rng = np.random.default_rng(4)
-        img = rng.uniform(size=(6, 6, 3))
-        out = synth.grayscale(img)
-        assert np.array_equal(out[..., 0], img.mean(axis=2))
-        assert np.array_equal(out[..., 0], out[..., 2])
-
-
-class TestAugment:
-    def test_perspective_re_renders(self, model, gt, bundle):
-        asset, _ = model
-        _, mesh = gt
-        out = synth.perspective_bundle(bundle, mesh, asset.keypoint_ids, 5.0,
-                                       0.01, np.random.default_rng(6))
-        assert not np.array_equal(out.camera.R, bundle.camera.R)
-        frag = renderer.rasterize(mesh, out.camera)
-        assert np.array_equal(out.obs.mask, frag.mask)
-        kp, vis = renderer.project_keypoints(mesh, asset.keypoint_ids,
-                                             out.camera)
-        assert np.array_equal(out.obs.keypoints.k, kp)
-
-    def test_ops_in_order(self, bundle):
-        rng = np.random.default_rng(8)
-        out = synth.augment(bundle, ["flip", "grayscale"], rng)
-        want = synth.flip_bundle(bundle)
-        assert np.array_equal(out.image, synth.grayscale(want.image))
-        assert np.array_equal(out.obs.normals.mu, want.obs.normals.mu)
-
-    def test_unknown_op(self, bundle):
-        with pytest.raises(ValueError, match="unknown"):
-            synth.augment(bundle, ["sharpen"], np.random.default_rng(0))
-
-    def test_perspective_needs_mesh(self, bundle):
-        with pytest.raises(ValueError, match="mesh"):
-            synth.augment(bundle, ["perspective"], np.random.default_rng(0))
-
-    def test_apply_augmentations_seeded(self, model, gt, bundle):
-        asset, _ = model
-        _, mesh = gt
-        a = synth.apply_augmentations(bundle, np.random.default_rng(12),
-                                      gt_mesh=mesh,
-                                      kp_ids=asset.keypoint_ids)
-        b = synth.apply_augmentations(bundle, np.random.default_rng(12),
-                                      gt_mesh=mesh,
-                                      kp_ids=asset.keypoint_ids)
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.obs.normals.kappa, b.obs.normals.kappa)
-        assert a.image.shape == bundle.image.shape
-
-    def test_apply_augmentations_without_mesh(self, bundle):
-        out = synth.apply_augmentations(bundle, np.random.default_rng(13))
-        assert out.image.shape == bundle.image.shape
-        assert np.isfinite(out.image).all()
