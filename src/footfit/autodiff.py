@@ -15,7 +15,8 @@ Gradient conventions that callers rely on:
   interval,
 * ``acos_safe`` evaluates arccos exactly on [-1, 1] but zeroes the
   gradient where ``|x| > 1 - eps``, bounding the otherwise singular
-  slope at the endpoints.
+  slope at the endpoints,
+* ``detach`` cuts the graph: value flows, gradient does not.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 __all__ = [
     "Tape", "Var", "DomainError", "TapeMixError",
-    "add", "sub", "mul", "div", "neg", "matmul",
-    "sqrt", "exp", "log", "sin", "cos", "tanh", "acos_safe",
-    "clamp", "sigmoid", "norm2",
+    "add", "sub", "mul", "div", "neg", "dot", "matmul",
+    "sqrt", "exp", "log", "sin", "cos", "tanh", "arccos", "acos_safe",
+    "clamp", "sigmoid", "norm2", "detach",
     "take", "segment_sum", "concat", "stack", "scatter_into", "custom",
     "grad_check",
 ]
@@ -300,6 +301,16 @@ def vsum(a, axis=None, keepdims=False):
     return a.tape._record(np.asarray(out), (a._i,), vjp, a.requires_grad)
 
 
+def dot(a, b):
+    tape = _tape_of(a, b)
+    a, b = _lift(tape, a), _lift(tape, b)
+    av, bv = a.value, b.value
+    if av.ndim != 1 or bv.ndim != 1:
+        raise ValueError("dot expects 1-d operands")
+    return tape._record(np.asarray(av @ bv), (a._i, b._i), lambda g: (g * bv, g * av),
+                        a.requires_grad or b.requires_grad)
+
+
 def matmul(a, b):
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
@@ -351,6 +362,14 @@ def cos(a):
 def tanh(a):
     out = np.tanh(a.value)
     return a.tape._record(out, (a._i,), lambda g: (g * (1.0 - out * out),), a.requires_grad)
+
+
+def arccos(a):
+    av = a.value
+    if np.any(np.abs(av) > 1.0):
+        raise DomainError("arccos input outside [-1, 1]")
+    return a.tape._record(np.arccos(av), (a._i,), lambda g: (-g / np.sqrt(1.0 - av * av),),
+                          a.requires_grad)
 
 
 def acos_safe(a, eps=1e-7):
@@ -410,6 +429,11 @@ def norm2(a, axis=None, keepdims=False):
         return (g * av / nk,)
 
     return a.tape._record(np.asarray(out), (a._i,), vjp, a.requires_grad)
+
+
+def detach(a):
+    """Value identical, gradient cut."""
+    return a.tape._record(a.value, (), None, False)
 
 
 def take(a, idx):

@@ -44,6 +44,11 @@ class TestPrimitives:
         grads = tape.backward(x * x)
         np.testing.assert_allclose(grads[x], 6.0)
 
+    def test_arccos_derivative_at_half(self):
+        tape, x = scalar_tape(0.5)
+        grads = tape.backward(ad.arccos(x))
+        np.testing.assert_allclose(grads[x], -1.0 / np.sqrt(0.75), rtol=1e-12)
+
     def test_log_derivative(self):
         tape, x = scalar_tape(2.0)
         grads = tape.backward(ad.log(x))
@@ -61,6 +66,11 @@ class TestPrimitives:
         with pytest.raises(ad.DomainError):
             ad.sqrt(x)
 
+    def test_arccos_domain(self):
+        tape, x = scalar_tape(1.5)
+        with pytest.raises(ad.DomainError):
+            ad.arccos(x)
+
     def test_acos_safe_exact_at_one(self):
         tape, x = scalar_tape(1.0)
         out = ad.acos_safe(x)
@@ -73,6 +83,14 @@ class TestPrimitives:
         x = tape.leaf(np.array([-2.0, 0.3, 2.0]), requires_grad=True)
         grads = tape.backward(ad.clamp(x, -1.0, 1.0).sum())
         np.testing.assert_array_equal(grads[x], [0.0, 1.0, 0.0])
+
+    def test_detach_blocks_gradient(self):
+        tape, x = scalar_tape(2.0)
+        y = ad.detach(x * x) * x
+        grads = tape.backward(y)
+        # value is x^3 = 8 but gradient sees only the last factor
+        np.testing.assert_allclose(y.item(), 8.0)
+        np.testing.assert_allclose(grads[x], 4.0)
 
     def test_norm2_gradient_is_direction(self):
         rng = np.random.default_rng(5)
@@ -111,6 +129,13 @@ class TestBackward:
         x = tape.leaf(np.arange(5.0), requires_grad=True)
         grads = tape.backward(x.sum())
         np.testing.assert_array_equal(grads[x], np.ones(5))
+
+    def test_dot_self(self):
+        a = np.array([1.0, -2.0, 0.5])
+        tape = ad.Tape()
+        x = tape.leaf(a, requires_grad=True)
+        grads = tape.backward(ad.dot(x, x))
+        np.testing.assert_allclose(grads[x], 2 * a, rtol=1e-12)
 
     def test_nonscalar_output_rejected(self):
         tape = ad.Tape()
@@ -206,6 +231,7 @@ OPS = {
     "neg": lambda x, m: -x,
     "sum": lambda x, m: m.sum(axis=0),
     "mean": lambda x, m: m.mean(axis=1),
+    "dot": lambda x, m: ad.dot(x, x),
     "matmul": lambda x, m: m @ m,
     "sqrt": lambda x, m: ad.sqrt(x * x + 1.0),
     "exp": lambda x, m: ad.exp(x),
@@ -213,10 +239,12 @@ OPS = {
     "sin": lambda x, m: ad.sin(x),
     "cos": lambda x, m: ad.cos(x),
     "tanh": lambda x, m: ad.tanh(x),
+    "arccos": lambda x, m: ad.arccos(x * 0.1),
     "acos_safe": lambda x, m: ad.acos_safe(x * 0.1),
     "clamp": lambda x, m: ad.clamp(x, -0.5, 0.5),
     "sigmoid": lambda x, m: ad.sigmoid(x),
     "norm2": lambda x, m: ad.norm2(m, axis=1),
+    "detach": lambda x, m: ad.detach(x) * x,
     "take": lambda x, m: ad.take(m, np.array([0, 2, 2])),
     "segment_sum": lambda x, m: ad.segment_sum(m, np.array([0, 0, 1]), 2),
     "concat": lambda x, m: ad.concat([x, x * 2.0]),
