@@ -16,6 +16,7 @@ import ctypes
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -435,6 +436,7 @@ def cmd_fit(cfg):
 
     _echo(cfg, "fit", cfg["out"])
     _progress(f"fitting {m} views at 1/{factor} scale")
+    start = time.perf_counter()
     try:
         params1, trace1 = fitting.fit_stage1(model, obs, cams, fit_cfg)
         _progress(f"stage 1 done: kp loss {trace1.rows[-1][1]:.6g}"
@@ -445,6 +447,7 @@ def cmd_fit(cfg):
         if "under-constrained" in str(exc):
             raise NumericalError(str(exc)) from exc
         raise
+    wall_s = time.perf_counter() - start
     _progress(f"stage 2 done: total {trace2.rows[-1][4]:.6g}"
               if trace2.rows else "stage 2 skipped")
 
@@ -467,7 +470,7 @@ def cmd_fit(cfg):
     totals = (list(trace1.totals()) + list(trace2.totals())) or [float("nan")]
     return {"command": "fit", "out": cfg["out"], "views": m,
             "downsample": factor, "final_total": float(totals[-1]),
-            "epochs": len(totals)}
+            "epochs": len(totals), "wall_s": wall_s}
 
 
 def cmd_eval_normals(cfg):

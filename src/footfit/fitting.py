@@ -3,10 +3,11 @@
 Stage 1 registers the template rigidly (rotation, translation, per-axis
 scale) against keypoints only.  Stage 2 frees the shape and pose codes
 as well and adds soft-silhouette and normal-map terms.  Both stages run
-full-batch Adam with a fixed epoch count; each epoch builds one tape,
-runs the model forward once, and shares the resulting vertices across
-all views.  Stage 2 computes the world-frame vertex normals once per
-epoch, and each view's projection feeds both its keypoint and its
+full-batch Adam with a fixed epoch count; each epoch builds one tape
+and runs the model forward once for all views.  Stage 1 evaluates and
+projects only the keypoint rows, the only rows its loss reads.  Stage 2
+evaluates the whole mesh, computes the world-frame vertex normals once
+per epoch, and each view's projection feeds both its keypoint and its
 silhouette term.
 """
 
@@ -150,13 +151,18 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         sil_targets = [losses.silhouette_from_uncertainty(
             o.normals.kappa, config.sil_threshold_deg) for o in observations]
 
+    # the keypoint loss reads only the keypoint rows, so without rendering
+    # only those rows are evaluated and projected
+    rows = None if with_render else asset.keypoint_ids
+    kp_ids = asset.keypoint_ids if with_render else np.arange(len(rows))
+
     trace = FitTrace()
     trace.snapshots.append(_params_of(values))
     n_views = len(cameras)
     for epoch in range(epochs):
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
-        verts = fm.forward(asset, field, pv)
+        verts = fm.forward(asset, field, pv, rows=rows)
         projections = []
         l_sil = tape.const(0.0)
         l_norm = tape.const(0.0)
@@ -165,8 +171,8 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
             n_world = renderer.vertex_normals_var(verts, faces)
         for view, cam in enumerate(cameras):
             proj = renderer.project_vertices_var(verts, cam)
-            kp, _vis = renderer.project_keypoints_var(
-                verts, asset.keypoint_ids, cam, proj=proj)
+            kp, _vis = renderer.project_keypoints_var(verts, kp_ids, cam,
+                                                      proj=proj)
             projections.append(kp)
             if not with_render:
                 continue
@@ -202,7 +208,8 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
 
 def fit_stage1(model, observations, cameras, config=None,
                init: fm.FootParams | None = None):
-    """Keypoint-only registration from the identity initialization."""
+    """Keypoint-only registration from the identity initialization; each
+    epoch evaluates and projects the keypoint rows of the model only."""
     asset, field = model
     config = (config or FitConfig()).validate()
     if init is None:

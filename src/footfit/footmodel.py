@@ -15,6 +15,7 @@ with R built from Euler angles as in :func:`footfit.geometry.euler_rotation`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -377,14 +378,20 @@ def _euler_var(r):
     return Rz @ Ry @ Rx
 
 
-def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars) -> ad.Var:
-    """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces."""
+def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
+            rows=None) -> ad.Var:
+    """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces.
+
+    ``rows`` evaluates only those template vertices; the field and the
+    registration act point by point, so this equals the full ``[rows]``.
+    """
     if pv.z_s.shape != (field.d_s,) or pv.z_p.shape != (field.d_p,):
         raise ValueError("code dimensions do not match the field")
     if not np.all(pv.s.value > 0):
         raise ValueError("scale components must be positive")
     tape = pv.r.tape
-    X = tape.const(asset.mesh.vertices)
+    X = tape.const(asset.mesh.vertices if rows is None
+                   else asset.mesh.vertices[rows])
     u = X + _field_var(field, X, pv.z_s, pv.z_p)
     R = _euler_var(pv.r)
     return (u @ ad.transpose(R)) * pv.s + pv.t
@@ -427,6 +434,9 @@ def save_model(path, asset: TemplateAsset, field: DeformationField):
 
 
 def _read_exact(fh, n, path):
+    # checked before reading, so a corrupt header count allocates nothing
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ModelFormatError(f"{path}: truncated model file")
     raw = fh.read(n)
     if len(raw) != n:
         raise ModelFormatError(f"{path}: truncated model file")

@@ -192,6 +192,18 @@ class TestFit:
         summary = json.loads(lines[0])
         assert summary["epochs"] == 7
         assert np.isfinite(summary["final_total"])
+        assert summary["wall_s"] > 0.0
+
+    def test_corrupt_model_header_exits_3(self, tmp_path, model_bin,
+                                          scene_dir, capsys):
+        raw = bytearray(open(model_bin, "rb").read())
+        raw[8:12] = b"\xff\xff\xff\xff"        # vertex count
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(raw))
+        rc = cli.main(["fit", "--scene", str(scene_dir), "--model", str(bad),
+                       "--out", str(tmp_path / "f")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("io error")
 
     def test_rerun_byte_identical(self, tmp_path, model_bin, scene_dir):
         outs = []

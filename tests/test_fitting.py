@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import fitting
 from footfit import footmodel as fm
@@ -171,6 +172,71 @@ class TestStage1:
         _, cams, obs = stage1_setup
         with pytest.raises(ValueError, match="per camera"):
             fitting.fit_stage1(model, obs[:-1], cams)
+
+
+def _stage1_full_mesh(model, observations, cameras, config):
+    """Reference stage 1: the model forward over every template vertex,
+    then the keypoint rows read out of each view's full projection."""
+    asset, field = model
+    free = tuple(n for n in fitting.PARAM_ORDER if n in config.stage1_free)
+    values = fitting._values_of(fm.FootParams.identity(field.d_s, field.d_p))
+    state = fitting.AdamState.for_params({n: values[n] for n in free})
+    kp_obs = [o.keypoints for o in observations]
+    rows = []
+    for epoch in range(config.stage1_epochs):
+        tape = ad.Tape()
+        pv = fm.lift_params(tape, fitting._params_of(values), train=free)
+        verts = fm.forward(asset, field, pv)
+        kps = [renderer.project_keypoints_var(verts, asset.keypoint_ids, cam)[0]
+               for cam in cameras]
+        l_kp = losses.kp_fit_loss(kps, kp_obs)
+        total = l_kp * config.w_kp
+        rows.append((epoch, float(l_kp.value), 0.0, 0.0, float(total.value)))
+        grads = tape.backward(total)
+        values.update(fitting.adam_step(
+            state, {n: values[n] for n in free},
+            {n: grads[getattr(pv, n)] for n in free}, config.lr))
+    return fitting._params_of(values), rows
+
+
+class TestStage1KeypointRows:
+    @pytest.mark.parametrize("free", [fitting.STAGE1_FREE,
+                                      ("r", "t", "s", "z_s")])
+    def test_matches_full_mesh_reference(self, model, stage1_setup, free):
+        _, cams, obs = stage1_setup
+        config = fitting.FitConfig(stage1_epochs=50, stage1_free=free)
+        fitted, trace = fitting.fit_stage1(model, obs, cams, config)
+        ref, ref_rows = _stage1_full_mesh(model, obs, cams, config)
+        for name in fitting.PARAM_ORDER:
+            assert np.abs(getattr(fitted, name) - getattr(ref, name)).max() < 1e-12, name
+        if "z_s" in free:
+            assert not np.array_equal(fitted.z_s, np.zeros_like(fitted.z_s))
+        got, want = np.array(trace.rows), np.array(ref_rows)
+        assert got.shape == want.shape == (50, 5)
+        scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+        assert (np.abs(got - want) / scale)[:, [1, 4]].max() < 1e-12
+        assert np.array_equal(got[:, [0, 2, 3]], want[:, [0, 2, 3]])
+
+    def test_evaluates_and_projects_keypoint_rows_only(self, model, stage1_setup,
+                                                       monkeypatch):
+        asset, _ = model
+        _, cams, obs = stage1_setup
+        k = len(asset.keypoint_ids)
+        seen = {"forward": [], "project": []}
+
+        def recording(key, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[key].append(args[0].shape if key == "project" else out.shape)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(fm, "forward", recording("forward", fm.forward))
+        monkeypatch.setattr(renderer, "project_vertices_var",
+                            recording("project", renderer.project_vertices_var))
+        fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=3))
+        assert seen["forward"] == [(k, 3)] * 3
+        assert seen["project"] == [(k, 3)] * (3 * len(cams))
 
 
 @pytest.fixture(scope="module")

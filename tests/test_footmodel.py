@@ -97,6 +97,27 @@ class TestForward:
         err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
         assert err < 1e-4
 
+    def test_rows_equal_full_forward_rows(self, asset, field):
+        rows = asset.keypoint_ids
+        p = fm.FootParams(r=np.array([0.2, -0.1, 0.3]), t=np.array([0.01, 0.02, -0.01]),
+                          s=np.array([1.05, 0.97, 1.01]), z_s=np.full(8, 0.3),
+                          z_p=np.full(8, -0.2))
+        tape = ad.Tape()
+        pv = fm.lift_params(tape, p)
+        full = fm.forward(asset, field, pv).value
+        part = fm.forward(asset, field, pv, rows=rows).value
+        assert part.shape == (len(rows), 3)
+        assert np.abs(part - full[rows]).max() < 1e-13
+
+        w = np.random.default_rng(1).standard_normal((len(rows), 3))
+
+        def loss(r, t, s, z_s, z_p):
+            pv = fm.ParamVars(r, t, s, z_s, z_p)
+            return (fm.forward(asset, field, pv, rows=rows) * w).sum()
+
+        err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
+        assert err < 1e-4
+
     def test_rejects_nonpositive_scale(self, asset, field):
         tape = ad.Tape()
         p = fm.FootParams.identity()
@@ -183,6 +204,21 @@ class TestModelFile:
         old_path.write_bytes(old[: len(raw) + basis.nbytes // 2])
         with pytest.raises(fm.ModelFormatError):
             fm.load_model(old_path)
+
+    @pytest.mark.parametrize("count", ["vertices", "basis"])
+    def test_huge_header_count(self, asset, field, tmp_path, count):
+        # a count read from the header is checked against the bytes left
+        # in the file before anything is allocated for it
+        path = tmp_path / "foot.fmdl"
+        fm.save_model(path, asset, field)
+        raw = bytearray(path.read_bytes())
+        off, before = ((8, len(asset.mesh.vertices)) if count == "vertices"
+                       else (len(raw) - 4, 0))
+        assert struct.unpack_from("<I", raw, off)[0] == before
+        struct.pack_into("<I", raw, off, 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(fm.ModelFormatError, match="truncated"):
+            fm.load_model(path)
 
     def test_corrupt_magic(self, asset, field, tmp_path):
         path = tmp_path / "foot.fmdl"
