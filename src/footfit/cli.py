@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,11 +52,11 @@ DEFAULTS = {
               "noise": 5.0, "kp_sigma": 0.01, "cutoff": 0.20,
               "width": 480, "height": 640},
     "fit": {"scene": None, "model": None, "out": None, "views": 0,
-            "seed": 0, "lr": 0.001, "stage1_epochs": 250,
+            "lr": 0.001, "stage1_epochs": 250,
             "stage2_epochs": 1000, "w_kp": 1.0, "w_sil": 1.0, "w_norm": 0.5,
             "sharpness": 40.0, "sil_threshold_deg": 30.0, "downsample": 0},
     "eval-normals": {"scene": None, "model": None, "out": None, "mesh": "",
-                     "cutoff": 0.20, "seed": 0, "csv": False},
+                     "cutoff": 0.20, "csv": False},
     "eval3d": {"fitted": None, "gt": "", "scene": "", "model": "",
                "out": None, "n": 10000, "seed": 0, "gt_seed": -1,
                "csv": False},
@@ -266,13 +267,16 @@ def _check_soft_silhouette(rng, h):
 
 
 def _check_project_keypoints(rng, h):
-    cam = _suite_camera()
+    # two cameras with different R and t: the VJP sums over the views
+    R, t = cam_mod.look_at([0.06, -0.04, -0.05], [0.0, 0.0, 0.45])
+    cams = [_suite_camera(), replace(_suite_camera(), R=R, t=t)]
     v0 = _base_quad(rng)
-    w = rng.normal(size=(2, 2))
+    w = rng.normal(size=(2, 2, 2))
 
     def fn(verts):
-        proj, _ = renderer.project_keypoints_var(verts, np.array([0, 2]), cam)
-        return (proj * w).sum()
+        proj = renderer.project_vertices_var(verts, cams)
+        kp, _ = renderer.project_keypoints_var(proj, np.array([0, 2]), cams)
+        return (kp * w).sum()
 
     return ad.grad_check(fn, [v0], h=h)
 
@@ -346,12 +350,8 @@ def cmd_make_model(cfg):
             "keypoints": len(asset.keypoint_ids), "seed": cfg["seed"]}
 
 
-def _load_model(path):
-    return fm.load_model(path)
-
-
 def cmd_synth(cfg):
-    model = _load_model(cfg["model"])
+    model = fm.load_model(cfg["model"])
     _, field = model
     rng = np.random.default_rng(cfg["seed"])
     params = synth.random_scene_params(rng, field.d_s, field.d_p)
@@ -410,7 +410,7 @@ def _keep_heap_top():
 
 def cmd_fit(cfg):
     _keep_heap_top()
-    model = _load_model(cfg["model"])
+    model = fm.load_model(cfg["model"])
     try:
         fit_cfg = _fit_config(cfg).validate()
     except ValueError as exc:
@@ -474,7 +474,7 @@ def cmd_fit(cfg):
 
 
 def cmd_eval_normals(cfg):
-    model = _load_model(cfg["model"])
+    model = fm.load_model(cfg["model"])
     asset, field = model
     meta, cams, obs = synth.load_scene(cfg["scene"])
     gt_mesh = fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
@@ -517,7 +517,7 @@ def _gt_mesh_from(cfg):
     if cfg["gt"]:
         return geometry.load_obj(cfg["gt"])
     if cfg["scene"] and cfg["model"]:
-        asset, field = _load_model(cfg["model"])
+        asset, field = fm.load_model(cfg["model"])
         meta, _, _ = synth.load_scene(cfg["scene"])
         return fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
     raise ConfigError("need --gt or both --scene and --model")
@@ -634,13 +634,13 @@ def build_parser():
           "noise": float, "kp_sigma": float, "cutoff": float,
           "width": int, "height": int})
     _add(sub, "fit", cmd_fit,
-         {"scene": str, "model": str, "out": str, "views": int, "seed": int,
+         {"scene": str, "model": str, "out": str, "views": int,
           "lr": float, "stage1_epochs": int, "stage2_epochs": int,
           "w_kp": float, "w_sil": float, "w_norm": float, "sharpness": float,
           "sil_threshold_deg": float, "downsample": int})
     _add(sub, "eval-normals", cmd_eval_normals,
          {"scene": str, "model": str, "out": str, "mesh": str,
-          "cutoff": float, "seed": int, "csv": bool})
+          "cutoff": float, "csv": bool})
     _add(sub, "eval3d", cmd_eval3d,
          {"fitted": str, "gt": str, "scene": str, "model": str, "out": str,
           "n": int, "seed": int, "gt_seed": int, "csv": bool})

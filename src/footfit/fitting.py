@@ -3,12 +3,12 @@
 Stage 1 registers the template rigidly (rotation, translation, per-axis
 scale) against keypoints only.  Stage 2 frees the shape and pose codes
 as well and adds soft-silhouette and normal-map terms.  Both stages run
-full-batch Adam with a fixed epoch count; each epoch builds one tape
-and runs the model forward once for all views.  Stage 1 evaluates and
-projects only the keypoint rows, the only rows its loss reads.  Stage 2
-evaluates the whole mesh, computes the world-frame vertex normals once
-per epoch, and each view's projection feeds both its keypoint and its
-silhouette term.
+full-batch Adam with a fixed epoch count; each epoch builds one tape,
+runs the model forward once and projects into all views in one tape
+node.  Stage 1 evaluates and projects only the keypoint rows, the only
+rows its loss reads.  Stage 2 evaluates the whole mesh, computes the
+world-frame vertex normals once per epoch, and passes each view's row
+of the projection to that view's silhouette term.
 """
 
 from __future__ import annotations
@@ -163,19 +163,14 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
         verts = fm.forward(asset, field, pv, rows=rows)
-        projections = []
-        l_sil = tape.const(0.0)
-        l_norm = tape.const(0.0)
         if with_render:
             mesh_now = asset.mesh.copy_with(verts.value)
             n_world = renderer.vertex_normals_var(verts, faces)
-        for view, cam in enumerate(cameras):
-            proj = renderer.project_vertices_var(verts, cam)
-            kp, _vis = renderer.project_keypoints_var(verts, kp_ids, cam,
-                                                      proj=proj)
-            projections.append(kp)
-            if not with_render:
-                continue
+        proj = renderer.project_vertices_var(verts, cameras)
+        kp, _ = renderer.project_keypoints_var(proj, kp_ids, cameras)
+        l_kp = losses.kp_fit_loss(kp, kp_obs)
+        l_sil = l_norm = tape.const(0.0)
+        for view, cam in enumerate(cameras if with_render else ()):
             frag = renderer.rasterize(mesh_now, cam)
             target = sil_targets[view]
             n_map, _ = renderer.render_normals_var(verts, faces, cam, frag=frag,
@@ -184,9 +179,8 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
                 n_map, observations[view].normals, frag.mask & target)
             soft, _ = renderer.render_silhouette_soft_var(
                 verts, faces, cam, sharpness=config.sharpness,
-                frag=frag, topo=topo, proj=proj)
+                frag=frag, topo=topo, proj=proj[0][view])
             l_sil = l_sil + losses.silhouette_l2(soft, target.astype(np.float64))
-        l_kp = losses.kp_fit_loss(projections, kp_obs)
         if with_render:
             l_sil = l_sil * (1.0 / n_views)
             l_norm = l_norm * (1.0 / n_views)

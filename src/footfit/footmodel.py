@@ -360,22 +360,21 @@ def _field_var(field, X, z_s, z_p):
 
 
 def _euler_var(r):
-    tape = r.tape
-    one = tape.const(1.0)
-    zero = tape.const(0.0)
-    cx, sx = ad.cos(r[0]), ad.sin(r[0])
-    cy, sy = ad.cos(r[1]), ad.sin(r[1])
-    cz, sz = ad.cos(r[2]), ad.sin(r[2])
-    Rx = ad.stack([ad.stack([one, zero, zero]),
-                   ad.stack([zero, cx, -sx]),
-                   ad.stack([zero, sx, cx])])
-    Ry = ad.stack([ad.stack([cy, zero, sy]),
-                   ad.stack([zero, one, zero]),
-                   ad.stack([-sy, zero, cy])])
-    Rz = ad.stack([ad.stack([cz, -sz, zero]),
-                   ad.stack([sz, cz, zero]),
-                   ad.stack([zero, zero, one])])
-    return Rz @ Ry @ Rx
+    """Rotation Rz(r[2]) @ Ry(r[1]) @ Rx(r[0]) as one tape node."""
+    (cx, cy, cz), (sx, sy, sz) = cos, sin = np.cos(r.value), np.sin(r.value)
+    Rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    Ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    Rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    A = Rz @ Ry
+
+    def vjp(g):
+        gA = g @ Rx.T
+        gx, gy, gz = A.T @ g, Rz.T @ gA, gA @ Ry.T
+        g_cos = np.array([gx[2, 2] + gx[1, 1], gy[2, 2] + gy[0, 0], gz[1, 1] + gz[0, 0]])
+        g_sin = np.array([gx[2, 1] - gx[1, 2], gy[0, 2] - gy[2, 0], gz[1, 0] - gz[0, 1]])
+        return (g_sin * cos - g_cos * sin,)
+
+    return ad.custom((r,), A @ Rx, vjp)
 
 
 def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,

@@ -205,23 +205,21 @@ def silhouette_from_uncertainty(kappa_map, threshold_deg=30.0):
 
 def kp_fit_loss(projected, observations):
     """Fitting loss over views: (1/(N*K)) sum of v-gated squared
-    sigma-normalized reprojection errors.  Gradient reaches only the
-    projections; observations are fixed."""
-    if len(projected) != len(observations):
+    sigma-normalized reprojection errors.  ``projected`` is an (N,K,2) Var
+    or a list of N (K,2) Vars.  Gradient reaches only the projections;
+    observations are fixed."""
+    if not isinstance(projected, ad.Var):
+        projected = ad.stack(projected)
+    if projected.shape[0] != len(observations):
         raise ValueError("views mismatch between projections and observations")
-    n_views = len(projected)
-    total = None
-    K = None
-    for proj, obs in zip(projected, observations):
+    for obs in observations:
         obs.validate()
-        if K is None:
-            K = len(obs.k)
-        if proj.shape != (K, 2) or len(obs.k) != K:
+        if projected.shape[1:] != obs.k.shape:
             raise ValueError("keypoint count mismatch")
-        d = (proj - obs.k) / obs.sigma
-        term = ((d * d).sum(axis=1) * obs.v).sum()
-        total = term if total is None else total + term
-    return total * (1.0 / (n_views * K))
+    k, sigma, v = (np.stack([getattr(o, name) for o in observations])
+                   for name in ("k", "sigma", "v"))
+    d = (projected - k) / sigma
+    return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)
 
 
 def normal_fit_loss(rendered, obs: NormalObservation, mask):

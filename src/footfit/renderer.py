@@ -125,19 +125,26 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
 # ---------------------------------------------------------------------------
 # Differentiable attribute rendering on top of a fixed FragmentBuffer.
 
-def project_vertices_var(verts: ad.Var, camera):
-    """Projected pixel coordinates (V,2) as a Var plus raw depths (values).
+def project_vertices_var(verts: ad.Var, cameras):
+    """Pixels (N,V,2) of ``verts`` in N cameras as one Var, plus the raw
+    depths (N,V).  Depths are clamped into [Z_NEAR, 1e12] before the divide
+    and pass gradient only inside that closed interval, so behind-camera
+    vertices (always culled by the rasterizer) cannot poison gradients."""
+    cam_pts = np.stack([verts.value @ cam.R.T + cam.t for cam in cameras])
+    focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
+    centre = np.array([[[cam.cx, cam.cy]] for cam in cameras])
+    z = cam_pts[..., 2:3]
+    z_safe = np.clip(z, Z_NEAR, 1e12)
+    inside = (z >= Z_NEAR) & (z <= 1e12)
+    xy = cam_pts[..., :2] * focal
 
-    Depths are clamped away from zero before the divide so behind-camera
-    vertices (always culled by the rasterizer) cannot poison gradients.
-    """
-    tape = verts.tape
-    cam_pts = verts @ tape.const(camera.R.T) + tape.const(camera.t)
-    z = cam_pts[:, 2:3]
-    z_safe = ad.clamp(z, Z_NEAR, 1e12)
-    px = cam_pts[:, 0:1] * camera.fx / z_safe + camera.cx
-    py = cam_pts[:, 1:2] * camera.fy / z_safe + camera.cy
-    return ad.concat([px, py], axis=1), cam_pts.value[:, 2]
+    def vjp(g):
+        g_z = -g * xy / (z_safe * z_safe)
+        g_cam = np.concatenate(
+            [g / z_safe * focal, (g_z[..., 1:2] + g_z[..., 0:1]) * inside], axis=2)
+        return (sum(g_cam[v] @ cameras[v].R for v in reversed(range(len(cameras)))),)
+
+    return ad.custom((verts,), xy / z_safe + centre, vjp), cam_pts[..., 2]
 
 
 def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
@@ -370,8 +377,7 @@ def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
     Pixels farther than a saturation band from the contour take their
     limit values (1 inside, 0 outside) with zero gradient; the sigmoid
     there differs from the limit by less than exp(-sharpness × band).
-    ``proj`` takes the result of :func:`project_vertices_var` for this
-    camera, so that callers can share one projection per view.
+    ``proj`` takes this camera's pixels from :func:`project_vertices_var`.
 
     The band holds the pixels within ``R = band + 1.5`` px of a pixel of
     the other coverage class.  Each band pixel's nearest contour edge lies
@@ -395,7 +401,7 @@ def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
 
     band = max(3.0, 12.0 / sharpness)
     flat = _band_pixels(mask, band)
-    pix_var, _ = project_vertices_var(verts, camera) if proj is None else proj
+    pix_var = project_vertices_var(verts, [camera])[0][0] if proj is None else proj
     pix = pix_var.value
     ii, jj = np.divmod(flat, camera.width)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
@@ -415,28 +421,30 @@ def render_silhouette_soft(mesh: Mesh, camera, sharpness=40.0):
     return img.value, frag
 
 
-def project_keypoints_var(verts: ad.Var, kp_vertex_ids, camera, proj=None):
-    """Normalized keypoint positions (K,2) as a Var plus 0/1 visibility.
-
-    A keypoint is visible when it lands in [0, W) × [0, H) pixel bounds
-    with positive depth.  Visibility is a value, not a Var.  ``proj``
-    takes the result of :func:`project_vertices_var` for this camera.
-    """
+def project_keypoints_var(proj, kp_vertex_ids, cameras):
+    """Normalized positions (N,K,2) as a Var and 0/1 visibility (N,K) of
+    distinct keypoint vertices, read from ``proj``, the result of
+    :func:`project_vertices_var` for the N cameras.  A keypoint is visible
+    when it lands in [0, W) × [0, H) pixel bounds with positive depth."""
+    pix_var, z = proj
     kp_ids = np.asarray(kp_vertex_ids)
-    pix_var, z = project_vertices_var(verts, camera) if proj is None else proj
-    kp_pix = ad.take(pix_var, kp_ids)
-    norm = kp_pix / np.array([camera.width, camera.height], dtype=np.float64)
+    if len(np.unique(kp_ids)) != len(kp_ids):
+        raise ValueError("keypoint vertex ids must be distinct")
+    size = np.array([[[cam.width, cam.height]] for cam in cameras], dtype=np.float64)
+    kp_pix = pix_var[:, kp_ids]
     p = kp_pix.value
-    zk = z[kp_ids]
-    visible = ((zk > 0) & (p[:, 0] >= 0) & (p[:, 0] < camera.width)
-               & (p[:, 1] >= 0) & (p[:, 1] < camera.height)).astype(np.float64)
-    return norm, visible
+    visible = (z[:, kp_ids] > 0) & np.all((p >= 0) & (p < size), axis=2)
+    return kp_pix / size, visible.astype(np.float64)
 
 
 def project_keypoints(mesh: Mesh, kp_vertex_ids, camera):
-    tape = ad.Tape()
-    norm, visible = project_keypoints_var(tape.const(mesh.vertices), kp_vertex_ids, camera)
-    return norm.value, visible
+    """One view's keypoint labels through :func:`camera.project`; they equal
+    :func:`project_keypoints_var`'s at depths of at least ``Z_NEAR``."""
+    pix, z = cam_mod.project(camera, mesh.vertices)
+    p, zk = pix[kp_vertex_ids], z[kp_vertex_ids]
+    size = np.array([camera.width, camera.height], dtype=np.float64)
+    visible = (zk > 0) & np.all((p >= 0) & (p < size), axis=1)
+    return p / size, visible.astype(np.float64)
 
 
 def cutoff_fraction(mesh: Mesh, cutoff_height, camera, frag: FragmentBuffer = None) -> float:

@@ -1,13 +1,17 @@
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from footfit import cli, evalign, images
+from footfit import camera as cam_mod
+from footfit import cli, evalign, images, losses, synth
+from footfit import footmodel as fm
 
 
 def run(capsys, *argv):
@@ -71,9 +75,13 @@ class TestConfigResolution:
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.toml"
-        p.write_text("bogus = 1\n")
-        with pytest.raises(cli.ConfigError, match="bogus"):
-            cli.resolve_config("synth", {"model": "m", "out": "o"}, str(p))
+        # fit draws no random numbers, so it takes no seed
+        for command, key, required in (
+                ("synth", "bogus", {"model": "m", "out": "o"}),
+                ("fit", "seed", {"scene": "s", "model": "m", "out": "o"})):
+            p.write_text(f"{key} = 1\n")
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.resolve_config(command, required, str(p))
 
     def test_int_coerced_to_float(self):
         cfg = cli.resolve_config("synth", {"model": "m", "out": "o",
@@ -238,6 +246,44 @@ class TestFit:
             outs.append(out)
         for f in ("fitted.obj", "params.json", "trace.csv"):
             assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)
+
+    # (camera position, look-at target) for view 0 of the test scene
+    @pytest.mark.parametrize("position, target", [
+        # about 400 of the 2,706 vertices behind the camera, the rest in
+        # front: its near plane cuts through the foot
+        ((0.09, 0.0, 0.09), (-0.1, 0.0, 0.15)),
+        # looking up from above the foot: an empty render and no keypoints
+        ((0.0, 0.0, 0.4), (0.0, 0.0, 1.0)),
+    ], ids=["near_plane", "empty_view"])
+    def test_edge_case_fit_finishes_or_exits_4(self, tmp_path, model_bin,
+                                               scene_dir, capsys, position,
+                                               target):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        meta, cams, _ = synth.load_scene(str(scene))
+        asset, field = fm.load_model(model_bin)
+        gt = fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
+        R, t = cam_mod.look_at(position, target)
+        cams[0] = replace(cams[0], R=R, t=t)
+        depth = cam_mod.project(cams[0], gt.vertices)[1]
+        assert (depth <= 0).any()
+        view = synth.render_view(gt, asset.keypoint_ids, cams[0], 3.0, 0.01,
+                                 np.random.default_rng(0))
+        losses.save_observation(str(scene / "view_000"), view.obs)
+        cam_mod.save_cameras(str(scene / "cameras.json"), cams)
+        out = tmp_path / "fit"
+        rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
+                       "--out", str(out), "--stage1-epochs", "40",
+                       "--stage2-epochs", "10"])
+        if rc == 4:
+            assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+                "numerical error: ")
+            return
+        assert rc == 0
+        params = json.loads((out / "params.json").read_text())
+        assert all(np.all(np.isfinite(v)) for v in params.values())
+        assert np.all(np.isfinite(np.loadtxt(out / "trace.csv", delimiter=",",
+                                             skiprows=1)))
 
     def test_view_subset(self, tmp_path, model_bin, scene_dir, capsys):
         rc, out = run(capsys, "fit", "--scene", str(scene_dir),

@@ -187,8 +187,8 @@ def _stage1_full_mesh(model, observations, cameras, config):
         tape = ad.Tape()
         pv = fm.lift_params(tape, fitting._params_of(values), train=free)
         verts = fm.forward(asset, field, pv)
-        kps = [renderer.project_keypoints_var(verts, asset.keypoint_ids, cam)[0]
-               for cam in cameras]
+        proj = renderer.project_vertices_var(verts, cameras)
+        kps, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids, cameras)
         l_kp = losses.kp_fit_loss(kps, kp_obs)
         total = l_kp * config.w_kp
         rows.append((epoch, float(l_kp.value), 0.0, 0.0, float(total.value)))
@@ -227,7 +227,8 @@ class TestStage1KeypointRows:
         def recording(key, fn):
             def wrapped(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                seen[key].append(args[0].shape if key == "project" else out.shape)
+                seen[key].append((args[0].shape, list(args[1]))
+                                 if key == "project" else out.shape)
                 return out
             return wrapped
 
@@ -236,7 +237,7 @@ class TestStage1KeypointRows:
                             recording("project", renderer.project_vertices_var))
         fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=3))
         assert seen["forward"] == [(k, 3)] * 3
-        assert seen["project"] == [(k, 3)] * (3 * len(cams))
+        assert seen["project"] == [((k, 3), cams)] * 3
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,8 @@ class TestStage2:
         def counting(key, fn):
             def wrapped(*args, **kwargs):
                 calls[key] += 1
+                if key == "project":
+                    assert list(args[1]) == cams
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -293,7 +296,7 @@ class TestStage2:
                             counting("project", renderer.project_vertices_var))
         config = fitting.FitConfig(stage2_epochs=3)
         fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
-        assert calls == {"normals": 3, "project": 3 * len(cams)}
+        assert calls == {"normals": 3, "project": 3}
 
     def test_zero_epochs_builds_nothing(self, model, stage2_setup, monkeypatch):
         _, cams, obs = stage2_setup

@@ -165,6 +165,54 @@ class TestFieldInit:
             assert np.array_equal(ba, bb)
 
 
+def chain_euler(r):
+    """Reference: the rotation Rz @ Ry @ Rx as a chain of small tape ops."""
+    tape = r.tape
+    one = tape.const(1.0)
+    zero = tape.const(0.0)
+    cx, sx = ad.cos(r[0]), ad.sin(r[0])
+    cy, sy = ad.cos(r[1]), ad.sin(r[1])
+    cz, sz = ad.cos(r[2]), ad.sin(r[2])
+    Rx = ad.stack([ad.stack([one, zero, zero]),
+                   ad.stack([zero, cx, -sx]),
+                   ad.stack([zero, sx, cx])])
+    Ry = ad.stack([ad.stack([cy, zero, sy]),
+                   ad.stack([zero, one, zero]),
+                   ad.stack([-sy, zero, cy])])
+    Rz = ad.stack([ad.stack([cz, -sz, zero]),
+                   ad.stack([sz, cz, zero]),
+                   ad.stack([zero, zero, one])])
+    return Rz @ Ry @ Rx
+
+
+class TestEulerNode:
+    @pytest.mark.parametrize("r", [[0.0, 0.0, 0.0], [0.2, -0.1, 0.3],
+                                   [3.0, -1.4, 2.2]])
+    def test_equals_chain_bit_for_bit(self, r):
+        # transposed and applied to points, as fm.forward uses it
+        rng = np.random.default_rng(2)
+        x, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        out = []
+        for build in (fm._euler_var, chain_euler):
+            tape = ad.Tape()
+            rv = tape.leaf(np.array(r))
+            R = build(rv)
+            loss = ((tape.const(x) @ ad.transpose(R)) * w).sum()
+            out.append((R.value, tape.backward(loss)[rv]))
+        (v_node, g_node), (v_chain, g_chain) = out
+        assert np.array_equal(v_node, v_chain)
+        assert np.array_equal(g_node, g_chain)
+        np.testing.assert_array_equal(v_node, euler_rotation(np.array(r)))
+
+    def test_one_node_and_gradient_matches_fd(self):
+        tape = ad.Tape()
+        fm._euler_var(tape.leaf(np.zeros(3)))
+        assert len(tape) == 2
+        w = np.random.default_rng(4).normal(size=(3, 3))
+        assert ad.grad_check(lambda r: (fm._euler_var(r) * w).sum(),
+                             [np.array([0.4, -0.7, 1.1])]) < 1e-6
+
+
 class TestModelFile:
     def test_round_trip_bit_exact(self, asset, field, tmp_path):
         path = tmp_path / "foot.fmdl"

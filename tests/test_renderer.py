@@ -306,8 +306,19 @@ class TestSoftSilhouette:
 
 
 # ---------------------------------------------------------------------------
-# References for the soft silhouette's fast paths: the dense nearest-edge
-# search, the full-image band and the op-by-op silhouette chain.
+# References for the fast paths: the op-by-op projection chain, the dense
+# nearest-edge search, the full-image band and the op-by-op silhouette chain.
+
+def chain_project(verts, cam):
+    """One camera's projection as a chain of small tape ops: pixels (V,2)
+    as a Var, like one view of ``project_vertices_var``."""
+    tape = verts.tape
+    cam_pts = verts @ tape.const(cam.R.T) + tape.const(cam.t)
+    z_safe = ad.clamp(cam_pts[:, 2:3], rd.Z_NEAR, 1e12)
+    px = cam_pts[:, 0:1] * cam.fx / z_safe + cam.cx
+    py = cam_pts[:, 1:2] * cam.fy / z_safe + cam.cy
+    return ad.concat([px, py], axis=1)
+
 
 def dense_nearest(pc, a, b):
     """Nearest segment per point over a dense points × segments matrix."""
@@ -338,7 +349,7 @@ def chain_silhouette(verts, faces, cam, sharpness, frag, topo):
     contour = rd._contour_edges(topo, frag.front_faces)
     band = max(3.0, 12.0 / sharpness)
     flat = full_band(mask, band)
-    pix_var, _ = rd.project_vertices_var(verts, cam)
+    pix_var = chain_project(verts, cam)
     pix = pix_var.value
     ii, jj = np.divmod(flat, W)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
@@ -380,6 +391,41 @@ def band_and_contour(mesh, cam, band=3.0):
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
     pix, _ = cam_mod.project(cam, mesh.vertices)
     return frag, pc, pix[contour[:, 0]], pix[contour[:, 1]]
+
+
+class TestFusedProjection:
+    def check_against_chain(self, mesh, cams):
+        w = np.random.default_rng(6).normal(size=(len(cams), len(mesh.vertices), 2))
+        tape = ad.Tape()
+        verts = tape.leaf(mesh.vertices)
+        pix, z = rd.project_vertices_var(verts, cams)
+        g_fused = tape.backward((pix * w).sum())[verts]
+        tape = ad.Tape()
+        verts = tape.leaf(mesh.vertices)
+        chain = [chain_project(verts, cam) for cam in cams]
+        g_chain = tape.backward(sum((c * w[v]).sum() for v, c in enumerate(chain)))[verts]
+        for view, cam in enumerate(cams):
+            np.testing.assert_array_equal(pix.value[view], chain[view].value)
+            np.testing.assert_array_equal(z[view], cam_mod.project(cam, mesh.vertices)[1])
+        scale = np.abs(g_chain).max()
+        assert scale > 0
+        np.testing.assert_allclose(g_fused, g_chain, rtol=0, atol=1e-15 * scale)
+        return z
+
+    def test_matches_chain_on_ac05_views(self, ac05_views):
+        self.check_against_chain(*ac05_views)
+
+    def test_matches_chain_at_and_behind_near_plane(self):
+        # a sphere around the near plane of a camera at the origin, with
+        # vertices at, just behind and just in front of it; a second
+        # camera sees all of it
+        mesh = uv_sphere(np.array([0.02, -0.01, 0.05]), 0.06, n_lat=12, n_lon=24)
+        mesh.vertices[:3, 2] = [rd.Z_NEAR, 0.0, -rd.Z_NEAR]
+        R, t = cam_mod.look_at([0.3, 0.1, -0.4], [0.0, 0.0, 0.05])
+        side = Camera(fx=90.0, fy=90.0, cx=40.0, cy=30.0, width=80, height=60, R=R, t=t)
+        z = self.check_against_chain(mesh, [front_cam(width=80, height=60), side])
+        assert (z[0] < rd.Z_NEAR).any() and (z[0] == rd.Z_NEAR).any()
+        assert (z[0] > rd.Z_NEAR).any() and (z[1] > rd.Z_NEAR).all()
 
 
 class TestNearestEdge:
@@ -520,10 +566,17 @@ class TestKeypoints:
         w = np.random.default_rng(3).standard_normal((4, 2))
 
         def loss(verts):
-            norm, _ = rd.project_keypoints_var(verts, [0, 1, 2, 3], cam)
-            return (norm * w).sum()
+            proj = rd.project_vertices_var(verts, [cam])
+            norm, _ = rd.project_keypoints_var(proj, [0, 1, 2, 3], [cam])
+            return (norm[0] * w).sum()
 
         assert ad.grad_check(loss, [v]) < 1e-4
+
+    def test_repeated_ids_rejected(self):
+        cam = front_cam()
+        proj = rd.project_vertices_var(ad.Tape().leaf(quad_mesh().vertices), [cam])
+        with pytest.raises(ValueError, match="distinct"):
+            rd.project_keypoints_var(proj, [0, 1, 0], [cam])
 
 
 class TestCutoffFraction:
