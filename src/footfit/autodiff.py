@@ -452,8 +452,8 @@ def _scatter_rows(g, idx, shape):
     """Sum rows of g into a zero array of ``shape`` at positions idx."""
     out = np.zeros(shape, dtype=np.float64)
     flat_idx = idx.ravel()
-    g2 = g.reshape(flat_idx.size, -1)
     out2 = out.reshape(shape[0], -1)
+    g2 = g.reshape(flat_idx.size, out2.shape[1])
     for c in range(out2.shape[1]):
         out2[:, c] = np.bincount(flat_idx, weights=g2[:, c], minlength=shape[0])
     return out

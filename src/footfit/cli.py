@@ -170,25 +170,30 @@ def _check_kp_fit(rng, h):
 
 
 def _check_normal_fit(rng, h):
-    obs = losses.NormalObservation(
-        _unit_rows(rng, 4).reshape(2, 2, 3),
-        rng.uniform(0.5, 3.0, size=(2, 2)))
-    mask = np.ones((2, 2), dtype=bool)
-    n0 = _unit_rows(rng, 4).reshape(2, 2, 3)
+    # two views of one observation, scoring 3 and 1 of its pixels
+    obs = losses.NormalObservation(_unit_rows(rng, 4).reshape(2, 2, 3),
+                                   rng.uniform(0.5, 3.0, size=(2, 2)))
+    some = np.array([[True, False], [True, True]])
 
     def fn(raw):
-        flat = raw.reshape((4, 3))
-        unit = flat / ad.norm2(flat, axis=1, keepdims=True)
-        return losses.normal_fit_loss(unit.reshape((2, 2, 3)), obs, mask)
+        unit = raw / ad.norm2(raw, axis=1, keepdims=True)
+        return losses.normal_fit_loss(unit, [obs, obs], [some, ~some])
 
-    return ad.grad_check(fn, [n0], h=h)
+    return ad.grad_check(fn, [_unit_rows(rng, 4)], h=h)
 
 
 def _check_silhouette_l2(rng, h):
-    target = (rng.uniform(size=(3, 3)) > 0.5).astype(np.float64)
-    s0 = rng.uniform(0.1, 0.9, size=(3, 3))
-    return ad.grad_check(lambda s: losses.silhouette_l2(s, target), [s0],
-                         h=h)
+    masks = [rng.uniform(size=(3, 3)) > 0.5, rng.uniform(size=(2, 4)) > 0.5]
+    targets = [rng.uniform(size=m.shape) > 0.5 for m in masks]
+    bands = [np.array([0, 4, 5, 8]), np.array([1, 2, 6])]
+    return ad.grad_check(lambda s: losses.silhouette_l2(s, bands, masks, targets),
+                         [rng.uniform(0.1, 0.9, size=7)], h=h)
+
+
+def _two_cameras():
+    # different R and t: the VJPs sum over the views
+    R, t = cam_mod.look_at([0.06, -0.04, -0.05], [0.0, 0.0, 0.45])
+    return [_suite_camera(), replace(_suite_camera(), R=R, t=t)]
 
 
 def _base_triangle(rng):
@@ -206,26 +211,18 @@ def _base_quad(rng):
 
 
 def _check_render_normals(rng, h):
-    cam = _suite_camera()
+    cams = _two_cameras()
     v0 = _base_triangle(rng)
     faces = np.array([[0, 2, 1]])
-    frag = renderer.rasterize(geometry.Mesh(v0, faces), cam)
-    w = rng.normal(size=(cam.height, cam.width, 3))
+    frags = [renderer.rasterize(geometry.Mesh(v0, faces), cam) for cam in cams]
+    masks = [frag.mask for frag in frags]
+    w = rng.normal(size=(sum(m.sum() for m in masks), 3))
 
     def fn(verts):
-        img, _ = renderer.render_normals_var(verts, faces, cam, frag=frag)
-        return (img * w).sum()
+        n_world = renderer.vertex_normals_var(verts, faces)
+        return (renderer.render_normals_var(n_world, faces, cams, frags, masks) * w).sum()
 
     return ad.grad_check(fn, [v0], h=h)
-
-
-def _segment_distances(pc, a, b):
-    ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
-    t = np.einsum("pk,ek->pe", pc, ab) - np.einsum("ek,ek->e", a, ab)
-    t = np.clip(t / denom, 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.linalg.norm(foot - pc[:, None, :], axis=2)
 
 
 def _stable_branch_weights(verts, cam, rng, margin=0.05):
@@ -236,40 +233,40 @@ def _stable_branch_weights(verts, cam, rng, margin=0.05):
     projections by well under margin px, so weighted pixels stay on one
     smooth branch and central differences are trustworthy."""
     pix, _ = cam_mod.project(cam, verts)
-    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    jj, ii = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
-    pc = np.stack([jj.ravel() + 0.5, ii.ravel() + 0.5], axis=1)
-    d = np.sort(_segment_distances(pc, pix[edges[:, 0]], pix[edges[:, 1]]),
-                axis=1)
+    ab = pix[[1, 2, 3, 0]] - pix        # the quad's four outer edges
+    jj, ii = np.meshgrid(np.arange(cam.width) + 0.5, np.arange(cam.height) + 0.5)
+    d = np.sort(np.sqrt(renderer._segment_d2(
+        jj.reshape(-1, 1), ii.reshape(-1, 1), pix[:, 0], pix[:, 1], ab[:, 0], ab[:, 1],
+        np.maximum((ab * ab).sum(axis=1), 1e-30))), axis=1)
     ok = ((d[:, 1] - d[:, 0]) > margin) & (d[:, 0] > margin)
-    w = rng.normal(size=(cam.height, cam.width))
-    return w * ok.reshape(cam.height, cam.width)
+    return rng.normal(size=cam.height * cam.width) * ok
 
 
 def _check_soft_silhouette(rng, h):
-    cam = _suite_camera()
+    cams = _two_cameras()
     v0 = _base_quad(rng)
     faces = np.array([[0, 2, 1], [0, 3, 2]])
     mesh = geometry.Mesh(v0, faces)
-    frag = renderer.rasterize(mesh, cam)
+    frags = [renderer.rasterize(mesh, cam) for cam in cams]
     topo = renderer.ContourTopology.build(mesh)
-    w = _stable_branch_weights(v0, cam, rng)
+    w = [_stable_branch_weights(v0, cam, rng) for cam in cams]
+    n_pixels = sum(cam.width * cam.height for cam in cams)
 
     def fn(verts):
         # weighted mean, mild sharpness: fd truncation error grows with the
         # cube of the sigmoid slope, and the per-pixel normalization keeps
         # it far below tolerance; the gradient code is the same either way
-        soft, _ = renderer.render_silhouette_soft_var(
-            verts, faces, cam, sharpness=8.0, frag=frag, topo=topo)
-        return (soft * w).mean()
+        proj, _ = renderer.project_vertices_var(verts, cams)
+        soft, bands = renderer.render_silhouette_soft_var(proj, cams, frags, topo,
+                                                          sharpness=8.0)
+        w_band = np.concatenate([wv[band] for wv, band in zip(w, bands)])
+        return (soft * w_band).sum() * (1.0 / n_pixels)
 
     return ad.grad_check(fn, [v0], h=h)
 
 
 def _check_project_keypoints(rng, h):
-    # two cameras with different R and t: the VJP sums over the views
-    R, t = cam_mod.look_at([0.06, -0.04, -0.05], [0.0, 0.0, 0.45])
-    cams = [_suite_camera(), replace(_suite_camera(), R=R, t=t)]
+    cams = _two_cameras()
     v0 = _base_quad(rng)
     w = rng.normal(size=(2, 2, 2))
 
@@ -610,45 +607,28 @@ def cmd_gradcheck(cfg):
 # ---------------------------------------------------------------------------
 # Parser and entry point.
 
-def _add(sub, name, run, flags):
-    p = sub.add_parser(name)
-    p.set_defaults(run=run, command=name)
-    p.add_argument("--config", default=None)
-    for flag, kind in flags.items():
-        arg = "--" + flag.replace("_", "-")
-        if kind is bool:
-            p.add_argument(arg, dest=flag, action="store_true",
-                           default=argparse.SUPPRESS)
-        else:
-            p.add_argument(arg, dest=flag, type=kind,
-                           default=argparse.SUPPRESS)
-    return p
+COMMANDS = {"make-model": cmd_make_model, "synth": cmd_synth, "fit": cmd_fit,
+            "eval-normals": cmd_eval_normals, "eval3d": cmd_eval3d,
+            "align": cmd_align, "gradcheck": cmd_gradcheck}
 
 
 def build_parser():
+    """One subparser per command, one flag per key of its ``DEFAULTS``: a
+    bool default makes a switch, None a string, any other default its type."""
     parser = argparse.ArgumentParser(prog="footfit")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add(sub, "make-model", cmd_make_model, {"out": str, "seed": int})
-    _add(sub, "synth", cmd_synth,
-         {"model": str, "out": str, "views": int, "seed": int,
-          "noise": float, "kp_sigma": float, "cutoff": float,
-          "width": int, "height": int})
-    _add(sub, "fit", cmd_fit,
-         {"scene": str, "model": str, "out": str, "views": int,
-          "lr": float, "stage1_epochs": int, "stage2_epochs": int,
-          "w_kp": float, "w_sil": float, "w_norm": float, "sharpness": float,
-          "sil_threshold_deg": float, "downsample": int})
-    _add(sub, "eval-normals", cmd_eval_normals,
-         {"scene": str, "model": str, "out": str, "mesh": str,
-          "cutoff": float, "csv": bool})
-    _add(sub, "eval3d", cmd_eval3d,
-         {"fitted": str, "gt": str, "scene": str, "model": str, "out": str,
-          "n": int, "seed": int, "gt_seed": int, "csv": bool})
-    _add(sub, "align", cmd_align,
-         {"source": str, "target": str, "out": str, "steps": int,
-          "lr": float, "seed": int, "no_floor": bool, "csv": bool})
-    _add(sub, "gradcheck", cmd_gradcheck,
-         {"out": str, "configs": int, "tol": float, "h": float, "seed": int})
+    for name, run in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(run=run, command=name)
+        p.add_argument("--config", default=None)
+        for flag, default in DEFAULTS[name].items():
+            arg = "--" + flag.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(arg, dest=flag, action="store_true",
+                               default=argparse.SUPPRESS)
+            else:
+                p.add_argument(arg, dest=flag, default=argparse.SUPPRESS,
+                               type=str if default is None else type(default))
     return parser
 
 

@@ -6,9 +6,10 @@ as well and adds soft-silhouette and normal-map terms.  Both stages run
 full-batch Adam with a fixed epoch count; each epoch builds one tape,
 runs the model forward once and projects into all views in one tape
 node.  Stage 1 evaluates and projects only the keypoint rows, the only
-rows its loss reads.  Stage 2 evaluates the whole mesh, computes the
-world-frame vertex normals once per epoch, and passes each view's row
-of the projection to that view's silhouette term.
+rows its loss reads.  Stage 2 evaluates the whole mesh, rasterizes each
+view in numpy, and scores the pixels of all views at once: the normal
+term over every view's covered target pixels, the silhouette term over
+every view's contour band, each a mean over views of per-view means.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     state = AdamState.for_params({n: values[n] for n in free})
     faces = asset.mesh.faces
     kp_obs = [o.keypoints for o in observations]
-    topo = None
-    sil_targets = None
     if with_render and epochs > 0:
+        normal_obs = [o.normals for o in observations]
         topo = renderer.ContourTopology.build(asset.mesh)
         sil_targets = [losses.silhouette_from_uncertainty(
             o.normals.kappa, config.sil_threshold_deg) for o in observations]
@@ -158,35 +158,29 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
 
     trace = FitTrace()
     trace.snapshots.append(_params_of(values))
-    n_views = len(cameras)
     for epoch in range(epochs):
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
         verts = fm.forward(asset, field, pv, rows=rows)
         if with_render:
-            mesh_now = asset.mesh.copy_with(verts.value)
             n_world = renderer.vertex_normals_var(verts, faces)
         proj = renderer.project_vertices_var(verts, cameras)
         kp, _ = renderer.project_keypoints_var(proj, kp_ids, cameras)
         l_kp = losses.kp_fit_loss(kp, kp_obs)
-        l_sil = l_norm = tape.const(0.0)
-        for view, cam in enumerate(cameras if with_render else ()):
-            frag = renderer.rasterize(mesh_now, cam)
-            target = sil_targets[view]
-            n_map, _ = renderer.render_normals_var(verts, faces, cam, frag=frag,
-                                                   n_world=n_world)
-            l_norm = l_norm + losses.normal_fit_loss(
-                n_map, observations[view].normals, frag.mask & target)
-            soft, _ = renderer.render_silhouette_soft_var(
-                verts, faces, cam, sharpness=config.sharpness,
-                frag=frag, topo=topo, proj=proj[0][view])
-            l_sil = l_sil + losses.silhouette_l2(soft, target.astype(np.float64))
         if with_render:
-            l_sil = l_sil * (1.0 / n_views)
-            l_norm = l_norm * (1.0 / n_views)
+            mesh_now = asset.mesh.copy_with(verts.value)
+            frags = [renderer.rasterize(mesh_now, cam) for cam in cameras]
+            masks = [frag.mask for frag in frags]
+            scored = [mask & target for mask, target in zip(masks, sil_targets)]
+            n_pix = renderer.render_normals_var(n_world, faces, cameras, frags, scored)
+            l_norm = losses.normal_fit_loss(n_pix, normal_obs, scored)
+            soft, bands = renderer.render_silhouette_soft_var(
+                proj[0], cameras, frags, topo, config.sharpness)
+            l_sil = losses.silhouette_l2(soft, bands, masks, sil_targets)
             total = (l_kp * config.w_kp + l_sil * config.w_sil
                      + l_norm * config.w_norm)
         else:
+            l_sil = l_norm = tape.const(0.0)
             total = l_kp * config.w_kp
         trace.rows.append((epoch, float(l_kp.value), float(l_sil.value),
                            float(l_norm.value), float(total.value)))

@@ -13,8 +13,8 @@ density, in closed form:
 
 which does not overflow for large kappa.  Kappa above 100 clamps to 100.
 
-Loss functions return 0-d tape variables; pass plain arrays for a
-detached evaluation and read ``.value``.
+Loss functions return 0-d tape variables.  ``angmf_nll`` also takes plain
+arrays, for a detached evaluation: read ``.value`` of its result.
 """
 
 from __future__ import annotations
@@ -222,31 +222,43 @@ def kp_fit_loss(projected, observations):
     return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)
 
 
-def normal_fit_loss(rendered, obs: NormalObservation, mask):
-    """Mean over masked pixels of kappa * angle(mu, rendered normal).
+def normal_fit_loss(rendered, observations, scored):
+    """Mean over views of each view's mean, over the pixels of its bool mask
+    ``scored[v]``, of kappa × angle(mu, rendered normal); a view with no
+    scored pixel adds 0.  ``rendered`` holds the (P,3) normals at the scored
+    pixels of every view, as :func:`renderer.render_normals_var` returns
+    them.  Gradient flows to the rendered normals only."""
+    n = len(observations)
+    flats = [np.flatnonzero(s) for s in scored]
+    counts = np.array([len(f) for f in flats])
+    if len(flats) != n or rendered.shape != (counts.sum(), 3):
+        raise ValueError("one rendered normal per scored pixel required")
+    mu = np.concatenate([o.mu.reshape(-1, 3)[f] for o, f in zip(observations, flats)])
+    kappa = np.concatenate([o.kappa.reshape(-1)[f] for o, f in zip(observations, flats)])
+    theta = ad.acos_safe((rendered * mu).sum(axis=1))
+    per_view = ad.segment_sum(theta * kappa, np.repeat(np.arange(n), counts), n)
+    weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
+    return (per_view * weight).sum() * (1.0 / n)
 
-    Gradient flows to the rendered normals only.  An empty mask gives 0.
-    """
-    tape = rendered.tape
-    H, W = mask.shape
-    flat = np.nonzero(mask.reshape(-1))[0]
-    if flat.size == 0:
-        return tape.const(0.0)
-    n_sel = ad.take(rendered.reshape((H * W, 3)), flat)
-    mu_sel = obs.mu.reshape(-1, 3)[flat]
-    k_sel = obs.kappa.reshape(-1)[flat]
-    dot = (n_sel * mu_sel).sum(axis=1)
-    theta = ad.acos_safe(dot)
-    return (theta * k_sel).sum() * (1.0 / flat.size)
 
-
-def silhouette_l2(soft, target):
-    """Mean squared difference between a soft render and a binary mask."""
-    target = np.asarray(target, dtype=np.float64)
-    if soft.shape != target.shape:
-        raise ValueError("silhouette shapes disagree")
-    d = soft - target
-    return (d * d).sum() * (1.0 / target.size)
+def silhouette_l2(soft, bands, masks, targets):
+    """Mean over views of the mean squared difference between a view's soft
+    silhouette and its binary target.  ``soft`` and ``bands`` come from
+    :func:`renderer.render_silhouette_soft_var`; off its band a view's soft
+    silhouette is its hard mask ``masks[v]``, a constant Σ(mask − target)²."""
+    n = len(targets)
+    band_target, off, inv_area = [], np.zeros(n), np.zeros(n)
+    for v, (band, mask, target) in enumerate(zip(bands, masks, targets)):
+        if mask.shape != target.shape:
+            raise ValueError("silhouette shapes disagree")
+        d = mask.reshape(-1) - target.reshape(-1).astype(np.float64)
+        d[band] = 0.0
+        off[v] = (d * d).sum()
+        band_target.append(target.reshape(-1)[band])
+        inv_area[v] = 1.0 / target.size
+    d = soft - np.concatenate(band_target)
+    views = np.repeat(np.arange(n), [len(b) for b in bands])
+    return ((ad.segment_sum(d * d, views, n) + off) * inv_area).sum() * (1.0 / n)
 
 
 # ---------------------------------------------------------------------------

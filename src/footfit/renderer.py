@@ -163,40 +163,43 @@ def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
     return acc / ad.norm2(acc, axis=1, keepdims=True)
 
 
-def render_normals_var(verts: ad.Var, faces, camera, frag: FragmentBuffer = None,
-                       n_world: ad.Var = None):
-    """Camera-frame normal map (H,W,3) as a Var; zero outside coverage.
+def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
+    """Unit camera-frame normals (P,3) at the ``scored`` pixels (bool (H,W)
+    masks inside coverage) of every view, as one Var whose rows run view by
+    view, each view's in flat pixel order.  ``n_world`` is
+    :func:`vertex_normals_var` of the mesh rasterized into ``frags``.  One
+    node rotates the normals into all cameras; corners are then taken,
+    interpolated and normalised once over the rows of all views."""
+    n_verts = n_world.shape[0]
+    corners, bary = [], []
+    for view, (frag, sel) in enumerate(zip(frags, scored)):
+        flat = np.flatnonzero(sel)
+        corners.append(faces[frag.face.reshape(-1)[flat]] + view * n_verts)
+        bary.append(frag.bary.reshape(-1, 3)[flat])
+    corners, bary = np.concatenate(corners), np.concatenate(bary)
+    rots = [cam.R for cam in cameras]
 
-    ``n_world`` takes the result of :func:`vertex_normals_var`, so that
-    callers rendering several views can compute it once.
-    """
-    if frag is None:
-        frag = rasterize(Mesh(verts.value, faces), camera)
-    tape = verts.tape
-    H, W = camera.height, camera.width
-    if n_world is None:
-        n_world = vertex_normals_var(verts, faces)
-    n_cam = n_world @ tape.const(camera.R.T)
-    flat = np.nonzero(frag.face.reshape(-1) >= 0)[0]
-    if flat.size == 0:
-        return tape.const(np.zeros((H, W, 3))), frag
-    fsel = frag.face.reshape(-1)[flat]
-    bary = frag.bary.reshape(-1, 3)[flat]
-    n0 = ad.take(n_cam, faces[fsel, 0])
-    n1 = ad.take(n_cam, faces[fsel, 1])
-    n2 = ad.take(n_cam, faces[fsel, 2])
+    def vjp(g):
+        g = g.reshape(len(rots), n_verts, 3)
+        return (sum(g[v] @ rots[v] for v in reversed(range(len(rots)))),)
+
+    n_cam = ad.custom((n_world,), np.concatenate([n_world.value @ R.T for R in rots]), vjp)
+    n0 = ad.take(n_cam, corners[:, 0])
+    n1 = ad.take(n_cam, corners[:, 1])
+    n2 = ad.take(n_cam, corners[:, 2])
     n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
-    n_pix = n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
-    idx = (flat[:, None] * 3 + np.arange(3)[None, :])
-    img = ad.scatter_into(np.zeros(H * W * 3), idx, n_pix)
-    return img.reshape((H, W, 3)), frag
+    return n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
 
 
 def render_normals(mesh: Mesh, camera, frag: FragmentBuffer = None):
-    """Numpy normal map for label generation; same code path as the Var form."""
-    tape = ad.Tape()
-    img, frag = render_normals_var(tape.const(mesh.vertices), mesh.faces, camera, frag)
-    return img.value, frag
+    """Numpy camera-frame normal map (H,W,3), zero outside coverage, from
+    the rows of :func:`render_normals_var`."""
+    frag = rasterize(mesh, camera) if frag is None else frag
+    n_world = vertex_normals_var(ad.Tape().const(mesh.vertices), mesh.faces)
+    img = np.zeros((camera.height, camera.width, 3))
+    img[frag.mask] = render_normals_var(n_world, mesh.faces, [camera], [frag],
+                                        [frag.mask]).value
+    return img, frag
 
 
 @dataclass
@@ -271,9 +274,11 @@ def _nearest_edge(pc, a, b, radius):
     (or that has none) is searched densely over all segments.  Ties in the
     squared distance go to the lowest segment index, as ``np.argmin`` does.
     """
+    P, E = len(pc), len(a)
+    if P == 0:
+        return np.zeros(0, dtype=np.int64)
     ab = b - a
     denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
-    P, E = len(pc), len(a)
     origin = pc.min(axis=0)
     pcell = np.floor((pc - origin) / radius).astype(np.int64)
     gw, gh = pcell.max(axis=0) + 1
@@ -323,7 +328,9 @@ def _nearest_edge(pc, a, b, radius):
 
 def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
     """One tape node: ``sigmoid(scale · |pc − a − t·(b − a)|)`` per row,
-    with ``a = pix[ia]``, ``b = pix[ib]`` and t the clamped foot parameter.
+    with ``a = pix[ia]``, ``b = pix[ib]`` and t the clamped foot parameter;
+    ``pix`` lists ``pix_var``'s rows, so row v·V + i of an (N,V,2) Var is
+    vertex i in view v.
 
     The VJP keeps the clamp conventions of :mod:`footfit.autodiff`:
     gradient passes only inside the closed intervals of t (``[0, 1]``),
@@ -331,8 +338,8 @@ def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
     distance (``[1e-24, 1e60]``; the lower clamp keeps the gradient finite
     for pixel centres exactly on an edge).
     """
-    pix = pix_var.value
-    n_verts = len(pix)
+    pix = pix_var.value.reshape(-1, 2)
+    n_rows = len(pix)
     pa = pc - pix[ia]
     ab = pix[ib] - pix[ia]
     num = (pa * ab).sum(axis=1)
@@ -348,6 +355,7 @@ def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
     pass_den = (dd >= 1e-30) & (dd <= 1e30)
     pass_sq = (sq >= 1e-24) & (sq <= 1e60)
     rows = np.concatenate([ia, ib])
+    shape = pix_var.shape
 
     def vjp(g):
         g_sq = g * out * (1.0 - out) * scale * 0.5 / dist * pass_sq
@@ -359,25 +367,27 @@ def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
         g_ab = (-t[:, None] * g_res + g_num[:, None] * pa
                 + 2.0 * g_den[:, None] * ab)
         g_a = -g_pa - g_ab
-        grad = np.empty((n_verts, 2))
+        grad = np.empty((n_rows, 2))
         for c in range(2):
             grad[:, c] = np.bincount(rows, np.concatenate([g_a[:, c], g_ab[:, c]]),
-                                     minlength=n_verts)
-        return (grad,)
+                                     minlength=n_rows)
+        return (grad.reshape(shape),)
 
     return ad.custom((pix_var,), out, vjp)
 
 
-def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
-                               frag: FragmentBuffer = None, topo: ContourTopology = None,
-                               proj=None):
-    """Soft silhouette: sigmoid(sharpness × signed distance to the nearest
-    occluding-contour edge in pixel space), positive inside coverage.
+def render_silhouette_soft_var(proj: ad.Var, cameras, frags, topo: ContourTopology,
+                               sharpness=40.0):
+    """Soft silhouette at the band pixels of every view, from one
+    :func:`_edge_sigmoid` node (rows view by view), and each view's band as
+    ascending flat pixel indices.  ``proj`` is the (N,V,2) pixel Var of
+    :func:`project_vertices_var` for the N ``cameras``.
 
-    Pixels farther than a saturation band from the contour take their
-    limit values (1 inside, 0 outside) with zero gradient; the sigmoid
-    there differs from the limit by less than exp(-sharpness × band).
-    ``proj`` takes this camera's pixels from :func:`project_vertices_var`.
+    The value is sigmoid(sharpness × signed distance to the nearest
+    occluding-contour edge in pixel space), positive inside coverage.  Off
+    the band it is taken as the hard mask, with zero gradient; it differs
+    from that by less than exp(-sharpness × band).  A view with no contour,
+    no coverage or full coverage has an empty band.
 
     The band holds the pixels within ``R = band + 1.5`` px of a pixel of
     the other coverage class.  Each band pixel's nearest contour edge lies
@@ -389,36 +399,37 @@ def render_silhouette_soft_var(verts: ad.Var, faces, camera, sharpness=40.0,
     """
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
-    tape = verts.tape
-    if frag is None:
-        frag = rasterize(Mesh(verts.value, faces), camera)
-    if topo is None:
-        topo = ContourTopology.build(Mesh(verts.value, faces))
-    mask = frag.mask
-    contour = _contour_edges(topo, frag.front_faces)
-    if contour.size == 0 or not mask.any() or mask.all():
-        return tape.const(mask.astype(np.float64)), frag
-
     band = max(3.0, 12.0 / sharpness)
-    flat = _band_pixels(mask, band)
-    pix_var = project_vertices_var(verts, [camera])[0][0] if proj is None else proj
-    pix = pix_var.value
-    ii, jj = np.divmod(flat, camera.width)
-    pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
-
-    # nearest contour edge per band pixel, chosen outside the tape
-    nearest = contour[_nearest_edge(pc, pix[contour[:, 0]], pix[contour[:, 1]],
-                                    band + 1.5)]
-    sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
-    vals = _edge_sigmoid(pix_var, nearest[:, 0], nearest[:, 1], pc, sign * sharpness)
-    return ad.scatter_into(mask.astype(np.float64), flat, vals), frag
+    bands, rows = [], []
+    for view, (camera, frag) in enumerate(zip(cameras, frags)):
+        mask = frag.mask
+        contour = _contour_edges(topo, frag.front_faces)
+        flat = np.zeros(0, dtype=np.int64)
+        if contour.size and mask.any() and not mask.all():
+            flat = _band_pixels(mask, band)
+        ii, jj = np.divmod(flat, camera.width)
+        pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
+        # nearest contour edge per band pixel, chosen outside the tape
+        pix = proj.value[view]
+        nearest = contour[_nearest_edge(pc, pix[contour[:, 0]], pix[contour[:, 1]],
+                                        band + 1.5)]
+        bands.append(flat)
+        rows.append((nearest + view * len(pix), pc,
+                     np.where(mask.reshape(-1)[flat], sharpness, -sharpness)))
+    ends, pc, scale = (np.concatenate(r) for r in zip(*rows))
+    return _edge_sigmoid(proj, ends[:, 0], ends[:, 1], pc, scale), bands
 
 
 def render_silhouette_soft(mesh: Mesh, camera, sharpness=40.0):
-    tape = ad.Tape()
-    img, frag = render_silhouette_soft_var(tape.const(mesh.vertices), mesh.faces,
-                                           camera, sharpness)
-    return img.value, frag
+    """Numpy soft silhouette (H,W): the hard mask with the band values of
+    :func:`render_silhouette_soft_var` written in."""
+    proj, _ = project_vertices_var(ad.Tape().const(mesh.vertices), [camera])
+    frag = rasterize(mesh, camera)
+    soft, (band,) = render_silhouette_soft_var(
+        proj, [camera], [frag], ContourTopology.build(mesh), sharpness)
+    img = frag.mask.astype(np.float64)
+    img.reshape(-1)[band] = soft.value
+    return img, frag
 
 
 def project_keypoints_var(proj, kp_vertex_ids, cameras):

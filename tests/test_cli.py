@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -463,3 +464,37 @@ class TestGradcheck:
         rc = cli.main(["gradcheck", "--out", str(tmp_path / "gc2"),
                        "--configs", "1", "--tol", "1e-14"])
         assert rc == 4
+
+
+class TestBenchmarkTracer:
+    """``perfbench/tracer.py`` wraps footfit functions by name; a renamed
+    function would break ``perfbench/run.py --trace 1``."""
+
+    def test_stage2_spans(self, tmp_path, model_bin, scene_dir):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        tracer = os.path.join(root, "perfbench", "tracer.py")
+        spans_path = str(tmp_path / "spans.json")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run(
+            [sys.executable, tracer, spans_path, repr(time.time()), "cli", "fit",
+             "--scene", str(scene_dir), "--model", model_bin,
+             "--out", str(tmp_path / "fit"), "--stage1-epochs", "2",
+             "--stage2-epochs", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        with open(spans_path) as fh:
+            spans = json.load(fh)["spans"]
+
+        def in_stage2(i):
+            while i >= 0:
+                if spans[i][0] == "fitting.stage2":
+                    return True
+                i = spans[i][3]
+            return False
+
+        names = {name for name, _, _, parent, _ in spans if in_stage2(parent)}
+        assert {"renderer.render_normals", "renderer.soft_silhouette",
+                "renderer.rasterize", "losses.normal_fit",
+                "losses.silhouette_l2"} <= names

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
@@ -241,18 +244,25 @@ class TestStage1KeypointRows:
 
 
 @pytest.fixture(scope="module")
-def stage2_setup(model):
+def stage2_views(model):
+    """Three views of a random foot at 60×80: (gt, cameras, observations)."""
     asset, field = model
     rng = np.random.default_rng(31)
     gt = synth.random_scene_params(rng, field.d_s, field.d_p)
     mesh = fm.forward_mesh(asset, field, gt)
     arc = cam_mod.ArcSamplerConfig(width=60, height=80)
     cams = [cam_mod.sample_arc(arc, np.random.default_rng(200 + i))
-            for i in range(2)]
+            for i in range(3)]
     obs = [synth.render_view(mesh, asset.keypoint_ids, c, 0.0, 0.01,
                              np.random.default_rng(300 + i)).obs
            for i, c in enumerate(cams)]
     return gt, cams, obs
+
+
+@pytest.fixture(scope="module")
+def stage2_setup(stage2_views):
+    gt, cams, obs = stage2_views
+    return gt, cams[:2], obs[:2]
 
 
 class TestStage2:
@@ -280,23 +290,61 @@ class TestStage2:
     def test_one_normal_pass_and_one_projection_per_view(self, model, stage2_setup,
                                                          monkeypatch):
         _, cams, obs = stage2_setup
-        calls = {"normals": 0, "project": 0}
+        calls = {key: 0 for key in ("normals", "project", "rasterize", "render_normals",
+                                    "soft", "normal_fit", "sil_l2")}
 
-        def counting(key, fn):
+        def counting(key, fn, per_view=None):
+            # args[per_view] holds the cameras, or one entry per camera
             def wrapped(*args, **kwargs):
                 calls[key] += 1
-                if key == "project":
-                    assert list(args[1]) == cams
+                if per_view is not None:
+                    seen = list(args[per_view])
+                    assert len(seen) == len(cams)
+                    if key in ("project", "render_normals", "soft"):
+                        assert seen == cams
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(renderer, "vertex_normals_var",
-                            counting("normals", renderer.vertex_normals_var))
-        monkeypatch.setattr(renderer, "project_vertices_var",
-                            counting("project", renderer.project_vertices_var))
+        for module, name, key, per_view in (
+                (renderer, "vertex_normals_var", "normals", None),
+                (renderer, "project_vertices_var", "project", 1),
+                (renderer, "rasterize", "rasterize", None),
+                (renderer, "render_normals_var", "render_normals", 2),
+                (renderer, "render_silhouette_soft_var", "soft", 1),
+                (losses, "normal_fit_loss", "normal_fit", 1),
+                (losses, "silhouette_l2", "sil_l2", 3)):
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name), per_view))
         config = fitting.FitConfig(stage2_epochs=3)
         fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
-        assert calls == {"normals": 3, "project": 3}
+        assert calls == {"normals": 3, "project": 3, "rasterize": 3 * len(cams),
+                         "render_normals": 3, "soft": 3, "normal_fit": 3, "sil_l2": 3}
+
+    def test_tape_nodes_do_not_grow_with_views(self, model, stage2_views, monkeypatch):
+        _, cams, obs = stage2_views
+        nodes = []
+        backward = ad.Tape.backward
+
+        def counting(tape, out):
+            nodes.append(len(tape))
+            return backward(tape, out)
+
+        monkeypatch.setattr(ad.Tape, "backward", counting)
+        config = fitting.FitConfig(stage2_epochs=1)
+        for n in (2, 3):
+            fitting.fit_stage2(model, obs[:n], cams[:n], fm.FootParams.identity(), config)
+        assert nodes[0] == nodes[1] <= 150
+
+    def test_no_view_covers_the_foot(self, model, stage2_setup):
+        # every view scores no pixel: the normal term is 0, not 0/0
+        _, cams, obs = stage2_setup
+        start = fm.FootParams.identity()
+        start.t[0] = 5.0
+        fitted, trace = fitting.fit_stage2(model, obs, cams, start,
+                                           fitting.FitConfig(stage2_epochs=2))
+        targets = [losses.silhouette_from_uncertainty(o.normals.kappa) for o in obs]
+        assert [r[3] for r in trace.rows] == [0.0, 0.0]
+        assert trace.rows[0][2] == pytest.approx(np.mean([t.mean() for t in targets]))
+        assert np.all(np.isfinite(fitted.t)) and not np.array_equal(fitted.t, start.t)
 
     def test_zero_epochs_builds_nothing(self, model, stage2_setup, monkeypatch):
         _, cams, obs = stage2_setup
@@ -312,3 +360,160 @@ class TestStage2:
         assert trace.rows == []
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(fitted, name), getattr(start, name))
+
+
+# ---------------------------------------------------------------------------
+# Reference for stage 2: the per-view image chain that scoring the pixel
+# lists of all views at once replaced.
+
+def _image_normals(n_world, faces, cam, frag):
+    """One view's camera-frame normal map (H,W,3) as a Var."""
+    tape = n_world.tape
+    H, W = cam.height, cam.width
+    n_cam = n_world @ tape.const(cam.R.T)
+    flat = np.nonzero(frag.face.reshape(-1) >= 0)[0]
+    if flat.size == 0:
+        return tape.const(np.zeros((H, W, 3)))
+    fsel = frag.face.reshape(-1)[flat]
+    bary = frag.bary.reshape(-1, 3)[flat]
+    n0 = ad.take(n_cam, faces[fsel, 0])
+    n1 = ad.take(n_cam, faces[fsel, 1])
+    n2 = ad.take(n_cam, faces[fsel, 2])
+    n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
+    n_pix = n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
+    idx = flat[:, None] * 3 + np.arange(3)[None, :]
+    return ad.scatter_into(np.zeros(H * W * 3), idx, n_pix).reshape((H, W, 3))
+
+
+def _image_normal_loss(n_map, obs, mask):
+    flat = np.nonzero(mask.reshape(-1))[0]
+    if flat.size == 0:
+        return n_map.tape.const(0.0)
+    H, W = mask.shape
+    n_sel = ad.take(n_map.reshape((H * W, 3)), flat)
+    dot = (n_sel * obs.mu.reshape(-1, 3)[flat]).sum(axis=1)
+    return (ad.acos_safe(dot) * obs.kappa.reshape(-1)[flat]).sum() * (1.0 / flat.size)
+
+
+def _image_silhouette(pix_var, cam, frag, topo, sharpness):
+    """One view's soft silhouette (H,W) as a Var, from its (V,2) pixels."""
+    mask = frag.mask
+    contour = renderer._contour_edges(topo, frag.front_faces)
+    if contour.size == 0 or not mask.any() or mask.all():
+        return pix_var.tape.const(mask.astype(np.float64))
+    band = max(3.0, 12.0 / sharpness)
+    flat = renderer._band_pixels(mask, band)
+    pix = pix_var.value
+    ii, jj = np.divmod(flat, cam.width)
+    pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
+    nearest = contour[renderer._nearest_edge(pc, pix[contour[:, 0]],
+                                             pix[contour[:, 1]], band + 1.5)]
+    sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
+    vals = renderer._edge_sigmoid(pix_var, nearest[:, 0], nearest[:, 1], pc,
+                                  sign * sharpness)
+    return ad.scatter_into(mask.astype(np.float64), flat, vals)
+
+
+def _image_l2(soft, target):
+    d = soft - target
+    return (d * d).sum() * (1.0 / target.size)
+
+
+def _image_stage2_epoch(model, observations, cameras, config, params):
+    """One stage-2 epoch with every view's normal map and soft silhouette
+    rendered as an image and scored on its own: (gradients, l_sil, l_norm)."""
+    asset, field = model
+    faces = asset.mesh.faces
+    topo = renderer.ContourTopology.build(asset.mesh)
+    targets = [losses.silhouette_from_uncertainty(o.normals.kappa, config.sil_threshold_deg)
+               for o in observations]
+    tape = ad.Tape()
+    pv = fm.lift_params(tape, params, train=fitting.PARAM_ORDER)
+    verts = fm.forward(asset, field, pv)
+    mesh_now = asset.mesh.copy_with(verts.value)
+    n_world = renderer.vertex_normals_var(verts, faces)
+    proj = renderer.project_vertices_var(verts, cameras)
+    kp, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids, cameras)
+    l_kp = losses.kp_fit_loss(kp, [o.keypoints for o in observations])
+    l_sil = l_norm = tape.const(0.0)
+    for view, cam in enumerate(cameras):
+        frag = renderer.rasterize(mesh_now, cam)
+        n_map = _image_normals(n_world, faces, cam, frag)
+        l_norm = l_norm + _image_normal_loss(n_map, observations[view].normals,
+                                             frag.mask & targets[view])
+        soft = _image_silhouette(proj[0][view], cam, frag, topo, config.sharpness)
+        l_sil = l_sil + _image_l2(soft, targets[view].astype(np.float64))
+    l_sil = l_sil * (1.0 / len(cameras))
+    l_norm = l_norm * (1.0 / len(cameras))
+    total = l_kp * config.w_kp + l_sil * config.w_sil + l_norm * config.w_norm
+    grads = tape.backward(total)
+    return ({n: grads[getattr(pv, n)] for n in fitting.PARAM_ORDER},
+            float(l_sil.value), float(l_norm.value))
+
+
+@pytest.fixture(scope="module")
+def ac05_fit_start(model, tmp_path_factory):
+    """AC-05's scene and its stage-1 fit: (gt mesh, cameras, observations,
+    stage-1 parameters)."""
+    asset, field = model
+    gt = synth.random_scene_params(np.random.default_rng(23), field.d_s, field.d_p)
+    spec = synth.SceneSpec(gt, arc=cam_mod.ArcSamplerConfig(width=160, height=120),
+                           n_views=8, sigma_view_deg=5.0, seed=9)
+    out = str(tmp_path_factory.mktemp("ac05"))
+    synth.generate_scene(spec, model, out)
+    _, cams, obs = synth.load_scene(out)
+    start, _ = fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=150))
+    return fm.forward_mesh(asset, field, gt), cams, obs, start
+
+
+def _blind_camera(cam):
+    """``cam`` moved 5 m sideways: the foot leaves its image."""
+    return replace(cam, t=cam.t + np.array([5.0, 0.0, 0.0]))
+
+
+def _inside_camera(mesh, cam):
+    """``cam`` zoomed 10× into an 8×6 image centred on the covered pixel of
+    ``mesh`` farthest from the silhouette: full coverage, so no band."""
+    mask = renderer.rasterize(mesh, cam).mask
+    i, j = np.unravel_index(np.argmax(ndimage.distance_transform_edt(mask)), mask.shape)
+    zoom = 10.0
+    return replace(cam, fx=cam.fx * zoom, fy=cam.fy * zoom,
+                   cx=4.0 - zoom * (j + 0.5 - cam.cx), cy=3.0 - zoom * (i + 0.5 - cam.cy),
+                   width=8, height=6)
+
+
+class TestStage2AgainstImageChain:
+    @pytest.mark.parametrize("extra", ["none", "blind", "inside"])
+    def test_one_epoch_matches(self, model, ac05_fit_start, monkeypatch, extra):
+        asset, field = model
+        gt_mesh, cams, obs, start = ac05_fit_start
+        cams, obs = list(cams), list(obs)
+        if extra != "none":
+            start_mesh = fm.forward_mesh(asset, field, start)
+            cam = (_blind_camera(cams[0]) if extra == "blind"
+                   else _inside_camera(start_mesh, cams[0]))
+            frag = renderer.rasterize(start_mesh, cam)
+            if extra == "blind":
+                assert not frag.mask.any()
+            else:
+                assert frag.mask.all()
+            cams.append(cam)
+            obs.append(synth.render_view(gt_mesh, asset.keypoint_ids, cam, 5.0, 0.01,
+                                         np.random.default_rng(5)).obs)
+        config = fitting.FitConfig(stage2_epochs=1)
+        seen = []
+        adam_step = fitting.adam_step
+
+        def recording(state, values, grads, lr):
+            seen.append(grads)
+            return adam_step(state, values, grads, lr)
+
+        monkeypatch.setattr(fitting, "adam_step", recording)
+        _, trace = fitting.fit_stage2(model, obs, cams, start, config)
+        want, l_sil, l_norm = _image_stage2_epoch(model, obs, cams, config, start)
+        for name in fitting.PARAM_ORDER:
+            assert np.array_equal(seen[0][name], want[name]), name
+        _, _, got_sil, got_norm, _ = trace.rows[0]
+        assert l_sil > 0 and l_norm > 0
+        assert abs(got_sil - l_sil) <= 1e-14 * l_sil
+        assert abs(got_norm - l_norm) <= 1e-14 * l_norm

@@ -237,8 +237,8 @@ class TestNormalFitLoss:
         mu[..., 2] = -1.0
         obs = NormalObservation(mu, np.full((3, 4), 5.0))
         tape = ad.Tape()
-        rendered = tape.leaf(mu.copy())
-        out = normal_fit_loss(rendered, obs, np.ones((3, 4), bool))
+        rendered = tape.leaf(mu.reshape(-1, 3).copy())
+        out = normal_fit_loss(rendered, [obs], [np.ones((3, 4), bool)])
         assert out.value == 0.0
 
     def test_ninety_degrees_at_kappa_two_gives_pi(self):
@@ -246,21 +246,21 @@ class TestNormalFitLoss:
         mu = np.zeros((H, W, 3))
         mu[..., 0] = 1.0
         obs = NormalObservation(mu, np.full((H, W), 2.0))
-        n = np.zeros((H, W, 3))
-        n[..., 2] = -1.0
+        n = np.zeros((H * W, 3))
+        n[:, 2] = -1.0
         tape = ad.Tape()
-        out = normal_fit_loss(tape.leaf(n), obs, np.ones((H, W), bool))
+        out = normal_fit_loss(tape.leaf(n), [obs], [np.ones((H, W), bool)])
         assert abs(out.value - np.pi) < 1e-14
 
     def test_linear_in_kappa(self):
         rng = np.random.default_rng(19)
         obs = self.grid_obs(rng)
-        n = unit_rows(rng, 48).reshape(6, 8, 3)
         mask = rng.uniform(size=(6, 8)) > 0.4
+        n = unit_rows(rng, int(mask.sum()))
         tape = ad.Tape()
-        a = normal_fit_loss(tape.leaf(n), obs, mask).value
+        a = normal_fit_loss(tape.leaf(n), [obs], [mask]).value
         half = NormalObservation(obs.mu, obs.kappa / 2)
-        b = normal_fit_loss(tape.leaf(n.copy()), half, mask).value
+        b = normal_fit_loss(tape.leaf(n.copy()), [half], [mask]).value
         assert np.isclose(b, a / 2, rtol=1e-12)
 
     def test_mask_selects_pixels(self):
@@ -270,61 +270,104 @@ class TestNormalFitLoss:
         mask = np.zeros((6, 8), bool)
         mask[2, 3] = mask[5, 1] = True
         tape = ad.Tape()
-        out = normal_fit_loss(tape.leaf(n), obs, mask).value
+        out = normal_fit_loss(tape.leaf(n[mask]), [obs], [mask]).value
         manual = np.mean([
             obs.kappa[i, j] * np.arccos(np.clip(n[i, j] @ obs.mu[i, j], -1, 1))
             for i, j in [(2, 3), (5, 1)]])
         assert np.isclose(out, manual, rtol=1e-12)
 
+    def test_mean_of_per_view_means(self):
+        rng = np.random.default_rng(25)
+        obs = [self.grid_obs(rng), self.grid_obs(rng, H=3, W=5), self.grid_obs(rng)]
+        masks = [rng.uniform(size=o.kappa.shape) > 0.5 for o in obs]
+        masks[2][:] = False                 # an empty view adds 0
+        n = [unit_rows(rng, int(m.sum())) for m in masks]
+        tape = ad.Tape()
+        out = normal_fit_loss(tape.leaf(np.concatenate(n)), obs, masks).value
+        alone = [normal_fit_loss(tape.leaf(nv), [o], [m]).value
+                 for nv, o, m in zip(n[:2], obs[:2], masks[:2])]
+        assert np.isclose(out, sum(alone) / 3, rtol=1e-14)
+
+    def test_rows_must_match_scored_pixels(self):
+        rng = np.random.default_rng(26)
+        obs = self.grid_obs(rng)
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="per scored pixel"):
+            normal_fit_loss(tape.leaf(unit_rows(rng, 3)), [obs], [np.ones((6, 8), bool)])
+
     def test_empty_mask_is_zero(self):
         rng = np.random.default_rng(21)
         obs = self.grid_obs(rng)
         tape = ad.Tape()
-        n = tape.leaf(unit_rows(rng, 48).reshape(6, 8, 3))
-        out = normal_fit_loss(n, obs, np.zeros((6, 8), bool))
+        n = tape.leaf(np.zeros((0, 3)))
+        out = normal_fit_loss(n, [obs], [np.zeros((6, 8), bool)])
         assert out.value == 0.0
-        assert np.all(tape.backward(out)[n] == 0.0)
+        assert tape.backward(out)[n].shape == (0, 3)
 
     def test_gradient_on_rendered_normals(self):
         rng = np.random.default_rng(22)
         obs = self.grid_obs(rng, H=3, W=3)
         mask = np.ones((3, 3), bool)
-        n0 = unit_rows(rng, 9).reshape(3, 3, 3)
+        n0 = unit_rows(rng, 9)
 
         def fn(raw):
-            flat = raw.reshape((9, 3))
-            unit = flat / ad.norm2(flat, axis=1, keepdims=True)
-            return normal_fit_loss(unit.reshape((3, 3, 3)), obs, mask)
+            unit = raw / ad.norm2(raw, axis=1, keepdims=True)
+            return normal_fit_loss(unit, [obs], [mask])
 
         assert ad.grad_check(fn, [n0]) < 1e-4
+
+
+def image_l2(soft_images, targets):
+    """Mean over views of the mean squared difference of whole images."""
+    return np.mean([np.mean((s - t) ** 2) for s, t in zip(soft_images, targets)])
 
 
 class TestSilhouetteL2:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(23)
-        m = rng.uniform(size=(5, 7))
+        m = rng.uniform(size=(5, 7)) > 0.5
+        band = np.array([0, 3, 9, 20])
         tape = ad.Tape()
-        assert silhouette_l2(tape.leaf(m), m).value == 0.0
+        soft = tape.leaf(m.reshape(-1)[band].astype(float))
+        assert silhouette_l2(soft, [band], [m], [m]).value == 0.0
 
     def test_opposite_is_one(self):
         tape = ad.Tape()
-        soft = tape.leaf(np.ones((4, 4)))
-        assert silhouette_l2(soft, np.zeros((4, 4))).value == 1.0
+        soft = tape.leaf(np.ones(3))
+        band = np.array([0, 5, 6])
+        out = silhouette_l2(soft, [band], [np.ones((4, 4), bool)], [np.zeros((4, 4))])
+        assert out.value == 1.0
+
+    def test_matches_image_mean_over_views(self):
+        rng = np.random.default_rng(27)
+        masks = [rng.uniform(size=(5, 7)) > 0.5, rng.uniform(size=(3, 4)) > 0.5,
+                 np.zeros((2, 2), bool)]
+        targets = [rng.uniform(size=m.shape) > 0.5 for m in masks]
+        bands = [np.array([1, 2, 8, 30]), np.array([0, 11]), np.zeros(0, dtype=int)]
+        vals = rng.uniform(size=6)
+        images = [m.astype(float) for m in masks]
+        images[0].reshape(-1)[bands[0]] = vals[:4]
+        images[1].reshape(-1)[bands[1]] = vals[4:]
+        out = silhouette_l2(ad.Tape().leaf(vals), bands, masks, targets).value
+        assert np.isclose(out, image_l2(images, targets), rtol=1e-14)
 
     def test_gradient(self):
         rng = np.random.default_rng(24)
-        target = (rng.uniform(size=(4, 5)) > 0.5).astype(float)
-        s0 = rng.uniform(size=(4, 5))
+        masks = [rng.uniform(size=(4, 5)) > 0.5, rng.uniform(size=(2, 3)) > 0.5]
+        targets = [(rng.uniform(size=m.shape) > 0.5).astype(float) for m in masks]
+        bands = [np.array([0, 7, 13, 19]), np.array([2, 3])]
+        s0 = rng.uniform(size=6)
 
         def fn(s):
-            return silhouette_l2(s, target)
+            return silhouette_l2(s, bands, masks, targets)
 
         assert ad.grad_check(fn, [s0]) < 1e-4
 
     def test_shape_mismatch_raises(self):
         tape = ad.Tape()
         with pytest.raises(ValueError):
-            silhouette_l2(tape.leaf(np.zeros((2, 2))), np.zeros((2, 3)))
+            silhouette_l2(tape.leaf(np.zeros(0)), [np.zeros(0, dtype=int)],
+                          [np.zeros((2, 2), bool)], [np.zeros((2, 3))])
 
 
 class TestKappaMinimizer:

@@ -219,8 +219,9 @@ class TestRenderNormals:
         w = np.random.default_rng(5).standard_normal((24, 32, 3))
 
         def loss(verts):
-            img, _ = rd.render_normals_var(verts, faces, cam, frag=frag)
-            return (img * w).sum()
+            n_world = rd.vertex_normals_var(verts, faces)
+            rows = rd.render_normals_var(n_world, faces, [cam], [frag], [frag.mask])
+            return (rows * w[frag.mask]).sum()
 
         assert ad.grad_check(loss, [v]) < 1e-4
 
@@ -281,9 +282,10 @@ class TestSoftSilhouette:
         w = np.random.default_rng(8).standard_normal((24, 32))
 
         def loss(verts):
-            img, _ = rd.render_silhouette_soft_var(
-                verts, mesh.faces, cam, sharpness=8.0, frag=frag, topo=topo)
-            return (img * w).sum()
+            proj, _ = rd.project_vertices_var(verts, [cam])
+            soft, (band,) = rd.render_silhouette_soft_var(proj, [cam], [frag], topo,
+                                                          sharpness=8.0)
+            return (soft * w.reshape(-1)[band]).sum()
 
         assert ad.grad_check(loss, [mesh.vertices]) < 1e-4
 
@@ -292,8 +294,10 @@ class TestSoftSilhouette:
         mesh = quad_mesh(half=0.05)
         tape = ad.Tape()
         verts = tape.leaf(mesh.vertices)
-        img, _ = rd.render_silhouette_soft_var(verts, mesh.faces, cam)
-        grads = tape.backward(img.sum())
+        proj, _ = rd.project_vertices_var(verts, [cam])
+        soft, _ = rd.render_silhouette_soft_var(
+            proj, [cam], [rd.rasterize(mesh, cam)], rd.ContourTopology.build(mesh))
+        grads = tape.backward(soft.sum())
         g = grads[verts]
         # outward motion of each corner increases total coverage
         outward = mesh.vertices[:, :2] - mesh.vertices[:, :2].mean(axis=0)
@@ -485,23 +489,35 @@ class TestBand:
 class TestFusedSilhouette:
     @pytest.mark.parametrize("sharpness", [8.0, 40.0])
     def test_matches_op_chain(self, ac05_views, sharpness):
+        # three views in one call: one edge node over the rows of all views
         mesh, cams = ac05_views
+        cams = cams[:3]
         topo = rd.ContourTopology.build(mesh)
-        w = np.random.default_rng(3).normal(size=(cams[0].height, cams[0].width))
-        for cam in cams[:3]:
-            frag = rd.rasterize(mesh, cam)
-            out = []
-            for render in (rd.render_silhouette_soft_var, chain_silhouette):
-                tape = ad.Tape()
-                verts = tape.leaf(mesh.vertices)
-                img, _ = render(verts, mesh.faces, cam, sharpness, frag, topo)
-                out.append((img.value, tape.backward((img * w).sum())[verts]))
-            (v_fused, g_fused), (v_chain, g_chain) = out
-            # same expressions up to the order of a few float64 operations
-            np.testing.assert_allclose(v_fused, v_chain, rtol=1e-12, atol=1e-15)
-            scale = np.abs(g_chain).max()
-            assert scale > 0
-            np.testing.assert_allclose(g_fused, g_chain, rtol=0, atol=1e-12 * scale)
+        frags = [rd.rasterize(mesh, cam) for cam in cams]
+        w = np.random.default_rng(3).normal(size=(3, cams[0].height, cams[0].width))
+
+        tape = ad.Tape()
+        verts = tape.leaf(mesh.vertices)
+        proj, _ = rd.project_vertices_var(verts, cams)
+        soft, bands = rd.render_silhouette_soft_var(proj, cams, frags, topo, sharpness)
+        w_band = np.concatenate([w[v].reshape(-1)[b] for v, b in enumerate(bands)])
+        g_fused = tape.backward((soft * w_band).sum())[verts]
+        v_fused = np.stack([f.mask.astype(np.float64) for f in frags])
+        rows = np.split(soft.value, np.cumsum([len(b) for b in bands])[:-1])
+        for img, band, vals in zip(v_fused, bands, rows):
+            img.reshape(-1)[band] = vals
+
+        tape = ad.Tape()
+        verts = tape.leaf(mesh.vertices)
+        chain = [chain_silhouette(verts, mesh.faces, cam, sharpness, frag, topo)[0]
+                 for cam, frag in zip(cams, frags)]
+        g_chain = tape.backward(sum((img * w[v]).sum() for v, img in enumerate(chain)))[verts]
+        v_chain = np.stack([img.value for img in chain])
+        # same expressions up to the order of a few float64 operations
+        np.testing.assert_allclose(v_fused, v_chain, rtol=1e-12, atol=1e-15)
+        scale = np.abs(g_chain).max()
+        assert scale > 0
+        np.testing.assert_allclose(g_fused, g_chain, rtol=0, atol=1e-12 * scale)
 
     def test_tape_freed_without_collector(self):
         cam = front_cam()
@@ -511,10 +527,14 @@ class TestFusedSilhouette:
             tape = ad.Tape()
             ref = weakref.ref(tape)
             verts = tape.leaf(mesh.vertices)
-            img, _ = rd.render_silhouette_soft_var(verts, mesh.faces, cam)
-            n_map, _ = rd.render_normals_var(verts, mesh.faces, cam)
-            tape.backward((img * img).sum() + n_map.sum())
-            del tape, verts, img, n_map
+            frag = rd.rasterize(mesh, cam)
+            proj, _ = rd.project_vertices_var(verts, [cam])
+            soft, _ = rd.render_silhouette_soft_var(
+                proj, [cam], [frag], rd.ContourTopology.build(mesh))
+            n_world = rd.vertex_normals_var(verts, mesh.faces)
+            n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag], [frag.mask])
+            tape.backward((soft * soft).sum() + n_pix.sum())
+            del tape, verts, proj, soft, n_world, n_pix
             assert ref() is None
         finally:
             gc.enable()
