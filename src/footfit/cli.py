@@ -165,7 +165,8 @@ def _check_kp_fit(rng, h):
         rng.uniform(0.05, 0.2, size=(3, 2)),
         np.array([1.0, 1.0, 0.0])) for _ in range(2)]
     p0 = [o.k + rng.normal(size=o.k.shape) * 0.05 for o in obs]
-    return ad.grad_check(lambda a, b: losses.kp_fit_loss([a, b], obs), p0,
+    stacked = losses.KeypointObservation.stack(obs)
+    return ad.grad_check(lambda a, b: losses.kp_fit_loss([a, b], stacked), p0,
                          h=h)
 
 

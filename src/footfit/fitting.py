@@ -128,15 +128,12 @@ def _params_of(values):
                          values["z_s"], values["z_p"])
 
 
-def _count_visible(observations):
-    return int(sum((o.keypoints.v > 0.5).sum() for o in observations))
-
-
 def _run_stage(asset, field, observations, cameras, config, params, epochs,
                free, with_render):
     if len(observations) != len(cameras):
         raise ValueError("one observation bundle per camera required")
-    visible = _count_visible(observations)
+    kp_obs = losses.KeypointObservation.stack([o.keypoints for o in observations])
+    visible = int((kp_obs.v > 0.5).sum())
     if visible < 2:
         raise ValueError(
             f"under-constrained fit: {visible} visible keypoints in total")
@@ -144,7 +141,6 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     values = _values_of(params)
     state = AdamState.for_params({n: values[n] for n in free})
     faces = asset.mesh.faces
-    kp_obs = [o.keypoints for o in observations]
     if with_render and epochs > 0:
         normal_obs = [o.normals for o in observations]
         topo = renderer.ContourTopology.build(asset.mesh)

@@ -62,13 +62,22 @@ class NormalObservation:
 
 @dataclass
 class KeypointObservation:
+    """One view's keypoints, or with a leading view axis on every field,
+    several views' (see :meth:`stack`)."""
     k: np.ndarray        # (K,2) normalized image positions
     sigma: np.ndarray    # (K,2) per-axis spread, > 0
     v: np.ndarray        # (K,) visibility in [0,1]
 
+    @classmethod
+    def stack(cls, observations):
+        """The N views' observations as one, fields (N,K,2), (N,K,2) and
+        (N,K), validated."""
+        return cls(*(np.stack([getattr(o, name) for o in observations])
+                     for name in ("k", "sigma", "v"))).validate()
+
     def validate(self):
-        K = len(self.k)
-        if self.sigma.shape != (K, 2) or self.v.shape != (K,):
+        if (self.k.shape[-1:] != (2,) or self.sigma.shape != self.k.shape
+                or self.v.shape != self.k.shape[:-1]):
             raise ValueError("keypoint field shapes disagree")
         if not np.all(np.isfinite(self.k)):
             raise ValueError("keypoint positions must be finite")
@@ -206,18 +215,19 @@ def silhouette_from_uncertainty(kappa_map, threshold_deg=30.0):
 def kp_fit_loss(projected, observations):
     """Fitting loss over views: (1/(N*K)) sum of v-gated squared
     sigma-normalized reprojection errors.  ``projected`` is an (N,K,2) Var
-    or a list of N (K,2) Vars.  Gradient reaches only the projections;
-    observations are fixed."""
+    or a list of N (K,2) Vars; ``observations`` is the N views'
+    :meth:`KeypointObservation.stack`, or a list of their observations,
+    which is then stacked and validated on each call.  Gradient reaches
+    only the projections; observations are fixed."""
     if not isinstance(projected, ad.Var):
         projected = ad.stack(projected)
-    if projected.shape[0] != len(observations):
+    if not isinstance(observations, KeypointObservation):
+        observations = KeypointObservation.stack(observations)
+    k, sigma, v = observations.k, observations.sigma, observations.v
+    if projected.shape[0] != len(k):
         raise ValueError("views mismatch between projections and observations")
-    for obs in observations:
-        obs.validate()
-        if projected.shape[1:] != obs.k.shape:
-            raise ValueError("keypoint count mismatch")
-    k, sigma, v = (np.stack([getattr(o, name) for o in observations])
-                   for name in ("k", "sigma", "v"))
+    if projected.shape != k.shape:
+        raise ValueError("keypoint count mismatch")
     d = (projected - k) / sigma
     return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)
 

@@ -12,6 +12,14 @@ with the y-down camera frame of :mod:`footfit.camera`, front-facing
 triangles have negative signed area in pixel coordinates.  Faces with
 any vertex closer than ``Z_NEAR`` are dropped entirely (no near-plane
 clipping); synthetic desk scenes keep the mesh far in front of it.
+
+The rasterizer enumerates only each face's row spans: per pixel-centre
+row it intersects the three edges, widens the span by one column each
+side against rounding, and runs the exact edge test there.  Only pixels
+covered by more than one face are sorted for visibility.  The soft
+silhouette's band (pixels near the other coverage class) is built by
+dilating each class's boundary pixels with an integer disk, not by
+distance transforms.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, special
+from scipy import special
 
 from . import autodiff as ad
 from . import camera as cam_mod
@@ -48,73 +56,94 @@ class FragmentBuffer:
 
 
 def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
+    """Hard visibility of ``mesh`` in ``camera``: per pixel the nearest
+    camera-facing face, its depth and perspective-correct barycentrics.
+
+    Each front face is traversed only over its pixel-centre rows within
+    its bounding box, and on each row only over the columns the three
+    edges bound.  Edge ``a → b`` passes a centre (px, py) when
+    ``(bx − ax)(py − ay) − (by − ay)(px − ax) ≤ 0``; along a row that is a
+    half-line in px with end ``ax + (bx − ax)(py − ay)/(by − ay)`` (all or
+    nothing when ``by = ay``), and the float test is monotone in px, so the
+    inside columns of a row are contiguous.  The ends are widened by one
+    column each side, which absorbs their rounding, and clipped to the
+    box; the edge test then decides every column exactly.  Candidates run
+    face by face, row by row, column by column.  Only pixels that more than
+    one face covers are sorted by (depth, face) to pick the winner; the
+    rest are written directly.
+    """
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
     depth_buf = np.zeros((H, W))
     pix, z = cam_mod.project(camera, mesh.vertices)
-    tri = mesh.faces
-    front = np.all(z[tri] > Z_NEAR, axis=1)
-
-    p0, p1, p2 = (pix[tri[:, k]] for k in range(3))
-    area2 = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
-    front &= area2 < -1e-14          # camera-facing under y-down pixel coords
+    corners = mesh.faces.T
+    # (3, F): x, y and depth of corner k of every face
+    x, y, zc = pix[:, 0][corners], pix[:, 1][corners], z[corners]
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    front = ((zc[0] > Z_NEAR) & (zc[1] > Z_NEAR) & (zc[2] > Z_NEAR)
+             & (area2 < -1e-14))     # camera-facing under y-down pixel coords
     frag = FragmentBuffer(face_buf, bary_buf, depth_buf, front)
     if not np.any(front):
         return frag
 
     fids = np.nonzero(front)[0]
-    q0, q1, q2 = p0[fids], p1[fids], p2[fids]
+    x, y, zc = (np.take(c, fids, axis=1) for c in (x, y, zc))
     a2 = area2[fids]
     # pixel-center bounding boxes, clipped to the image
-    xs = np.stack([q0[:, 0], q1[:, 0], q2[:, 0]], axis=1)
-    ys = np.stack([q0[:, 1], q1[:, 1], q2[:, 1]], axis=1)
-    j0 = np.maximum(np.ceil(xs.min(axis=1) - 0.5), 0).astype(np.int64)
-    j1 = np.minimum(np.floor(xs.max(axis=1) - 0.5), W - 1).astype(np.int64)
-    i0 = np.maximum(np.ceil(ys.min(axis=1) - 0.5), 0).astype(np.int64)
-    i1 = np.minimum(np.floor(ys.max(axis=1) - 0.5), H - 1).astype(np.int64)
-    keep = (j1 >= j0) & (i1 >= i0)
-    if not np.any(keep):
-        return frag
-    fids, q0, q1, q2, a2 = fids[keep], q0[keep], q1[keep], q2[keep], a2[keep]
-    j0, j1, i0, i1 = j0[keep], j1[keep], i0[keep], i1[keep]
+    j0 = np.maximum(np.ceil(np.minimum(np.minimum(x[0], x[1]), x[2]) - 0.5), 0)
+    j1 = np.minimum(np.floor(np.maximum(np.maximum(x[0], x[1]), x[2]) - 0.5), W - 1)
+    i0 = np.maximum(np.ceil(np.minimum(np.minimum(y[0], y[1]), y[2]) - 0.5), 0)
+    i1 = np.minimum(np.floor(np.maximum(np.maximum(y[0], y[1]), y[2]) - 0.5), H - 1)
+    n_rows = np.where(j1 >= j0, np.maximum(i1 - i0 + 1, 0), 0).astype(np.int64)
 
-    bw = j1 - j0 + 1
-    bh = i1 - i0 + 1
-    counts = bw * bh
-    total = int(counts.sum())
-    cand = np.repeat(np.arange(len(fids)), counts)
-    base = np.repeat(np.cumsum(counts) - counts, counts)
-    off = np.arange(total) - base
-    jj = j0[cand] + off % bw[cand]
-    ii = i0[cand] + off // bw[cand]
-    px_c = jj + 0.5
+    # one entry per (face, row)
+    row_face = np.repeat(np.arange(len(fids)), n_rows)
+    ii = i0[row_face].astype(np.int64) + np.arange(len(row_face)) - np.repeat(
+        np.cumsum(n_rows) - n_rows, n_rows)
     py_c = ii + 0.5
+    # the columns j with j + 0.5 ≥ end (rise > 0) or ≤ end (rise < 0) of
+    # each edge, one more on each side, within the box
+    lo, hi = j0[row_face], j1[row_face]
+    edges = []          # per edge and row: (bx − ax)(py − ay), by − ay, ax
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        ax = x[a][row_face]
+        rise = (y[b] - y[a])[row_face]
+        run = (x[b] - x[a])[row_face] * (py_c - y[a][row_face])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            end = ax + run / rise
+        lo = np.where(rise > 0, np.maximum(lo, np.ceil(end - 1.5)), lo)
+        hi = np.where(rise < 0, np.minimum(hi, np.floor(end + 0.5)), hi)
+        hi = np.where((rise == 0) & (run > 0), -1.0, hi)   # fails the whole row
+        edges.append((run, rise, ax))
+    width = np.where(hi >= lo, hi - lo + 1, 0).astype(np.int64)
 
-    c0, c1, c2 = q0[cand], q1[cand], q2[cand]
-    w0 = (c2[:, 0] - c1[:, 0]) * (py_c - c1[:, 1]) - (c2[:, 1] - c1[:, 1]) * (px_c - c1[:, 0])
-    w1 = (c0[:, 0] - c2[:, 0]) * (py_c - c2[:, 1]) - (c0[:, 1] - c2[:, 1]) * (px_c - c2[:, 0])
-    w2 = (c1[:, 0] - c0[:, 0]) * (py_c - c0[:, 1]) - (c1[:, 1] - c0[:, 1]) * (px_c - c0[:, 0])
+    # one entry per candidate pixel
+    row = np.repeat(np.arange(len(row_face)), width)
+    jj = lo[row].astype(np.int64) + np.arange(len(row)) - np.repeat(
+        np.cumsum(width) - width, width)
+    px_c = jj + 0.5
+    w0, w1, w2 = (run[row] - rise[row] * (px_c - ax[row]) for run, rise, ax in edges)
     inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)   # same sign as the negative area
     if not np.any(inside):
         return frag
-    cand, jj, ii = cand[inside], jj[inside], ii[inside]
+    row, jj = row[inside], jj[inside]
+    cand = row_face[row]
     lam = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / a2[cand][:, None]
 
-    zt = z[tri[fids]]                             # (Fkept, 3)
-    inv_z = lam / zt[cand]
+    inv_z = lam / zc.T[cand]
     inv_sum = inv_z.sum(axis=1)
     depth = 1.0 / inv_sum
     bary = inv_z / inv_sum[:, None]
 
-    flat = ii * W + jj
+    flat = ii[row] * W + jj
     global_face = fids[cand]
-    order = np.lexsort((global_face, depth, flat))
-    flat_s = flat[order]
+    shared = np.bincount(flat)[flat] > 1
+    dup = np.nonzero(shared)[0]
+    order = dup[np.lexsort((global_face[dup], depth[dup], flat[dup]))]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = flat_s[1:] != flat_s[:-1]
-    sel = order[first]
+    first[1:] = flat[order[1:]] != flat[order[:-1]]
+    sel = np.concatenate([np.nonzero(~shared)[0], order[first]])
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
     depth_buf.reshape(-1)[flat[sel]] = depth[sel]
@@ -231,24 +260,44 @@ def _contour_edges(topo: ContourTopology, front_faces):
 
 def _band_pixels(mask, band):
     """Flat indices, ascending, of the pixels whose centre lies within
-    ``band + 1.5`` px of a centre of the other coverage class.
+    ``R = band + 1.5`` px of a centre of the other coverage class; pixels
+    outside the image do not count.
 
-    Both distance transforms run on the mask's bounding box grown by
-    ``ceil(band + 2)`` px and clipped to the image.  A pixel within the
-    reach of the other class has its nearest such pixel inside that crop,
-    so the result equals the full-image transforms'; pixels outside the
-    crop are farther than the reach from any covered pixel.
+    A pixel's nearest pixel q of the other class has a 4-neighbour of the
+    pixel's own class: the step from q towards the pixel stays inside the
+    image and is nearer to the pixel, so it cannot be of q's class.  The
+    band of one class is therefore the set of its pixels within R of the
+    other class's boundary pixels (those with a 4-neighbour of the first
+    class), and each class's boundary is dilated by the integer disk of
+    radius R.  The work runs on the mask's bounding box grown by
+    ``floor(R)`` px and clipped to the image; everything beyond it is
+    uncovered and farther than R from any covered pixel.
     """
     H, W = mask.shape
-    grow = int(np.ceil(band + 2.0))
+    reach = band + 1.5
+    r = int(reach)
     rows = np.nonzero(mask.any(axis=1))[0]
     cols = np.nonzero(mask.any(axis=0))[0]
-    r0, r1 = max(rows[0] - grow, 0), min(rows[-1] + grow + 1, H)
-    c0, c1 = max(cols[0] - grow, 0), min(cols[-1] + grow + 1, W)
+    r0, r1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, H)
+    c0, c1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, W)
     crop = mask[r0:r1, c0:c1]
-    dist = np.where(crop, ndimage.distance_transform_edt(crop),
-                    ndimage.distance_transform_edt(~crop))
-    ii, jj = np.nonzero(dist <= band + 1.5)
+    h, w = crop.shape
+    # edge padding: lying on the image border does not make a pixel a
+    # boundary pixel (a superset of the boundary would only cost time)
+    pad = np.pad(crop, 1, mode="edge")
+    edge = ((pad[:-2, 1:-1] != crop) | (pad[2:, 1:-1] != crop)
+            | (pad[1:-1, :-2] != crop) | (pad[1:-1, 2:] != crop))
+    wide = w + 2 * r            # row length of the dilation buffer
+    dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
+    disk = (dy * wide + dx)[np.sqrt(dy * dy + dx * dx) <= reach]
+
+    def near(boundary):
+        ii, jj = np.nonzero(boundary)
+        out = np.zeros((h + 2 * r, wide), dtype=bool)
+        out.reshape(-1)[((ii + r) * wide + jj + r)[:, None] + disk] = True
+        return out[r:r + h, r:r + w]
+
+    ii, jj = np.nonzero(np.where(crop, near(edge & ~crop), near(edge & crop)))
     return (ii + r0) * W + (jj + c0)
 
 

@@ -248,6 +248,24 @@ class TestFit:
         for f in ("fitted.obj", "params.json", "trace.csv"):
             assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)
 
+    def test_fit_loads_neither_kd_tree_nor_ndimage(self, tmp_path, model_bin,
+                                                   scene_dir):
+        # only eval3d uses scipy.spatial, and nothing uses scipy.ndimage;
+        # each costs start-up time in every process that imports it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys\nfrom footfit import cli\nrc = cli.main(sys.argv[1:])\n"
+                "print(rc, [m for m in ('scipy.spatial', 'scipy.ndimage') "
+                "if m in sys.modules])")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "fit", "--scene", str(scene_dir),
+             "--model", model_bin, "--out", str(tmp_path / "f"),
+             "--stage1-epochs", "5", "--stage2-epochs", "2"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
     # (camera position, look-at target) for view 0 of the test scene
     @pytest.mark.parametrize("position, target", [
         # about 400 of the 2,706 vertices behind the camera, the rest in

@@ -176,6 +176,16 @@ class TestStage1:
         with pytest.raises(ValueError, match="per camera"):
             fitting.fit_stage1(model, obs[:-1], cams)
 
+    def test_keypoints_validated_once_per_stage(self, model, stage1_setup,
+                                                monkeypatch):
+        _, cams, obs = stage1_setup
+        calls = []
+        validate = losses.KeypointObservation.validate
+        monkeypatch.setattr(losses.KeypointObservation, "validate",
+                            lambda self: calls.append(self.k.shape) or validate(self))
+        fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=5))
+        assert calls == [(len(cams), len(model[0].keypoint_ids), 2)]
+
 
 def _stage1_full_mesh(model, observations, cameras, config):
     """Reference stage 1: the model forward over every template vertex,

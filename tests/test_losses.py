@@ -216,6 +216,25 @@ class TestKeypointFitLoss:
 
         assert ad.grad_check(fn, p0) < 1e-4
 
+    def test_stacked_observations_match_list(self):
+        rng = np.random.default_rng(19)
+        obs = [make_kp_obs(rng) for _ in range(3)]
+        stacked = KeypointObservation.stack(obs)
+        assert stacked.k.shape == (3, 12, 2) and stacked.v.shape == (3, 12)
+        preds = np.stack([o.k + rng.normal(size=o.k.shape) * 0.1 for o in obs])
+        values, grads = [], []
+        for observations in (obs, stacked):
+            tape = ad.Tape()
+            proj = tape.leaf(preds)
+            loss = kp_fit_loss(proj, observations)
+            values.append(loss.value)
+            grads.append(tape.backward(loss)[proj])
+        assert values[0] == values[1]
+        np.testing.assert_array_equal(grads[0], grads[1])
+        bad = KeypointObservation(obs[1].k, -obs[1].sigma, obs[1].v)
+        with pytest.raises(ValueError, match="sigma"):
+            KeypointObservation.stack([obs[0], bad])
+
     def test_count_mismatch_raises(self):
         rng = np.random.default_rng(18)
         obs = make_kp_obs(rng, K=5)

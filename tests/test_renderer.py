@@ -103,7 +103,164 @@ def brute_force_raster(mesh, cam):
     return face_buf, depth_buf
 
 
+def bbox_rasterize(mesh, camera):
+    """The rasterizer before span traversal: every pixel centre in each
+    front face's bounding box takes the edge test, and every inside
+    candidate is sorted by (pixel, depth, face)."""
+    H, W = camera.height, camera.width
+    face_buf = np.full((H, W), -1, dtype=np.int64)
+    bary_buf = np.zeros((H, W, 3))
+    depth_buf = np.zeros((H, W))
+    pix, z = cam_mod.project(camera, mesh.vertices)
+    tri = mesh.faces
+    front = np.all(z[tri] > rd.Z_NEAR, axis=1)
+
+    p0, p1, p2 = (pix[tri[:, k]] for k in range(3))
+    area2 = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    front &= area2 < -1e-14
+    frag = rd.FragmentBuffer(face_buf, bary_buf, depth_buf, front)
+    if not np.any(front):
+        return frag
+
+    fids = np.nonzero(front)[0]
+    q0, q1, q2 = p0[fids], p1[fids], p2[fids]
+    a2 = area2[fids]
+    xs = np.stack([q0[:, 0], q1[:, 0], q2[:, 0]], axis=1)
+    ys = np.stack([q0[:, 1], q1[:, 1], q2[:, 1]], axis=1)
+    j0 = np.maximum(np.ceil(xs.min(axis=1) - 0.5), 0).astype(np.int64)
+    j1 = np.minimum(np.floor(xs.max(axis=1) - 0.5), W - 1).astype(np.int64)
+    i0 = np.maximum(np.ceil(ys.min(axis=1) - 0.5), 0).astype(np.int64)
+    i1 = np.minimum(np.floor(ys.max(axis=1) - 0.5), H - 1).astype(np.int64)
+    keep = (j1 >= j0) & (i1 >= i0)
+    if not np.any(keep):
+        return frag
+    fids, q0, q1, q2, a2 = fids[keep], q0[keep], q1[keep], q2[keep], a2[keep]
+    j0, j1, i0, i1 = j0[keep], j1[keep], i0[keep], i1[keep]
+
+    bw = j1 - j0 + 1
+    bh = i1 - i0 + 1
+    counts = bw * bh
+    total = int(counts.sum())
+    cand = np.repeat(np.arange(len(fids)), counts)
+    base = np.repeat(np.cumsum(counts) - counts, counts)
+    off = np.arange(total) - base
+    jj = j0[cand] + off % bw[cand]
+    ii = i0[cand] + off // bw[cand]
+    px_c = jj + 0.5
+    py_c = ii + 0.5
+
+    c0, c1, c2 = q0[cand], q1[cand], q2[cand]
+    w0 = (c2[:, 0] - c1[:, 0]) * (py_c - c1[:, 1]) - (c2[:, 1] - c1[:, 1]) * (px_c - c1[:, 0])
+    w1 = (c0[:, 0] - c2[:, 0]) * (py_c - c2[:, 1]) - (c0[:, 1] - c2[:, 1]) * (px_c - c2[:, 0])
+    w2 = (c1[:, 0] - c0[:, 0]) * (py_c - c0[:, 1]) - (c1[:, 1] - c0[:, 1]) * (px_c - c0[:, 0])
+    inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)
+    if not np.any(inside):
+        return frag
+    cand, jj, ii = cand[inside], jj[inside], ii[inside]
+    lam = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / a2[cand][:, None]
+
+    zt = z[tri[fids]]
+    inv_z = lam / zt[cand]
+    inv_sum = inv_z.sum(axis=1)
+    depth = 1.0 / inv_sum
+    bary = inv_z / inv_sum[:, None]
+
+    flat = ii * W + jj
+    global_face = fids[cand]
+    order = np.lexsort((global_face, depth, flat))
+    flat_s = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat_s[1:] != flat_s[:-1]
+    sel = order[first]
+
+    face_buf.reshape(-1)[flat[sel]] = global_face[sel]
+    depth_buf.reshape(-1)[flat[sel]] = depth[sel]
+    bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
+    return frag
+
+
+def assert_same_fragments(mesh, cam):
+    got, ref = rd.rasterize(mesh, cam), bbox_rasterize(mesh, cam)
+    for name in ("face", "bary", "depth", "front_faces"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+    return got
+
+
+def adversarial_triangles(rng, n, width, height):
+    """``n`` triangles in pixel coordinates that stress the span ends:
+    sub-pixel triangles, edges on or within 1e-12 of a pixel-centre row or
+    column, vertices on pixel centres, slivers, triangles larger than the
+    image or far outside it, and triangles with one vertex on a pixel
+    centre and two on a 0.1 px grid, whose edges pass through further
+    pixel centres up to rounding."""
+    tris = []
+    for kind in range(n):
+        c = rng.uniform(-5.0, [width + 5.0, height + 5.0])
+        p = c + rng.uniform(-8.0, 8.0, (3, 2))
+        kind %= 8
+        if kind == 0:
+            p = c + rng.uniform(-0.6, 0.6, (3, 2))
+        elif kind in (1, 2):                  # axis 1: rows, axis 0: columns
+            axis = 2 - kind
+            p[0, axis] = np.floor(p[0, axis]) + 0.5
+            p[1, axis] = p[0, axis] + rng.choice([0.0, 1e-12, -1e-12, 5e-324])
+        elif kind == 3:
+            p = np.floor(p) + 0.5
+        elif kind == 4:
+            d = rng.normal(size=2)
+            d /= np.linalg.norm(d)
+            b = c + d * rng.uniform(2.0, 30.0)
+            p = np.stack([c, b, (c + b) / 2 + rng.choice([1e-9, 1e-6, 1e-3, 0.3])
+                          * np.array([-d[1], d[0]])])
+        elif kind == 5:
+            p = c + rng.uniform(-40.0, 40.0, (3, 2))
+        elif kind == 6:
+            p = np.round(c + rng.uniform(-25.0, 25.0, (3, 2)), 1)
+            p[0] = np.floor(p[0]) + 0.5
+        else:
+            p = c + rng.uniform(-1.0, 1.0, (3, 2)) * rng.choice([1e3, 1e6, 1e9])
+        tris.append(p)
+    return tris
+
+
 class TestRasterize:
+    def test_matches_bounding_box_reference_on_scenes(self, ac05_views):
+        mesh, cams = ac05_views
+        arc = cam_mod.ArcSamplerConfig(width=480, height=640)
+        rng = np.random.default_rng(9)
+        hires = [cam_mod.sample_arc(arc, rng) for _ in range(3)]
+        for cam in cams + hires:
+            assert_same_fragments(mesh, cam).mask.sum() > 1000
+
+    def test_matches_bounding_box_reference_near_plane_and_soups(self):
+        # a sphere pulled onto a camera's near plane: its near pole and
+        # three vertices of the last ring move to depths 0 to 3·Z_NEAR, so
+        # the faces around them are culled or project millions of px wide
+        sphere = uv_sphere(np.array([0.02, -0.01, 0.07]), 0.06, n_lat=12, n_lon=24)
+        last = len(sphere.vertices) - 24
+        sphere.vertices[1, 2] = 2 * rd.Z_NEAR
+        sphere.vertices[last:last + 3, 2] = [rd.Z_NEAR, 0.0, 3 * rd.Z_NEAR]
+        frag = assert_same_fragments(sphere, front_cam(width=80, height=60))
+        near = np.nonzero(sphere.vertices[sphere.faces, 2].min(axis=1) < 1e-4)[0]
+        assert np.isin(frag.face, near).any()
+        cam = front_cam(width=40, height=30, f=50.0)
+        for seed in range(12):
+            assert_same_fragments(random_soup(np.random.default_rng(seed)), cam)
+
+    def test_matches_bounding_box_reference_on_adversarial_triangles(self):
+        # a camera whose pixel coordinates are the vertices' x and y at z = 1
+        W, H = 40, 30
+        cam = Camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=W, height=H,
+                     R=np.eye(3), t=np.zeros(3))
+        covered = 0
+        for p in adversarial_triangles(np.random.default_rng(11), 3000, W, H):
+            verts = np.column_stack([p, np.ones(3)])
+            for winding in ([0, 1, 2], [0, 2, 1]):
+                covered += assert_same_fragments(Mesh(verts, np.array([winding])),
+                                                 cam).mask.sum()
+        assert covered > 0
+
     def test_matches_brute_force(self):
         cam = front_cam(width=40, height=30, f=50.0)
         for seed in range(6):
@@ -336,6 +493,22 @@ def dense_nearest(pc, a, b):
     return np.argmin(dx * dx + dy * dy, axis=1)
 
 
+def edt_band(mask, band):
+    """The band from two distance transforms on the mask's bounding box
+    grown by ``ceil(band + 2)`` px and clipped to the image."""
+    H, W = mask.shape
+    grow = int(np.ceil(band + 2.0))
+    rows = np.nonzero(mask.any(axis=1))[0]
+    cols = np.nonzero(mask.any(axis=0))[0]
+    r0, r1 = max(rows[0] - grow, 0), min(rows[-1] + grow + 1, H)
+    c0, c1 = max(cols[0] - grow, 0), min(cols[-1] + grow + 1, W)
+    crop = mask[r0:r1, c0:c1]
+    dist = np.where(crop, ndimage.distance_transform_edt(crop),
+                    ndimage.distance_transform_edt(~crop))
+    ii, jj = np.nonzero(dist <= band + 1.5)
+    return (ii + r0) * W + (jj + c0)
+
+
 def full_band(mask, band):
     """Band pixels from distance transforms over the whole image."""
     dist = np.where(mask, ndimage.distance_transform_edt(mask),
@@ -473,8 +646,10 @@ class TestNearestEdge:
 
 
 class TestBand:
-    @pytest.mark.parametrize("band", [3.0, 4.25])
+    @pytest.mark.parametrize("band", [3.0, 3.5, 4.25])
     def test_cropped_equals_full_image(self, ac05_views, band):
+        # at band 3.5 the reach is 5 px, which pixels at offsets (3, 4)
+        # and (5, 0) lie exactly on
         mesh, cams = ac05_views
         masks = [rd.rasterize(mesh, cam).mask for cam in cams]
         edge = np.zeros((30, 40), dtype=bool)
@@ -482,8 +657,33 @@ class TestBand:
         one = np.zeros((30, 40), dtype=bool)
         one[15, 20] = True
         for mask in masks + [edge, one, ~one]:
-            np.testing.assert_array_equal(rd._band_pixels(mask, band),
-                                          full_band(mask, band))
+            got = rd._band_pixels(mask, band)
+            np.testing.assert_array_equal(got, edt_band(mask, band))
+            np.testing.assert_array_equal(got, full_band(mask, band))
+
+    @pytest.mark.parametrize("sharpness", [1.7, 2.5, 3.3, 3.7])
+    def test_matches_distance_transforms(self, sharpness):
+        # band 12/sharpness: R = 12/sharpness + 1.5 is about 8.56, 6.3,
+        # 5.14 and 4.74, none a half-integer
+        band = 12.0 / sharpness
+        rng = np.random.default_rng(5)
+        holes = np.zeros((40, 50), dtype=bool)
+        holes[5:35, 4:46] = True
+        holes[rng.integers(5, 35, 12), rng.integers(4, 46, 12)] = False
+        holes[15:19, 20:30] = False
+        row = np.zeros((30, 40), dtype=bool)
+        row[12, 3:37] = True
+        col = np.zeros((30, 40), dtype=bool)
+        col[:, 17] = True
+        speckle = rng.uniform(size=(30, 40)) < 0.3
+        big = np.zeros((640, 480), dtype=bool)
+        ii, jj = np.mgrid[:640, :480]
+        big[((ii - 330) / 250.0) ** 2 + ((jj - 200) / 130.0) ** 2 <= 1.0] = True
+        big[600:, 300:] = True                # reaches two image borders
+        for mask in (holes, ~holes, row, col, ~col, speckle, big):
+            got = rd._band_pixels(mask, band)
+            np.testing.assert_array_equal(got, edt_band(mask, band))
+            np.testing.assert_array_equal(got, full_band(mask, band))
 
 
 class TestFusedSilhouette:
