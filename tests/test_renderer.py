@@ -104,9 +104,9 @@ def brute_force_raster(mesh, cam):
 
 
 def bbox_rasterize(mesh, camera):
-    """The rasterizer before span traversal: every pixel centre in each
-    front face's bounding box takes the edge test, and every inside
-    candidate is sorted by (pixel, depth, face)."""
+    """Reference rasterizer: every pixel centre in each front face's
+    bounding box takes the edge test, and every inside candidate is
+    sorted by (pixel, depth, face)."""
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
@@ -646,26 +646,18 @@ class TestNearestEdge:
 
 
 class TestBand:
-    @pytest.mark.parametrize("band", [3.0, 3.5, 4.25])
+    # band 3.5 reaches exactly 5 px, which offsets (3, 4) and (5, 0) lie
+    # on; the widths 12/sharpness reach (band + 1.5) about 8.56, 6.3, 5.14
+    # and 4.74 px, none a half-integer
+    @pytest.mark.parametrize("band", [3.0, 3.5, 4.25] + [
+        pytest.param(12.0 / s, id=f"sharpness{s}") for s in (1.7, 2.5, 3.3, 3.7)])
     def test_cropped_equals_full_image(self, ac05_views, band):
-        # at band 3.5 the reach is 5 px, which pixels at offsets (3, 4)
-        # and (5, 0) lie exactly on
         mesh, cams = ac05_views
         masks = [rd.rasterize(mesh, cam).mask for cam in cams]
         edge = np.zeros((30, 40), dtype=bool)
         edge[:6, 35:] = True                  # touches two image borders
         one = np.zeros((30, 40), dtype=bool)
         one[15, 20] = True
-        for mask in masks + [edge, one, ~one]:
-            got = rd._band_pixels(mask, band)
-            np.testing.assert_array_equal(got, edt_band(mask, band))
-            np.testing.assert_array_equal(got, full_band(mask, band))
-
-    @pytest.mark.parametrize("sharpness", [1.7, 2.5, 3.3, 3.7])
-    def test_matches_distance_transforms(self, sharpness):
-        # band 12/sharpness: R = 12/sharpness + 1.5 is about 8.56, 6.3,
-        # 5.14 and 4.74, none a half-integer
-        band = 12.0 / sharpness
         rng = np.random.default_rng(5)
         holes = np.zeros((40, 50), dtype=bool)
         holes[5:35, 4:46] = True
@@ -680,7 +672,8 @@ class TestBand:
         ii, jj = np.mgrid[:640, :480]
         big[((ii - 330) / 250.0) ** 2 + ((jj - 200) / 130.0) ** 2 <= 1.0] = True
         big[600:, 300:] = True                # reaches two image borders
-        for mask in (holes, ~holes, row, col, ~col, speckle, big):
+        for mask in masks + [edge, one, ~one, holes, ~holes, row, col, ~col,
+                             speckle, big]:
             got = rd._band_pixels(mask, band)
             np.testing.assert_array_equal(got, edt_band(mask, band))
             np.testing.assert_array_equal(got, full_band(mask, band))
