@@ -17,6 +17,12 @@ Gradient conventions that callers rely on:
   gradient where ``|x| > 1 - eps``, bounding the otherwise singular
   slope at the endpoints,
 * ``detach`` cuts the graph: value flows, gradient does not.
+
+A VJP returns one cotangent per parent, or ``None`` for a parent that
+needs none; ``Tape.backward`` skips it.  ``add``, ``sub``, ``mul``,
+``div`` and ``matmul`` decide at record time which parents require grad
+and return ``None`` for the constant ones, so constant operands (model
+weights, barycentric weights, observations) cost no cotangent.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "dot", "matmul",
     "sqrt", "exp", "log", "sin", "cos", "tanh", "arccos", "acos_safe",
     "clamp", "sigmoid", "norm2", "detach",
-    "take", "segment_sum", "concat", "stack", "scatter_into", "custom",
-    "grad_check",
+    "take", "segment_sum", "concat", "stack", "custom",
+    "grad_check", "logistic", "acos_safe_slope", "scatter_rows",
 ]
 
 
@@ -236,53 +242,51 @@ def _lift(tape, x):
     return tape.const(np.asarray(x, dtype=np.float64))
 
 
-def add(a, b):
+def _binary(a, b):
+    """Both operands on one tape, their values, and which require grad."""
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    out = av + bv
+    return tape, a, b, a.value, b.value, a.requires_grad, b.requires_grad
+
+
+def add(a, b):
+    tape, a, b, av, bv, ga, gb = _binary(a, b)
 
     def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
+        return (_unbroadcast(g, av.shape) if ga else None,
+                _unbroadcast(g, bv.shape) if gb else None)
 
-    return tape._record(out, (a._i, b._i), vjp, a.requires_grad or b.requires_grad)
+    return tape._record(av + bv, (a._i, b._i), vjp, ga or gb)
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    out = av - bv
+    tape, a, b, av, bv, ga, gb = _binary(a, b)
 
     def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
+        return (_unbroadcast(g, av.shape) if ga else None,
+                _unbroadcast(-g, bv.shape) if gb else None)
 
-    return tape._record(out, (a._i, b._i), vjp, a.requires_grad or b.requires_grad)
+    return tape._record(av - bv, (a._i, b._i), vjp, ga or gb)
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    out = av * bv
+    tape, a, b, av, bv, ga, gb = _binary(a, b)
 
     def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv, av.shape) if ga else None,
+                _unbroadcast(g * av, bv.shape) if gb else None)
 
-    return tape._record(out, (a._i, b._i), vjp, a.requires_grad or b.requires_grad)
+    return tape._record(av * bv, (a._i, b._i), vjp, ga or gb)
 
 
 def div(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    out = av / bv
+    tape, a, b, av, bv, ga, gb = _binary(a, b)
 
     def vjp(g):
-        return (_unbroadcast(g / bv, av.shape),
-                _unbroadcast(-g * av / (bv * bv), bv.shape))
+        return (_unbroadcast(g / bv, av.shape) if ga else None,
+                _unbroadcast(-g * av / (bv * bv), bv.shape) if gb else None)
 
-    return tape._record(out, (a._i, b._i), vjp, a.requires_grad or b.requires_grad)
+    return tape._record(av / bv, (a._i, b._i), vjp, ga or gb)
 
 
 def neg(a):
@@ -312,17 +316,14 @@ def dot(a, b):
 
 
 def matmul(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
+    tape, a, b, av, bv, ga, gb = _binary(a, b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
-    out = av @ bv
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return g @ bv.T if ga else None, av.T @ g if gb else None
 
-    return tape._record(out, (a._i, b._i), vjp, a.requires_grad or b.requires_grad)
+    return tape._record(av @ bv, (a._i, b._i), vjp, ga or gb)
 
 
 def sqrt(a):
@@ -372,6 +373,16 @@ def arccos(a):
                           a.requires_grad)
 
 
+def acos_safe_slope(x, eps=1e-7):
+    """Numpy slope of :func:`acos_safe` at ``x``: -1/sqrt(1 - x^2) where
+    |x| <= 1 - eps, exactly zero beyond."""
+    der = np.zeros_like(x)
+    inside = np.abs(x) <= 1.0 - eps
+    xi = x[inside]
+    der[inside] = -1.0 / np.sqrt(1.0 - xi * xi)
+    return der
+
+
 def acos_safe(a, eps=1e-7):
     """arccos with exact values on [-1, 1] and a bounded gradient.
 
@@ -381,15 +392,8 @@ def acos_safe(a, eps=1e-7):
     """
     av = a.value
     out = np.arccos(np.clip(av, -1.0, 1.0))
-    inside = np.abs(av) <= 1.0 - eps
-
-    def vjp(g):
-        der = np.zeros_like(av)
-        x = av[inside]
-        der[inside] = -1.0 / np.sqrt(1.0 - x * x)
-        return (g * der,)
-
-    return a.tape._record(out, (a._i,), vjp, a.requires_grad)
+    return a.tape._record(out, (a._i,), lambda g: (g * acos_safe_slope(av, eps),),
+                          a.requires_grad)
 
 
 def clamp(a, lo, hi):
@@ -403,13 +407,15 @@ def clamp(a, lo, hi):
     return a.tape._record(out, (a._i,), vjp, a.requires_grad)
 
 
+def logistic(x):
+    """Numpy 1/(1 + exp(-x)) that never overflows: 1/(1 + e) for x >= 0
+    and e/(1 + e) below, with e = exp(-|x|) <= 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a):
-    av = a.value
-    out = np.empty_like(av)
-    pos = av >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ez = np.exp(av[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = logistic(a.value)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -443,13 +449,14 @@ def take(a, idx):
     out = av[idx]
 
     def vjp(g):
-        return (_scatter_rows(g, idx, av.shape),)
+        return (scatter_rows(g, idx, av.shape),)
 
     return a.tape._record(out, (a._i,), vjp, a.requires_grad)
 
 
-def _scatter_rows(g, idx, shape):
-    """Sum rows of g into a zero array of ``shape`` at positions idx."""
+def scatter_rows(g, idx, shape):
+    """Numpy: sum the rows of ``g`` into a zero array of ``shape`` at row
+    positions ``idx``, in the order of the rows."""
     out = np.zeros(shape, dtype=np.float64)
     flat_idx = idx.ravel()
     out2 = out.reshape(shape[0], -1)
@@ -463,7 +470,7 @@ def segment_sum(a, idx, num):
     """out[i] = sum of rows a[j] with idx[j] == i, for i in range(num)."""
     idx = np.asarray(idx)
     av = a.value
-    out = _scatter_rows(av, idx, (num,) + av.shape[1:])
+    out = scatter_rows(av, idx, (num,) + av.shape[1:])
 
     def vjp(g):
         return (g[idx],)
@@ -527,28 +534,12 @@ def _basic_index(a, key):
     return a.tape._record(np.asarray(out), (a._i,), vjp, a.requires_grad)
 
 
-def scatter_into(base, idx, values):
-    """Copy of constant array ``base`` with ``base.flat[idx] = values``.
-
-    ``idx`` must hold unique flat positions.  Gradient flows only to
-    ``values``; the base stays constant.
-    """
-    idx = np.asarray(idx)
-    base = np.asarray(base, dtype=np.float64)
-    out = base.copy()
-    out.reshape(-1)[idx] = values.value
-
-    def vjp(g):
-        return (g.reshape(-1)[idx],)
-
-    return values.tape._record(out, (values._i,), vjp, values.requires_grad)
-
-
 def custom(parents, value, vjp):
     """One node whose ``value`` was computed outside the tape from the
-    parents' values.  ``vjp(g)`` returns one cotangent per parent.  The
-    closure must not hold Vars: a Var holds its tape, and a tape that is
-    part of a reference cycle waits for the cyclic collector."""
+    parents' values.  ``vjp(g)`` returns one cotangent per parent, or
+    ``None`` for a parent that needs none.  The closure must not hold
+    Vars: a Var holds its tape, and a tape that is part of a reference
+    cycle waits for the cyclic collector."""
     tape = _tape_of(*parents)
     return tape._record(np.asarray(value, dtype=np.float64),
                         tuple(p._i for p in parents), vjp,

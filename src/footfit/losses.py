@@ -15,6 +15,8 @@ which does not overflow for large kappa.  Kappa above 100 clamps to 100.
 
 Loss functions return 0-d tape variables.  ``angmf_nll`` also takes plain
 arrays, for a detached evaluation: read ``.value`` of its result.
+``normal_fit_loss`` is one tape node with a hand-written VJP, from the
+rendered normals to the mean over views.
 """
 
 from __future__ import annotations
@@ -237,18 +239,30 @@ def normal_fit_loss(rendered, observations, scored):
     ``scored[v]``, of kappa × angle(mu, rendered normal); a view with no
     scored pixel adds 0.  ``rendered`` holds the (P,3) normals at the scored
     pixels of every view, as :func:`renderer.render_normals_var` returns
-    them.  Gradient flows to the rendered normals only."""
+    them.  One tape node takes the dot with mu, the arccos (with the
+    zero-gradient cut of :func:`autodiff.acos_safe`), the kappa weight and
+    the per-view means.  Gradient flows to the rendered normals only."""
     n = len(observations)
     flats = [np.flatnonzero(s) for s in scored]
     counts = np.array([len(f) for f in flats])
     if len(flats) != n or rendered.shape != (counts.sum(), 3):
         raise ValueError("one rendered normal per scored pixel required")
-    mu = np.concatenate([o.mu.reshape(-1, 3)[f] for o, f in zip(observations, flats)])
-    kappa = np.concatenate([o.kappa.reshape(-1)[f] for o, f in zip(observations, flats)])
-    theta = ad.acos_safe((rendered * mu).sum(axis=1))
-    per_view = ad.segment_sum(theta * kappa, np.repeat(np.arange(n), counts), n)
+    # (3,P), component-major: numpy's inner loops run over the P pixels
+    mu = np.ascontiguousarray(np.concatenate(
+        [np.take(o.mu.reshape(-1, 3), f, axis=0) for o, f in zip(observations, flats)]).T)
+    kappa = np.concatenate([np.take(o.kappa, f) for o, f in zip(observations, flats)])
+    views = np.repeat(np.arange(n), counts)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    return (per_view * weight).sum() * (1.0 / n)
+    r = rendered.value
+    dot = r[:, 0] * mu[0] + r[:, 1] * mu[1] + r[:, 2] * mu[2]
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    per_view = np.bincount(views, weights=theta * kappa, minlength=n)
+
+    def vjp(g):
+        g_theta = (g * (1.0 / n) * weight)[views] * kappa
+        return ((mu * (g_theta * ad.acos_safe_slope(dot))).T,)
+
+    return ad.custom((rendered,), (per_view * weight).sum() * (1.0 / n), vjp)
 
 
 def silhouette_l2(soft, bands, masks, targets):

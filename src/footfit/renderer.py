@@ -20,6 +20,12 @@ covered by more than one face are sorted for visibility.  The soft
 silhouette's band (pixels near the other coverage class) is built by
 dilating each class's boundary pixels with an integer disk, not by
 distance transforms.
+
+Each differentiable step is one tape node with a hand-written VJP: the
+projection of the vertices into all cameras, the area-weighted vertex
+normals, the pixel normals of all views (rotation, corner gather,
+interpolation and normalisation in one pass) and the soft silhouette's
+edge sigmoid.  The op-by-op chains they replace are test references.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from . import camera as cam_mod
@@ -176,20 +181,37 @@ def project_vertices_var(verts: ad.Var, cameras):
     return ad.custom((verts,), xy / z_safe + centre, vjp), cam_pts[..., 2]
 
 
+def _unit_cols(x):
+    """Columns of the (3,N) ``x`` scaled to unit length, and their (N,)
+    lengths.  Component-major arrays keep numpy's inner loops N long."""
+    norm = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return x / norm, norm
+
+
+def _unit_cols_vjp(g, unit, norm):
+    """Cotangent of x for ``unit = x / |x|`` column by column."""
+    return (g - unit * (g[0] * unit[0] + g[1] * unit[1] + g[2] * unit[2])) / norm
+
+
 def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
-    """Differentiable area-weighted unit vertex normals (world frame)."""
-    a = ad.take(verts, faces[:, 0])
-    b = ad.take(verts, faces[:, 1])
-    c = ad.take(verts, faces[:, 2])
-    e1 = b - a
-    e2 = c - a
-    cx = e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1]
-    cy = e1[:, 2] * e2[:, 0] - e1[:, 0] * e2[:, 2]
-    cz = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    cross = ad.stack([cx, cy, cz], axis=1)
-    idx = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    acc = ad.segment_sum(ad.concat([cross, cross, cross], axis=0), idx, verts.shape[0])
-    return acc / ad.norm2(acc, axis=1, keepdims=True)
+    """Differentiable area-weighted unit vertex normals (world frame), as
+    one tape node: each face's edge cross product (b − a) × (c − a) is
+    summed onto its three corners, and each vertex's sum is normalised."""
+    v = verts.value
+    corners = faces.T.reshape(-1)          # corner 0 of every face, then 1, 2
+    e1 = v[faces[:, 1]] - v[faces[:, 0]]
+    e2 = v[faces[:, 2]] - v[faces[:, 0]]
+    acc = ad.scatter_rows(np.tile(np.cross(e1, e2), (3, 1)), corners, v.shape)
+    out, norm = _unit_cols(acc.T)
+
+    def vjp(g):
+        g_acc = _unit_cols_vjp(g.T, out, norm).T[faces]
+        g_cross = g_acc[:, 0] + g_acc[:, 1] + g_acc[:, 2]
+        g_e1, g_e2 = np.cross(e2, g_cross), np.cross(g_cross, e1)
+        return (ad.scatter_rows(np.concatenate([-g_e1 - g_e2, g_e1, g_e2]),
+                                corners, v.shape),)
+
+    return ad.custom((verts,), out.T, vjp)
 
 
 def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
@@ -197,27 +219,36 @@ def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
     masks inside coverage) of every view, as one Var whose rows run view by
     view, each view's in flat pixel order.  ``n_world`` is
     :func:`vertex_normals_var` of the mesh rasterized into ``frags``.  One
-    node rotates the normals into all cameras; corners are then taken,
-    interpolated and normalised once over the rows of all views."""
+    node rotates the normals into all cameras, takes each pixel's three
+    corners, interpolates them with the perspective-correct barycentrics
+    and normalises, over the pixels of all views at once."""
     n_verts = n_world.shape[0]
+    face_corners = np.ascontiguousarray(faces.T)
     corners, bary = [], []
     for view, (frag, sel) in enumerate(zip(frags, scored)):
         flat = np.flatnonzero(sel)
-        corners.append(faces[frag.face.reshape(-1)[flat]] + view * n_verts)
-        bary.append(frag.bary.reshape(-1, 3)[flat])
-    corners, bary = np.concatenate(corners), np.concatenate(bary)
+        corners.append(np.take(face_corners, np.take(frag.face, flat), axis=1)
+                       + view * n_verts)
+        bary.append(np.take(frag.bary.reshape(-1, 3), flat, axis=0))
+    # (3,P): corner k of every pixel, and its weight
+    corners = np.concatenate(corners, axis=1)
+    bary = np.ascontiguousarray(np.concatenate(bary).T)
     rots = [cam.R for cam in cameras]
+    n_cam = np.concatenate([n_world.value @ R.T for R in rots]).T.copy()
+    n_pix = np.take(n_cam, corners[0], axis=1) * bary[0]
+    n_pix += np.take(n_cam, corners[1], axis=1) * bary[1]
+    n_pix += np.take(n_cam, corners[2], axis=1) * bary[2]
+    out, norm = _unit_cols(n_pix)
+    corners = corners.reshape(-1)
 
     def vjp(g):
-        g = g.reshape(len(rots), n_verts, 3)
-        return (sum(g[v] @ rots[v] for v in reversed(range(len(rots)))),)
+        g_pix = _unit_cols_vjp(g.T, out, norm)
+        g_cam = np.stack([np.bincount(corners, (bary * g_pix[c]).reshape(-1),
+                                      minlength=n_cam.shape[1]) for c in range(3)], axis=1)
+        g_cam = g_cam.reshape(len(rots), n_verts, 3)
+        return (sum(g_cam[v] @ rots[v] for v in reversed(range(len(rots)))),)
 
-    n_cam = ad.custom((n_world,), np.concatenate([n_world.value @ R.T for R in rots]), vjp)
-    n0 = ad.take(n_cam, corners[:, 0])
-    n1 = ad.take(n_cam, corners[:, 1])
-    n2 = ad.take(n_cam, corners[:, 2])
-    n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
-    return n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
+    return ad.custom((n_world,), out.T, vjp)
 
 
 def render_normals(mesh: Mesh, camera, frag: FragmentBuffer = None):
@@ -399,7 +430,7 @@ def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
     res = pa - t[:, None] * ab
     sq = (res * res).sum(axis=1)
     dist = np.sqrt(np.clip(sq, 1e-24, 1e60))
-    out = special.expit(dist * scale)
+    out = ad.logistic(dist * scale)
     pass_t = (q >= 0.0) & (q <= 1.0)
     pass_den = (dd >= 1e-30) & (dd <= 1e30)
     pass_sq = (sq >= 1e-24) & (sq <= 1e60)

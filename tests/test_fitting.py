@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import chainref
+from chainref import scatter_into
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import fitting
@@ -342,7 +344,7 @@ class TestStage2:
         config = fitting.FitConfig(stage2_epochs=1)
         for n in (2, 3):
             fitting.fit_stage2(model, obs[:n], cams[:n], fm.FootParams.identity(), config)
-        assert nodes[0] == nodes[1] <= 150
+        assert nodes[0] == nodes[1] <= 75
 
     def test_no_view_covers_the_foot(self, model, stage2_setup):
         # every view scores no pixel: the normal term is 0, not 0/0
@@ -374,7 +376,7 @@ class TestStage2:
 
 # ---------------------------------------------------------------------------
 # Reference for stage 2: the per-view image chain that scoring the pixel
-# lists of all views at once replaced.
+# lists of all views at once replaced, with the op-by-op vertex normals.
 
 def _image_normals(n_world, faces, cam, frag):
     """One view's camera-frame normal map (H,W,3) as a Var."""
@@ -392,7 +394,7 @@ def _image_normals(n_world, faces, cam, frag):
     n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
     n_pix = n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
     idx = flat[:, None] * 3 + np.arange(3)[None, :]
-    return ad.scatter_into(np.zeros(H * W * 3), idx, n_pix).reshape((H, W, 3))
+    return scatter_into(np.zeros(H * W * 3), idx, n_pix).reshape((H, W, 3))
 
 
 def _image_normal_loss(n_map, obs, mask):
@@ -421,7 +423,7 @@ def _image_silhouette(pix_var, cam, frag, topo, sharpness):
     sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
     vals = renderer._edge_sigmoid(pix_var, nearest[:, 0], nearest[:, 1], pc,
                                   sign * sharpness)
-    return ad.scatter_into(mask.astype(np.float64), flat, vals)
+    return scatter_into(mask.astype(np.float64), flat, vals)
 
 
 def _image_l2(soft, target):
@@ -441,7 +443,7 @@ def _image_stage2_epoch(model, observations, cameras, config, params):
     pv = fm.lift_params(tape, params, train=fitting.PARAM_ORDER)
     verts = fm.forward(asset, field, pv)
     mesh_now = asset.mesh.copy_with(verts.value)
-    n_world = renderer.vertex_normals_var(verts, faces)
+    n_world = chainref.vertex_normals_var(verts, faces)
     proj = renderer.project_vertices_var(verts, cameras)
     kp, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids, cameras)
     l_kp = losses.kp_fit_loss(kp, [o.keypoints for o in observations])
@@ -521,8 +523,12 @@ class TestStage2AgainstImageChain:
         monkeypatch.setattr(fitting, "adam_step", recording)
         _, trace = fitting.fit_stage2(model, obs, cams, start, config)
         want, l_sil, l_norm = _image_stage2_epoch(model, obs, cams, config, start)
+        # the fused normal nodes sum in another order than the image chain:
+        # gradients agree to 1e-13 of each group's scale (measured 1.4e-14)
         for name in fitting.PARAM_ORDER:
-            assert np.array_equal(seen[0][name], want[name]), name
+            scale = np.abs(want[name]).max()
+            np.testing.assert_allclose(seen[0][name], want[name], rtol=0,
+                                       atol=1e-13 * scale, err_msg=name)
         _, _, got_sil, got_norm, _ = trace.rows[0]
         assert l_sil > 0 and l_norm > 0
         assert abs(got_sil - l_sil) <= 1e-14 * l_sil

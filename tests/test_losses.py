@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import chainref
 from footfit import autodiff as ad
 from footfit import losses
 from footfit.losses import (
@@ -322,6 +323,32 @@ class TestNormalFitLoss:
         out = normal_fit_loss(n, [obs], [np.zeros((6, 8), bool)])
         assert out.value == 0.0
         assert tape.backward(out)[n].shape == (0, 3)
+
+    def test_matches_op_chain(self):
+        # three views, one scoring no pixel, and a first pixel whose rendered
+        # normal equals mu: its gradient is exactly 0 at acos_safe's cut
+        rng = np.random.default_rng(27)
+        obs = [self.grid_obs(rng), self.grid_obs(rng, H=3, W=5), self.grid_obs(rng)]
+        for o in obs:
+            o.kappa[:] = rng.uniform(0.5, 20.0, size=o.kappa.shape)
+        masks = [rng.uniform(size=o.kappa.shape) > 0.4 for o in obs]
+        masks[1][:] = False
+        n = unit_rows(rng, sum(int(m.sum()) for m in masks))
+        i, j = np.argwhere(masks[0])[0]
+        obs[0].mu[i, j] = n[0]
+        results = []
+        for loss in (normal_fit_loss, chainref.normal_fit_loss):
+            tape = ad.Tape()
+            rendered = tape.leaf(n)
+            out = loss(rendered, obs, masks)
+            results.append((out.value, tape.backward(out)[rendered]))
+        (v_fused, g_fused), (v_chain, g_chain) = results
+        assert abs(n[0] @ obs[0].mu[i, j]) > 1.0 - 1e-7
+        assert np.all(g_fused[0] == 0.0) and np.all(g_chain[0] == 0.0)
+        assert np.all(g_fused[1:].any(axis=1))
+        # the same float operations in the same order, forward and backward
+        assert v_fused == v_chain
+        assert np.array_equal(g_fused, g_chain)
 
     def test_gradient_on_rendered_normals(self):
         rng = np.random.default_rng(22)

@@ -1,13 +1,17 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import chainref
+from chainref import scatter_into
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import footmodel as fm
+from footfit import losses
 from footfit import renderer as rd
 from footfit import synth
 from footfit.camera import Camera
@@ -542,7 +546,7 @@ def chain_silhouette(verts, faces, cam, sharpness, frag, topo):
     dist = ad.sqrt(ad.clamp((res * res).sum(axis=1), 1e-24, 1e60))
     sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
     vals = ad.sigmoid(dist * (sign * sharpness))
-    img = ad.scatter_into(mask.astype(np.float64).reshape(-1), flat, vals)
+    img = scatter_into(mask.astype(np.float64).reshape(-1), flat, vals)
     return img.reshape((H, W)), frag
 
 
@@ -677,6 +681,54 @@ class TestBand:
             got = rd._band_pixels(mask, band)
             np.testing.assert_array_equal(got, edt_band(mask, band))
             np.testing.assert_array_equal(got, full_band(mask, band))
+
+
+@pytest.fixture(scope="module")
+def hires_views(ac05_views):
+    """AC-05's ground-truth foot and three 480×640 cameras on its arc."""
+    mesh, _ = ac05_views
+    rng = np.random.default_rng(9)
+    return mesh, [cam_mod.sample_arc(cam_mod.ArcSamplerConfig(), rng) for _ in range(3)]
+
+
+class TestFusedNormals:
+    @pytest.mark.parametrize("views", ["ac05", "hires", "blind"])
+    def test_normal_path_matches_op_chain(self, ac05_views, hires_views, views):
+        # vertex normals -> pixel normals -> normal loss, one node each,
+        # against the op chains; "blind" adds a view that scores no pixel
+        mesh, cams = hires_views if views == "hires" else ac05_views
+        cams = list(cams)
+        if views == "blind":
+            cams.append(replace(cams[0], t=cams[0].t + np.array([5.0, 0.0, 0.0])))
+        frags = [rd.rasterize(mesh, cam) for cam in cams]
+        rng = np.random.default_rng(4)
+        scored = [f.mask & (rng.uniform(size=f.mask.shape) < 0.8) for f in frags]
+        obs = []
+        for cam, frag in zip(cams, frags):
+            mu = rd.render_normals(mesh, cam, frag)[0] + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
+            obs.append(losses.NormalObservation(
+                mu / np.linalg.norm(mu, axis=2, keepdims=True),
+                rng.uniform(0.5, 20.0, size=frag.mask.shape)))
+        assert views != "blind" or not scored[-1].any()
+
+        def run(vertex_normals, render, loss):
+            tape = ad.Tape()
+            verts = tape.leaf(mesh.vertices)
+            n_world = vertex_normals(verts, mesh.faces)
+            rows = render(n_world, mesh.faces, cams, frags, scored)
+            out = loss(rows, obs, scored)
+            return n_world.value, rows.value, out.value, tape.backward(out)[verts]
+
+        fused = run(rd.vertex_normals_var, rd.render_normals_var, losses.normal_fit_loss)
+        chain = run(chainref.vertex_normals_var, chainref.render_normals_var,
+                    chainref.normal_fit_loss)
+        # the forward runs the same float operations in the same order
+        for got, want in zip(fused[:3], chain[:3]):
+            assert np.array_equal(got, want)
+        # the cotangents are summed in another order
+        scale = np.abs(chain[3]).max()
+        assert scale > 0
+        np.testing.assert_allclose(fused[3], chain[3], rtol=0, atol=1e-13 * scale)
 
 
 class TestFusedSilhouette:
