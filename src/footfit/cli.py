@@ -338,6 +338,7 @@ def gradient_suite(configs=20, h=1e-5, seed=0):
 # Subcommands.
 
 def cmd_make_model(cfg):
+    _keep_heap_top()
     _echo(cfg, "make-model", cfg["out"])
     asset, field = fm.make_default_model(seed=cfg["seed"])
     path = os.path.join(cfg["out"], "model.bin")
@@ -389,10 +390,11 @@ _TOP_PAD_BYTES = 64 << 20
 def _keep_heap_top():
     """Let glibc keep up to ``_TOP_PAD_BYTES`` of freed heap top.
 
-    A fit builds one tape per epoch and frees it when the epoch ends.  By
-    default glibc hands the freed heap top back to the kernel at once, and
-    the next epoch faults the same pages in again: a 1,000-epoch stage-1
-    fit spent about a fifth of its time there.  Returns whether the setting
+    A fit builds one tape per epoch and frees it when the epoch ends, and
+    the field calibration of make-model one per probe code.  By default
+    glibc hands the freed heap top back to the kernel at once, and the
+    next tape faults the same pages in again: a 1,000-epoch stage-1 fit
+    spent about a fifth of its time there.  Returns whether the setting
     took; False on other C libraries.
     """
     try:
@@ -423,6 +425,8 @@ def cmd_fit(cfg):
     obs = [obs[i] for i in picked]
 
     factor = cfg["downsample"]
+    if factor < 0:
+        raise ConfigError("downsample must be non-negative")
     if factor == 0:
         factor = max(1, round(min(cams[0].width, cams[0].height) / 120))
     if factor > 1:
@@ -483,13 +487,13 @@ def cmd_eval_normals(cfg):
         gt_map = images.load_pfm(os.path.join(
             cfg["scene"], f"view_{i:03d}", "gt_normals.pfm")).astype(np.float64)
         gt_frag = renderer.rasterize(gt_mesh, cam)
-        h = evalign.pixel_heights(gt_mesh, gt_frag)
+        h = renderer.pixel_heights(gt_mesh, gt_frag)
         mask = o.mask.copy()
         if fitted is None:
             pred = o.normals.mu
         else:
             frag = renderer.rasterize(fitted, cam)
-            pred, _ = renderer.render_normals(fitted, cam, frag=frag)
+            pred = renderer.render_normals(fitted, cam, frag)
             mask &= frag.mask
         pooled_pred.append(pred[mask])
         pooled_gt.append(gt_map[mask])

@@ -22,7 +22,7 @@ from .geometry import (Mesh, chamfer_stats, lower_median, nearest_neighbors,
 
 __all__ = [
     "NormalEvalReport", "FloorFit", "AlignParams", "AlignResult",
-    "pixel_heights", "eval_normals", "fit_floor", "level_to_floor",
+    "eval_normals", "fit_floor", "level_to_floor",
     "align_4param", "eval_3d", "report_json", "report_table", "report_csv",
 ]
 
@@ -50,18 +50,6 @@ class NormalEvalReport:
             "pct_lt_30": self.pct_lt_30,
             "pixels": self.pixels,
         }
-
-
-def pixel_heights(mesh: Mesh, frag):
-    """World z of the surface point under each covered pixel, NaN off
-    coverage."""
-    H, W = frag.face.shape
-    z = np.full((H, W), np.nan)
-    sel = frag.face >= 0
-    f = frag.face[sel]
-    bary = frag.bary[sel]
-    z[sel] = np.sum(bary * mesh.vertices[mesh.faces[f], 2], axis=1)
-    return z
 
 
 def eval_normals(pred_mu, gt_normals, mask, heights=None,

@@ -1,15 +1,17 @@
 """Two-stage mesh fitting.
 
 Stage 1 registers the template rigidly (rotation, translation, per-axis
-scale) against keypoints only.  Stage 2 frees the shape and pose codes
-as well and adds soft-silhouette and normal-map terms.  Both stages run
-full-batch Adam with a fixed epoch count; each epoch builds one tape,
-runs the model forward once and projects into all views in one tape
-node.  Stage 1 evaluates and projects only the keypoint rows, the only
-rows its loss reads.  Stage 2 evaluates the whole mesh, rasterizes each
-view in numpy, and scores the pixels of all views at once: the normal
-term over every view's covered target pixels, the silhouette term over
-every view's contour band, each a mean over views of per-view means.
+scale; ``STAGE1_FREE``) against keypoints only.  Stage 2 frees the shape
+and pose codes as well (``PARAM_ORDER``) and adds soft-silhouette and
+normal-map terms.  Each stage returns the fitted parameters and a
+:class:`FitTrace` of per-epoch losses.  Both stages run full-batch Adam
+with a fixed epoch count; each epoch builds one tape, runs the model
+forward once and projects into all views in one tape node.  Stage 1
+evaluates and projects only the keypoint rows, the only rows its loss
+reads.  Stage 2 evaluates the whole mesh, rasterizes each view in numpy,
+and scores the pixels of all views at once: the normal term over every
+view's covered target pixels, the silhouette term over every view's
+contour band, each a mean over views of per-view means.
 """
 
 from __future__ import annotations
@@ -46,26 +48,21 @@ class FitConfig:
     w_norm: float = 0.5
     sharpness: float = 40.0
     sil_threshold_deg: float = 30.0
-    stage1_free: tuple = STAGE1_FREE
-    stage2_free: tuple = PARAM_ORDER
 
     def validate(self):
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        for name in tuple(self.stage1_free) + tuple(self.stage2_free):
-            if name not in PARAM_ORDER:
-                raise ValueError(f"unknown parameter group {name!r}")
+        if not self.sharpness > 0:
+            raise ValueError("sharpness must be positive")
         return self
 
 
 @dataclass
 class FitTrace:
-    """Per-epoch loss breakdown plus parameter snapshots at the stage
-    entry and exit."""
+    """Per-epoch loss breakdown."""
     rows: list = dc_field(default_factory=list)   # (epoch, kp, sil, norm, total)
-    snapshots: list = dc_field(default_factory=list)
 
     def totals(self):
         return np.array([r[4] for r in self.rows])
@@ -137,7 +134,6 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     if visible < 2:
         raise ValueError(
             f"under-constrained fit: {visible} visible keypoints in total")
-    free = tuple(n for n in PARAM_ORDER if n in free)
     values = _values_of(params)
     state = AdamState.for_params({n: values[n] for n in free})
     faces = asset.mesh.faces
@@ -153,7 +149,6 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     kp_ids = asset.keypoint_ids if with_render else np.arange(len(rows))
 
     trace = FitTrace()
-    trace.snapshots.append(_params_of(values))
     for epoch in range(epochs):
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
@@ -185,9 +180,7 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         stepped = adam_step(state, {n: values[n] for n in free},
                             free_grads, config.lr)
         values.update(stepped)
-    fitted = _params_of(values).validate()
-    trace.snapshots.append(fitted)
-    return fitted, trace
+    return _params_of(values).validate(), trace
 
 
 def fit_stage1(model, observations, cameras, config=None,
@@ -199,8 +192,7 @@ def fit_stage1(model, observations, cameras, config=None,
     if init is None:
         init = fm.FootParams.identity(field.d_s, field.d_p)
     return _run_stage(asset, field, observations, cameras, config, init,
-                      config.stage1_epochs, config.stage1_free,
-                      with_render=False)
+                      config.stage1_epochs, STAGE1_FREE, with_render=False)
 
 
 def fit_stage2(model, observations, cameras, params, config=None):
@@ -209,5 +201,4 @@ def fit_stage2(model, observations, cameras, params, config=None):
     asset, field = model
     config = (config or FitConfig()).validate()
     return _run_stage(asset, field, observations, cameras, config, params,
-                      config.stage2_epochs, config.stage2_free,
-                      with_render=True)
+                      config.stage2_epochs, PARAM_ORDER, with_render=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .geometry import Mesh
 
 __all__ = [
     "FootParams", "ParamVars", "DeformationField", "TemplateAsset",
-    "ModelFormatError", "KEYPOINT_NAMES", "build_template", "zero_field",
-    "random_field", "make_default_model", "forward", "forward_mesh",
+    "ModelFormatError", "KEYPOINT_NAMES", "build_template", "random_field",
+    "make_default_model", "forward", "forward_mesh",
     "lift_params", "save_model", "load_model",
 ]
 
@@ -293,13 +293,6 @@ def _assign_keypoints(verts):
 # ---------------------------------------------------------------------------
 # Deformation field construction and evaluation.
 
-def zero_field(d_s=8, d_p=8, hidden=64, n_hidden=3):
-    dims = [3 + d_s + d_p] + [hidden] * n_hidden + [3]
-    weights = [(np.zeros((dims[i], dims[i + 1])), np.zeros(dims[i + 1]))
-               for i in range(len(dims) - 1)]
-    return DeformationField(weights, d_s, d_p)
-
-
 def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3,
                  seed=0, target_rms=0.008):
     """Seeded field whose displacement RMS at unit-normal codes is
@@ -325,25 +318,14 @@ def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3,
     probes = rng.normal(size=(16, d_s + d_p))
     sq = 0.0
     for row in probes:
-        d = field_apply(field, template_verts, row[:d_s], row[d_s:])
+        tape = ad.Tape()
+        d = _field_var(field, tape.const(template_verts), tape.const(row[:d_s]),
+                       tape.const(row[d_s:])).value
         sq += np.mean(np.sum(d * d, axis=1))
     rms = np.sqrt(sq / len(probes))
     W, b = field.weights[-1]
     field.weights[-1] = (W * (target_rms / rms), b)
     return field
-
-
-def field_apply(field, points, z_s, z_p):
-    """Plain numpy field evaluation (label generation, calibration)."""
-    n = len(points)
-    h = np.concatenate([points,
-                        np.broadcast_to(z_s, (n, field.d_s)),
-                        np.broadcast_to(z_p, (n, field.d_p))], axis=1)
-    for i, (W, b) in enumerate(field.weights):
-        h = h @ W + b
-        if i < len(field.weights) - 1:
-            h = np.tanh(h)
-    return h
 
 
 def _field_var(field, X, z_s, z_p):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Mesh", "SurfaceSample", "vertex_normals", "sample_surface",
+    "Mesh", "SurfaceSample", "sample_surface",
     "nearest_neighbors", "chamfer_stats", "euler_rotation", "lower_median",
     "load_obj", "save_obj", "load_ply", "save_ply",
 ]
@@ -26,7 +26,6 @@ class MeshError(ValueError):
 class Mesh:
     vertices: np.ndarray          # (V, 3) float64, meters
     faces: np.ndarray             # (F, 3) int
-    colors: np.ndarray | None = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -75,7 +74,7 @@ class Mesh:
         return bool(np.all(counts == 2))
 
     def copy_with(self, vertices):
-        return Mesh(np.asarray(vertices, dtype=np.float64), self.faces, self.colors)
+        return Mesh(np.asarray(vertices, dtype=np.float64), self.faces)
 
 
 @dataclass
@@ -83,24 +82,6 @@ class SurfaceSample:
     points: np.ndarray       # (N, 3)
     normals: np.ndarray      # (N, 3) unit
     face_ids: np.ndarray = field(default=None)
-
-
-def vertex_normals(mesh: Mesh) -> np.ndarray:
-    """Area-weighted average of incident face normals, normalized.
-
-    The raw triangle cross product already carries twice the face area,
-    so summing cross products per vertex is the area weighting.
-    """
-    cross = mesh.face_cross()
-    acc = np.zeros_like(mesh.vertices)
-    for c in range(3):
-        for col in range(3):
-            acc[:, col] += np.bincount(mesh.faces[:, c], weights=cross[:, col],
-                                       minlength=len(mesh.vertices))
-    norms = np.linalg.norm(acc, axis=1)
-    if np.any(norms == 0.0):
-        raise MeshError("vertex with zero accumulated normal (isolated or degenerate)")
-    return acc / norms[:, None]
 
 
 def sample_surface(mesh: Mesh, n: int, seed) -> SurfaceSample:

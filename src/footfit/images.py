@@ -4,8 +4,7 @@ PFM files are float32 with a negative scale field marking little-endian
 data.  Rows are stored top-down (array row 0 first), matching every
 other buffer in this package; standard bottom-up readers will see the
 maps vertically flipped.  PGM masks use 255 for foreground.  PPM holds
-8-bit visualizations; unit normals map to bytes by floor((n+1)·127.5),
-i.e. round-half-up of the linear [-1,1] → [0,255] stretch.
+8-bit visualizations.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 __all__ = [
     "save_pfm", "load_pfm", "save_pgm", "load_pgm",
-    "save_ppm", "load_ppm", "normal_to_rgb8", "float_to_u8", "u8_to_float",
+    "save_ppm", "load_ppm", "float_to_u8",
 ]
 
 
@@ -112,16 +111,6 @@ def _load_netpbm(path, magic, channels):
     return data.copy(), (h, w)
 
 
-def normal_to_rgb8(normals):
-    """Unit (or zero) vectors to bytes: floor((n+1)·127.5)."""
-    n = np.asarray(normals, dtype=np.float64)
-    return np.clip(np.floor((n + 1.0) * 127.5), 0, 255).astype(np.uint8)
-
-
 def float_to_u8(img):
     """[0,1] image to bytes, round half up."""
     return np.clip(np.floor(np.asarray(img) * 255.0 + 0.5), 0, 255).astype(np.uint8)
-
-
-def u8_to_float(img):
-    return np.asarray(img, dtype=np.float64) / 255.0

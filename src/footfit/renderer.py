@@ -1,10 +1,12 @@
 """Differentiable rasterization: normal maps, soft silhouettes, keypoints.
 
-The rasterizer produces a hard pixel→face assignment with
-perspective-correct barycentric weights.  That assignment is treated as
-a constant during backward (straight-through visibility): gradients
-reach the mesh vertices only through interpolated normal values,
-projected keypoints, and the soft silhouette's edge distances.
+The rasterizer produces a :class:`FragmentBuffer`: a hard pixel→face
+assignment with perspective-correct barycentric weights, and the
+camera-facing faces.  It keeps no depth image; a pixel's depth or world
+height is the barycentric mix of its face's corners.  The assignment is
+treated as a constant during backward (straight-through visibility):
+gradients reach the mesh vertices only through interpolated normal
+values, projected keypoints, and the soft silhouette's edge distances.
 
 Pixel centers sit at (column + 0.5, row + 0.5).  Coverage is the
 inclusive half-plane edge-function test.  Back-face culling is on:
@@ -40,9 +42,9 @@ from .geometry import Mesh
 
 __all__ = [
     "FragmentBuffer", "rasterize", "render_normals", "render_normals_var",
-    "render_silhouette_soft", "render_silhouette_soft_var",
-    "project_keypoints", "project_keypoints_var", "project_vertices_var",
-    "vertex_normals_var", "cutoff_fraction", "ContourTopology",
+    "render_silhouette_soft_var", "project_keypoints", "project_keypoints_var",
+    "project_vertices_var", "vertex_normals_var", "pixel_heights",
+    "cutoff_fraction", "ContourTopology",
 ]
 
 Z_NEAR = 1e-6
@@ -52,7 +54,6 @@ Z_NEAR = 1e-6
 class FragmentBuffer:
     face: np.ndarray      # (H,W) int64, -1 where empty
     bary: np.ndarray      # (H,W,3) perspective-correct weights
-    depth: np.ndarray     # (H,W) meters, 0 where empty
     front_faces: np.ndarray   # bool per face: z-valid and camera-facing
 
     @property
@@ -62,7 +63,7 @@ class FragmentBuffer:
 
 def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     """Hard visibility of ``mesh`` in ``camera``: per pixel the nearest
-    camera-facing face, its depth and perspective-correct barycentrics.
+    camera-facing face and its perspective-correct barycentrics.
 
     Each front face is traversed only over its pixel-centre rows within
     its bounding box, and on each row only over the columns the three
@@ -80,7 +81,6 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
-    depth_buf = np.zeros((H, W))
     pix, z = cam_mod.project(camera, mesh.vertices)
     corners = mesh.faces.T
     # (3, F): x, y and depth of corner k of every face
@@ -88,7 +88,7 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     front = ((zc[0] > Z_NEAR) & (zc[1] > Z_NEAR) & (zc[2] > Z_NEAR)
              & (area2 < -1e-14))     # camera-facing under y-down pixel coords
-    frag = FragmentBuffer(face_buf, bary_buf, depth_buf, front)
+    frag = FragmentBuffer(face_buf, bary_buf, front)
     if not np.any(front):
         return frag
 
@@ -151,7 +151,6 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     sel = np.concatenate([np.nonzero(~shared)[0], order[first]])
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
-    depth_buf.reshape(-1)[flat[sel]] = depth[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
     return frag
 
@@ -251,15 +250,15 @@ def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
     return ad.custom((n_world,), out.T, vjp)
 
 
-def render_normals(mesh: Mesh, camera, frag: FragmentBuffer = None):
-    """Numpy camera-frame normal map (H,W,3), zero outside coverage, from
-    the rows of :func:`render_normals_var`."""
-    frag = rasterize(mesh, camera) if frag is None else frag
+def render_normals(mesh: Mesh, camera, frag: FragmentBuffer):
+    """Numpy camera-frame normal map (H,W,3) of ``mesh`` rasterized into
+    ``frag``, zero outside coverage, from the rows of
+    :func:`render_normals_var`."""
     n_world = vertex_normals_var(ad.Tape().const(mesh.vertices), mesh.faces)
     img = np.zeros((camera.height, camera.width, 3))
     img[frag.mask] = render_normals_var(n_world, mesh.faces, [camera], [frag],
                                         [frag.mask]).value
-    return img, frag
+    return img
 
 
 @dataclass
@@ -267,7 +266,6 @@ class ContourTopology:
     """Edge table reused across renders of one mesh topology."""
     edges: np.ndarray        # (E,2) vertex ids
     edge_faces: np.ndarray   # (E,2) adjacent face ids, -1 padding
-    n_adjacent: np.ndarray   # (E,) 1 or 2
 
     @classmethod
     def build(cls, mesh: Mesh):
@@ -278,7 +276,7 @@ class ContourTopology:
         ef[:, 0] = face_ids[start]
         two = counts == 2
         ef[two, 1] = face_ids[start[two] + 1]
-        return cls(uniq, ef, counts)
+        return cls(uniq, ef)
 
 
 def _contour_edges(topo: ContourTopology, front_faces):
@@ -500,18 +498,6 @@ def render_silhouette_soft_var(proj: ad.Var, cameras, frags, topo: ContourTopolo
     return _edge_sigmoid(proj, ends[:, 0], ends[:, 1], pc, scale), bands
 
 
-def render_silhouette_soft(mesh: Mesh, camera, sharpness=40.0):
-    """Numpy soft silhouette (H,W): the hard mask with the band values of
-    :func:`render_silhouette_soft_var` written in."""
-    proj, _ = project_vertices_var(ad.Tape().const(mesh.vertices), [camera])
-    frag = rasterize(mesh, camera)
-    soft, (band,) = render_silhouette_soft_var(
-        proj, [camera], [frag], ContourTopology.build(mesh), sharpness)
-    img = frag.mask.astype(np.float64)
-    img.reshape(-1)[band] = soft.value
-    return img, frag
-
-
 def project_keypoints_var(proj, kp_vertex_ids, cameras):
     """Normalized positions (N,K,2) as a Var and 0/1 visibility (N,K) of
     distinct keypoint vertices, read from ``proj``, the result of
@@ -538,16 +524,19 @@ def project_keypoints(mesh: Mesh, kp_vertex_ids, camera):
     return p / size, visible.astype(np.float64)
 
 
-def cutoff_fraction(mesh: Mesh, cutoff_height, camera, frag: FragmentBuffer = None) -> float:
+def pixel_heights(mesh: Mesh, frag: FragmentBuffer):
+    """World z (H,W) of the surface point under each covered pixel of
+    ``mesh`` rasterized into ``frag``, NaN off coverage."""
+    z = np.full(frag.face.shape, np.nan)
+    sel = frag.mask
+    z[sel] = np.sum(frag.bary[sel] * mesh.vertices[mesh.faces[frag.face[sel]], 2], axis=1)
+    return z
+
+
+def cutoff_fraction(mesh: Mesh, cutoff_height, frag: FragmentBuffer) -> float:
     """Fraction of covered pixels whose surface point lies above the
     horizontal plane z = cutoff_height.  Empty coverage gives 0."""
-    if frag is None:
-        frag = rasterize(mesh, camera)
-    sel = frag.face.reshape(-1) >= 0
-    if not sel.any():
+    mask = frag.mask
+    if not mask.any():
         return 0.0
-    fsel = frag.face.reshape(-1)[sel]
-    bary = frag.bary.reshape(-1, 3)[sel]
-    z_corners = mesh.vertices[mesh.faces[fsel], 2]
-    z_pix = np.sum(bary * z_corners, axis=1)
-    return float(np.mean(z_pix > cutoff_height))
+    return float(np.mean(pixel_heights(mesh, frag)[mask] > cutoff_height))

@@ -149,7 +149,7 @@ def render_view(gt_mesh, kp_ids, camera, sigma_deg, kp_sigma, rng,
                 frag=None) -> ViewBundle:
     if frag is None:
         frag = renderer.rasterize(gt_mesh, camera)
-    gt_normals, _ = renderer.render_normals(gt_mesh, camera, frag=frag)
+    gt_normals = renderer.render_normals(gt_mesh, camera, frag)
     mask = frag.mask
     mu, kappa = synthesize_kappa(gt_normals, mask, sigma_deg, rng)
     kp, vis = renderer.project_keypoints(gt_mesh, kp_ids, camera)
@@ -198,8 +198,7 @@ def generate_scene(spec: SceneSpec, model, out_dir):
         for _ in range(100):
             cam = cam_mod.sample_arc(spec.arc, rng)
             frag = renderer.rasterize(gt_mesh, cam)
-            if renderer.cutoff_fraction(gt_mesh, spec.cutoff, cam,
-                                        frag=frag) <= CUTOFF_COVER_MAX:
+            if renderer.cutoff_fraction(gt_mesh, spec.cutoff, frag) <= CUTOFF_COVER_MAX:
                 break
         else:
             raise ValueError(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from footfit import camera as cam_mod
-from footfit import cli, evalign, images, losses, synth
+from footfit import cli, evalign, fitting, images, losses, synth
 from footfit import footmodel as fm
 
 
@@ -316,6 +316,23 @@ class TestFit:
     def test_too_many_views_exits_2(self, tmp_path, model_bin, scene_dir):
         rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
                        "--out", str(tmp_path / "f2"), "--views", "9"])
+        assert rc == 2
+
+    def test_zero_sharpness_exits_2_before_stage1(self, tmp_path, model_bin, scene_dir,
+                                                  monkeypatch):
+        stage1 = []
+        monkeypatch.setattr(fitting, "fit_stage1", lambda *args: stage1.append(args))
+        out = tmp_path / "f6"
+        rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
+                       "--out", str(out), "--sharpness", "0", "--stage1-epochs", "400"])
+        assert rc == 2
+        assert stage1 == []
+        assert not (out / "trace.csv").exists()
+
+    def test_negative_downsample_exits_2(self, tmp_path, model_bin, scene_dir):
+        rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
+                       "--out", str(tmp_path / "f7"), "--downsample", "-2",
+                       "--stage1-epochs", "2", "--stage2-epochs", "1"])
         assert rc == 2
 
     def test_no_visible_keypoints_exits_4(self, tmp_path, model_bin):

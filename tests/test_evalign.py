@@ -101,13 +101,13 @@ class TestPixelHeights:
             cam_mod.ArcSamplerConfig(width=120, height=160),
             np.random.default_rng(2))
         frag = renderer.rasterize(mesh, cam)
-        heights = evalign.pixel_heights(mesh, frag)
+        heights = renderer.pixel_heights(mesh, frag)
         assert np.all(np.isnan(heights[~frag.mask]))
         on = heights[frag.mask]
         assert on.min() >= mesh.vertices[:, 2].min() - 1e-9
         assert on.max() <= mesh.vertices[:, 2].max() + 1e-9
         frac = float((on > 0.1).mean())
-        assert frac == renderer.cutoff_fraction(mesh, 0.1, cam, frag=frag)
+        assert frac == renderer.cutoff_fraction(mesh, 0.1, frag)
 
 
 def make_floor_cloud(rng, z=0.05, tilt=None, foot_sign=1.0):

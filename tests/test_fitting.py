@@ -124,8 +124,8 @@ class TestFitConfig:
     @pytest.mark.parametrize("kw", [
         {"lr": 0.0},
         {"stage1_epochs": -1},
-        {"stage1_free": ("rot",)},
-        {"stage2_free": ("r", "codes")},
+        {"sharpness": 0.0},
+        {"sharpness": -1.0},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -147,12 +147,12 @@ class TestStage1:
         config = fitting.FitConfig(stage1_epochs=40)
         fitted, trace = fitting.fit_stage1(model, obs, cams, config)
         assert len(trace.rows) == 40
-        assert len(trace.snapshots) == 2
         # silhouette/normal columns stay zero without rendering
         assert all(r[2] == 0.0 and r[3] == 0.0 for r in trace.rows)
         assert np.all(fitted.z_s == 0.0)
         assert np.all(fitted.z_p == 0.0)
-        start = trace.snapshots[0]
+        # with no epochs the stage returns its start, the identity
+        start, _ = fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=0))
         assert np.all(start.r == 0.0) and np.all(start.s == 1.0)
 
     def test_deterministic(self, model, stage1_setup):
@@ -189,11 +189,11 @@ class TestStage1:
         assert calls == [(len(cams), len(model[0].keypoint_ids), 2)]
 
 
-def _stage1_full_mesh(model, observations, cameras, config):
-    """Reference stage 1: the model forward over every template vertex,
-    then the keypoint rows read out of each view's full projection."""
+def _stage1_full_mesh(model, observations, cameras, config, free):
+    """Reference stage 1 on the groups ``free``: the model forward over
+    every template vertex, then the keypoint rows read out of each view's
+    full projection."""
     asset, field = model
-    free = tuple(n for n in fitting.PARAM_ORDER if n in config.stage1_free)
     values = fitting._values_of(fm.FootParams.identity(field.d_s, field.d_p))
     state = fitting.AdamState.for_params({n: values[n] for n in free})
     kp_obs = [o.keypoints for o in observations]
@@ -219,9 +219,12 @@ class TestStage1KeypointRows:
                                       ("r", "t", "s", "z_s")])
     def test_matches_full_mesh_reference(self, model, stage1_setup, free):
         _, cams, obs = stage1_setup
-        config = fitting.FitConfig(stage1_epochs=50, stage1_free=free)
-        fitted, trace = fitting.fit_stage1(model, obs, cams, config)
-        ref, ref_rows = _stage1_full_mesh(model, obs, cams, config)
+        asset, field = model
+        config = fitting.FitConfig(stage1_epochs=50)
+        fitted, trace = fitting._run_stage(
+            asset, field, obs, cams, config, fm.FootParams.identity(field.d_s, field.d_p),
+            config.stage1_epochs, free, with_render=False)
+        ref, ref_rows = _stage1_full_mesh(model, obs, cams, config, free)
         for name in fitting.PARAM_ORDER:
             assert np.abs(getattr(fitted, name) - getattr(ref, name)).max() < 1e-12, name
         if "z_s" in free:

@@ -107,6 +107,26 @@ def brute_force_raster(mesh, cam):
     return face_buf, depth_buf
 
 
+def pixel_depths(mesh, cam, frag):
+    """Camera depth (H,W) of each covered pixel's surface point, 0 off
+    coverage: sum over k of bary_k · z_k of its face's corners."""
+    _, z = cam_mod.project(cam, mesh.vertices)
+    depth = np.sum(frag.bary * z[mesh.faces[frag.face]], axis=2)
+    return np.where(frag.mask, depth, 0.0)
+
+
+def render_silhouette_soft(mesh, camera, sharpness=40.0):
+    """Numpy soft silhouette (H,W): the hard mask with the band values of
+    ``render_silhouette_soft_var`` written in; and the fragments."""
+    proj, _ = rd.project_vertices_var(ad.Tape().const(mesh.vertices), [camera])
+    frag = rd.rasterize(mesh, camera)
+    soft, (band,) = rd.render_silhouette_soft_var(
+        proj, [camera], [frag], rd.ContourTopology.build(mesh), sharpness)
+    img = frag.mask.astype(np.float64)
+    img.reshape(-1)[band] = soft.value
+    return img, frag
+
+
 def bbox_rasterize(mesh, camera):
     """Reference rasterizer: every pixel centre in each front face's
     bounding box takes the edge test, and every inside candidate is
@@ -114,7 +134,6 @@ def bbox_rasterize(mesh, camera):
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
-    depth_buf = np.zeros((H, W))
     pix, z = cam_mod.project(camera, mesh.vertices)
     tri = mesh.faces
     front = np.all(z[tri] > rd.Z_NEAR, axis=1)
@@ -123,7 +142,7 @@ def bbox_rasterize(mesh, camera):
     area2 = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
              - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
     front &= area2 < -1e-14
-    frag = rd.FragmentBuffer(face_buf, bary_buf, depth_buf, front)
+    frag = rd.FragmentBuffer(face_buf, bary_buf, front)
     if not np.any(front):
         return frag
 
@@ -179,14 +198,13 @@ def bbox_rasterize(mesh, camera):
     sel = order[first]
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
-    depth_buf.reshape(-1)[flat[sel]] = depth[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
     return frag
 
 
 def assert_same_fragments(mesh, cam):
     got, ref = rd.rasterize(mesh, cam), bbox_rasterize(mesh, cam)
-    for name in ("face", "bary", "depth", "front_faces"):
+    for name in ("face", "bary", "front_faces"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
     return got
 
@@ -276,7 +294,8 @@ class TestRasterize:
             # either way; none occur in these seeds but guard the diff report
             assert ok.all(), f"seed {seed}: {np.count_nonzero(~ok)} pixels differ"
             covered = face_bf >= 0
-            np.testing.assert_allclose(frag.depth[covered], depth_bf[covered], rtol=1e-9)
+            np.testing.assert_allclose(pixel_depths(mesh, cam, frag)[covered],
+                                       depth_bf[covered], rtol=1e-9)
 
     def test_depth_is_ray_plane_intersection(self):
         cam = front_cam()
@@ -285,11 +304,12 @@ class TestRasterize:
         frag = rd.rasterize(mesh, cam)
         assert frag.mask.any()
         n = np.cross(v[1] - v[0], v[2] - v[0])
+        depth = pixel_depths(mesh, cam, frag)
         ii, jj = np.nonzero(frag.mask)
         for i, j in list(zip(ii, jj))[::7]:
             d = np.array([(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0])
             z_hit = np.dot(n, v[0]) / np.dot(n, d)
-            assert frag.depth[i, j] == pytest.approx(z_hit, rel=1e-10)
+            assert depth[i, j] == pytest.approx(z_hit, rel=1e-10)
 
     def test_backface_culled(self):
         cam = front_cam()
@@ -306,7 +326,8 @@ class TestRasterize:
         frag = rd.rasterize(both, cam)
         center = frag.face[cam.height // 2, cam.width // 2]
         assert center >= 2  # one of the near quad's faces
-        assert frag.depth[cam.height // 2, cam.width // 2] == pytest.approx(0.4)
+        depth = pixel_depths(both, cam, frag)
+        assert depth[cam.height // 2, cam.width // 2] == pytest.approx(0.4)
 
     def test_behind_camera_dropped(self):
         cam = front_cam()
@@ -319,7 +340,7 @@ class TestRasterize:
         b = rd.rasterize(mesh, cam)
         assert np.array_equal(a.face, b.face)
         assert np.array_equal(a.bary, b.bary)
-        assert np.array_equal(a.depth, b.depth)
+        assert np.array_equal(pixel_depths(mesh, cam, a), pixel_depths(mesh, cam, b))
 
     def test_barycentric_weights_sum_to_one(self):
         cam = front_cam()
@@ -333,7 +354,8 @@ class TestRasterize:
 class TestRenderNormals:
     def test_flat_quad_normal(self):
         cam = front_cam()
-        img, frag = rd.render_normals(quad_mesh(), cam)
+        frag = rd.rasterize(quad_mesh(), cam)
+        img = rd.render_normals(quad_mesh(), cam, frag)
         assert frag.mask.any()
         np.testing.assert_allclose(img[frag.mask], [[0, 0, -1]] * frag.mask.sum(),
                                    atol=1e-12)
@@ -343,8 +365,8 @@ class TestRenderNormals:
         cam = front_cam(width=160, height=120, f=133.0)
         center = np.array([0.02, -0.01, 0.35])
         mesh = uv_sphere(center, 0.08)
-        img, frag = rd.rasterize(mesh, cam), None
-        img, frag = rd.render_normals(mesh, cam)
+        frag = rd.rasterize(mesh, cam)
+        img = rd.render_normals(mesh, cam, frag)
         ii, jj = np.nonzero(frag.mask)
         d = np.stack([(jj + 0.5 - cam.cx) / cam.fx,
                       (ii + 0.5 - cam.cy) / cam.fy,
@@ -368,7 +390,8 @@ class TestRenderNormals:
         mesh = uv_sphere(center, 0.07, n_lat=20, n_lon=40)
         for f in (60.0, 120.0):
             cam = front_cam(f=f)
-            img, frag = rd.render_normals(mesh, cam)
+            frag = rd.rasterize(mesh, cam)
+            img = rd.render_normals(mesh, cam, frag)
             assert (img[frag.mask][:, 2] < 0).all()
 
     def test_gradient_matches_fd(self):
@@ -389,37 +412,37 @@ class TestRenderNormals:
     def test_rerender_bit_identical(self):
         cam = front_cam()
         mesh = uv_sphere(np.array([0.0, 0.0, 0.4]), 0.06, n_lat=12, n_lon=24)
-        a, _ = rd.render_normals(mesh, cam)
-        b, _ = rd.render_normals(mesh, cam)
+        a = rd.render_normals(mesh, cam, rd.rasterize(mesh, cam))
+        b = rd.render_normals(mesh, cam, rd.rasterize(mesh, cam))
         assert np.array_equal(a, b)
 
 
 class TestSoftSilhouette:
     def test_interior_saturates(self):
         cam = front_cam()
-        img, frag = rd.render_silhouette_soft(quad_mesh(half=0.1), cam)
+        img, frag = render_silhouette_soft(quad_mesh(half=0.1), cam)
         inner = img[20:28, 28:36]
         assert (inner > 0.999).all()
 
     def test_empty_coverage_all_zero(self):
         cam = front_cam()
-        img, _ = rd.render_silhouette_soft(quad_mesh(cx=5.0), cam)
+        img, _ = render_silhouette_soft(quad_mesh(cx=5.0), cam)
         assert img.shape == (48, 64)
         assert np.count_nonzero(img) == 0
 
     def test_one_pixel_shift_equivariance(self):
         cam = front_cam()
         mesh = quad_mesh(cx=0.0131, cy=0.0077, z=0.5)
-        img0, _ = rd.render_silhouette_soft(mesh, cam)
+        img0, _ = render_silhouette_soft(mesh, cam)
         dx = 0.5 / cam.fx  # one pixel at this depth
         shifted = mesh.copy_with(mesh.vertices + np.array([dx, 0.0, 0.0]))
-        img1, _ = rd.render_silhouette_soft(shifted, cam)
+        img1, _ = render_silhouette_soft(shifted, cam)
         assert np.abs(img1[:, 1:] - img0[:, :-1]).max() < 1e-3
 
     def test_half_level_tracks_hard_mask(self):
         cam = front_cam(width=160, height=120, f=133.0)
         mesh = uv_sphere(np.array([0.01, 0.0, 0.4]), 0.07, n_lat=24, n_lon=48)
-        img, frag = rd.render_silhouette_soft(mesh, cam)
+        img, frag = render_silhouette_soft(mesh, cam)
         disagree = (img > 0.5) != frag.mask
         if disagree.any():
             from scipy import ndimage
@@ -430,8 +453,8 @@ class TestSoftSilhouette:
     def test_sharpness_controls_transition(self):
         cam = front_cam()
         mesh = quad_mesh(cx=0.0113, half=0.08)
-        soft_lo, frag = rd.render_silhouette_soft(mesh, cam, sharpness=5.0)
-        soft_hi, _ = rd.render_silhouette_soft(mesh, cam, sharpness=60.0)
+        soft_lo, frag = render_silhouette_soft(mesh, cam, sharpness=5.0)
+        soft_hi, _ = render_silhouette_soft(mesh, cam, sharpness=60.0)
         hard = frag.mask.astype(float)
         assert np.abs(soft_hi - hard).sum() < np.abs(soft_lo - hard).sum()
 
@@ -467,7 +490,7 @@ class TestSoftSilhouette:
     def test_rejects_bad_sharpness(self):
         cam = front_cam()
         with pytest.raises(ValueError):
-            rd.render_silhouette_soft(quad_mesh(), cam, sharpness=0.0)
+            render_silhouette_soft(quad_mesh(), cam, sharpness=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +728,7 @@ class TestFusedNormals:
         scored = [f.mask & (rng.uniform(size=f.mask.shape) < 0.8) for f in frags]
         obs = []
         for cam, frag in zip(cams, frags):
-            mu = rd.render_normals(mesh, cam, frag)[0] + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
+            mu = rd.render_normals(mesh, cam, frag) + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
             obs.append(losses.NormalObservation(
                 mu / np.linalg.norm(mu, axis=2, keepdims=True),
                 rng.uniform(0.5, 20.0, size=frag.mask.shape)))
@@ -853,13 +876,15 @@ class TestCutoffFraction:
         hi.vertices[:, :2] *= 0.7 / 0.5  # same projected size at z=0.7
         both = Mesh(np.vstack([lo.vertices, hi.vertices]),
                     np.vstack([lo.faces, hi.faces + 4]))
-        frac = rd.cutoff_fraction(both, 0.6, cam)
+        frac = rd.cutoff_fraction(both, 0.6, rd.rasterize(both, cam))
         assert frac == pytest.approx(0.5, abs=0.02)
 
     def test_all_below_gives_zero(self):
         cam = front_cam()
-        assert rd.cutoff_fraction(quad_mesh(z=0.5), 0.9, cam) == 0.0
+        mesh = quad_mesh(z=0.5)
+        assert rd.cutoff_fraction(mesh, 0.9, rd.rasterize(mesh, cam)) == 0.0
 
     def test_empty_coverage_gives_zero(self):
         cam = front_cam()
-        assert rd.cutoff_fraction(quad_mesh(cx=9.0), 0.2, cam) == 0.0
+        mesh = quad_mesh(cx=9.0)
+        assert rd.cutoff_fraction(mesh, 0.2, rd.rasterize(mesh, cam)) == 0.0

@@ -160,7 +160,8 @@ class TestGenerateScene:
         mesh = fm.forward_mesh(asset, field, spec.params)
         cams = cam_mod.load_cameras(out / "cameras.json")
         for cam in cams:
-            assert renderer.cutoff_fraction(mesh, spec.cutoff, cam) <= 0.20
+            frag = renderer.rasterize(mesh, cam)
+            assert renderer.cutoff_fraction(mesh, spec.cutoff, frag) <= 0.20
 
     def test_deterministic(self, model, scene, tmp_path):
         spec, out = scene
@@ -178,7 +179,7 @@ class TestGenerateScene:
         mesh = fm.forward_mesh(asset, field, spec.params)
         cams = cam_mod.load_cameras(out / "cameras.json")
         loaded = images.load_pfm(out / "view_001" / "gt_normals.pfm")
-        fresh, _ = renderer.render_normals(mesh, cams[1])
+        fresh = renderer.render_normals(mesh, cams[1], renderer.rasterize(mesh, cams[1]))
         assert np.array_equal(loaded, fresh.astype(np.float32))
 
     def test_keypoints_exact(self, model, scene):
