@@ -1,4 +1,4 @@
-"""Pinhole cameras and arc-of-views sampling.
+"""Pinhole cameras, the package's one projection, and arc-of-views sampling.
 
 Camera frame convention used across the package: right-handed with x
 right, y down, z forward (the camera looks down +z).  World points map
@@ -17,8 +17,10 @@ import numpy as np
 __all__ = [
     "Camera", "ArcSamplerConfig", "project", "look_at",
     "make_camera", "sample_arc", "scale_camera",
-    "save_cameras", "load_cameras",
+    "save_cameras", "load_cameras", "Z_NEAR",
 ]
+
+Z_NEAR = 1e-6   # m; the divisor clamp, the rasterizer's cull and keypoint visibility
 
 
 @dataclass(frozen=True)
@@ -59,22 +61,18 @@ class ArcSamplerConfig:
         return self.focal_mm / self.sensor_mm * self.width
 
 
-def project(camera: Camera, points):
-    """Pixels and depths of world points: (fx X/Z + cx, fy Y/Z + cy).
-
-    Depths ≤ 0 mark behind-camera points; their pixel values are not
-    meaningful and callers must gate on the returned depth.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    cam = pts @ camera.R.T + camera.t
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = camera.fx * cam[:, 0] / z + camera.cx
-        py = camera.fy * cam[:, 1] / z + camera.cy
-    pixels = np.stack([px, py], axis=1)
-    if np.asarray(points).ndim == 1:
-        return pixels[0], float(z[0])
-    return pixels, z
+def project(cameras, points):
+    """Pixels (N,V,2) and camera-frame points (N,V,3) of world points (V,3)
+    in N cameras: ``X = R p + t``, then ``(fx X/Z + cx, fy Y/Z + cy)``, the
+    package's one pinhole projection.  The divisor Z is clamped into
+    [Z_NEAR, 1e12], so pixels are finite; a point counts as in front of the
+    camera only at ``cam_pts[..., 2] > Z_NEAR``, which callers test."""
+    points = np.asarray(points, dtype=np.float64)
+    cam_pts = np.stack([points @ cam.R.T + cam.t for cam in cameras])
+    focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
+    centre = np.array([[[cam.cx, cam.cy]] for cam in cameras])
+    z_safe = np.clip(cam_pts[..., 2:3], Z_NEAR, 1e12)
+    return cam_pts[..., :2] * focal / z_safe + centre, cam_pts
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)):

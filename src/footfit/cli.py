@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -52,9 +52,8 @@ DEFAULTS = {
               "noise": 5.0, "kp_sigma": 0.01, "cutoff": 0.20,
               "width": 480, "height": 640},
     "fit": {"scene": None, "model": None, "out": None, "views": 0,
-            "lr": 0.001, "stage1_epochs": 250,
-            "stage2_epochs": 1000, "w_kp": 1.0, "w_sil": 1.0, "w_norm": 0.5,
-            "sharpness": 40.0, "sil_threshold_deg": 30.0, "downsample": 0},
+            **{f.name: f.default for f in fields(fitting.FitConfig)},
+            "downsample": 0},
     "eval-normals": {"scene": None, "model": None, "out": None, "mesh": "",
                      "cutoff": 0.20, "csv": False},
     "eval3d": {"fitted": None, "gt": "", "scene": "", "model": "",
@@ -174,11 +173,11 @@ def _check_normal_fit(rng, h):
     # two views of one observation, scoring 3 and 1 of its pixels
     obs = losses.NormalObservation(_unit_rows(rng, 4).reshape(2, 2, 3),
                                    rng.uniform(0.5, 3.0, size=(2, 2)))
-    some = np.array([[True, False], [True, True]])
+    scored = [np.array([0, 2, 3]), np.array([1])]
 
     def fn(raw):
         unit = raw / ad.norm2(raw, axis=1, keepdims=True)
-        return losses.normal_fit_loss(unit, [obs, obs], [some, ~some])
+        return losses.normal_fit_loss(unit, [obs, obs], scored)
 
     return ad.grad_check(fn, [_unit_rows(rng, 4)], h=h)
 
@@ -211,17 +210,23 @@ def _base_quad(rng):
     return v + rng.normal(size=v.shape) * 0.004
 
 
+def _rasterize_views(mesh, cams):
+    pix, cam_pts = cam_mod.project(cams, mesh.vertices)
+    return [renderer.rasterize(mesh.faces, pix[v], cam_pts[v, :, 2], cam)
+            for v, cam in enumerate(cams)]
+
+
 def _check_render_normals(rng, h):
     cams = _two_cameras()
     v0 = _base_triangle(rng)
     faces = np.array([[0, 2, 1]])
-    frags = [renderer.rasterize(geometry.Mesh(v0, faces), cam) for cam in cams]
-    masks = [frag.mask for frag in frags]
-    w = rng.normal(size=(sum(m.sum() for m in masks), 3))
+    frags = _rasterize_views(geometry.Mesh(v0, faces), cams)
+    scored = [np.flatnonzero(frag.mask) for frag in frags]
+    w = rng.normal(size=(sum(len(s) for s in scored), 3))
 
     def fn(verts):
         n_world = renderer.vertex_normals_var(verts, faces)
-        return (renderer.render_normals_var(n_world, faces, cams, frags, masks) * w).sum()
+        return (renderer.render_normals_var(n_world, faces, cams, frags, scored) * w).sum()
 
     return ad.grad_check(fn, [v0], h=h)
 
@@ -233,7 +238,7 @@ def _stable_branch_weights(verts, cam, rng, margin=0.05):
     lying on an edge (the unsigned distance folds at zero).  A probe moves
     projections by well under margin px, so weighted pixels stay on one
     smooth branch and central differences are trustworthy."""
-    pix, _ = cam_mod.project(cam, verts)
+    pix = cam_mod.project([cam], verts)[0][0]
     ab = pix[[1, 2, 3, 0]] - pix        # the quad's four outer edges
     jj, ii = np.meshgrid(np.arange(cam.width) + 0.5, np.arange(cam.height) + 0.5)
     d = np.sort(np.sqrt(renderer._segment_d2(
@@ -248,7 +253,7 @@ def _check_soft_silhouette(rng, h):
     v0 = _base_quad(rng)
     faces = np.array([[0, 2, 1], [0, 3, 2]])
     mesh = geometry.Mesh(v0, faces)
-    frags = [renderer.rasterize(mesh, cam) for cam in cams]
+    frags = _rasterize_views(mesh, cams)
     topo = renderer.ContourTopology.build(mesh)
     w = [_stable_branch_weights(v0, cam, rng) for cam in cams]
     n_pixels = sum(cam.width * cam.height for cam in cams)
@@ -375,11 +380,7 @@ def cmd_synth(cfg):
 
 
 def _fit_config(cfg):
-    return fitting.FitConfig(
-        lr=cfg["lr"], stage1_epochs=cfg["stage1_epochs"],
-        stage2_epochs=cfg["stage2_epochs"], w_kp=cfg["w_kp"],
-        w_sil=cfg["w_sil"], w_norm=cfg["w_norm"], sharpness=cfg["sharpness"],
-        sil_threshold_deg=cfg["sil_threshold_deg"])
+    return fitting.FitConfig(**{f.name: cfg[f.name] for f in fields(fitting.FitConfig)})
 
 
 # glibc's mallopt parameter for the freed heap top that malloc keeps
@@ -482,19 +483,20 @@ def cmd_eval_normals(cfg):
     gt_mesh = fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
     fitted = geometry.load_obj(cfg["mesh"]) if cfg["mesh"] else None
 
+    gt_frags = _rasterize_views(gt_mesh, cams)
+    if fitted is not None:
+        frags = _rasterize_views(fitted, cams)
     pooled_pred, pooled_gt, pooled_h = [], [], []
     for i, (cam, o) in enumerate(zip(cams, obs)):
         gt_map = images.load_pfm(os.path.join(
             cfg["scene"], f"view_{i:03d}", "gt_normals.pfm")).astype(np.float64)
-        gt_frag = renderer.rasterize(gt_mesh, cam)
-        h = renderer.pixel_heights(gt_mesh, gt_frag)
+        h = renderer.pixel_heights(gt_mesh, gt_frags[i])
         mask = o.mask.copy()
         if fitted is None:
             pred = o.normals.mu
         else:
-            frag = renderer.rasterize(fitted, cam)
-            pred = renderer.render_normals(fitted, cam, frag)
-            mask &= frag.mask
+            pred = renderer.render_normals(fitted, cam, frags[i])
+            mask &= frags[i].mask
         pooled_pred.append(pred[mask])
         pooled_gt.append(gt_map[mask])
         pooled_h.append(h[mask])
@@ -647,7 +649,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (fm.ModelFormatError, geometry.MeshError, OSError) as exc:
+    except (fm.ModelFormatError, geometry.MeshError, images.ImageFormatError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, FloatingPointError) as exc:

@@ -8,10 +8,10 @@ normal-map terms.  Each stage returns the fitted parameters and a
 with a fixed epoch count; each epoch builds one tape, runs the model
 forward once and projects into all views in one tape node.  Stage 1
 evaluates and projects only the keypoint rows, the only rows its loss
-reads.  Stage 2 evaluates the whole mesh, rasterizes each view in numpy,
-and scores the pixels of all views at once: the normal term over every
-view's covered target pixels, the silhouette term over every view's
-contour band, each a mean over views of per-view means.
+reads.  Stage 2 evaluates the whole mesh, rasterizes its projection into
+each view in numpy, and scores the pixels of all views at once: the
+normal term over every view's covered target pixels, the silhouette term
+over every view's contour band, each a mean over views of per-view means.
 """
 
 from __future__ import annotations
@@ -159,10 +159,11 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         kp, _ = renderer.project_keypoints_var(proj, kp_ids, cameras)
         l_kp = losses.kp_fit_loss(kp, kp_obs)
         if with_render:
-            mesh_now = asset.mesh.copy_with(verts.value)
-            frags = [renderer.rasterize(mesh_now, cam) for cam in cameras]
+            frags = [renderer.rasterize(faces, proj[0].value[v], proj[1][v], cam)
+                     for v, cam in enumerate(cameras)]
             masks = [frag.mask for frag in frags]
-            scored = [mask & target for mask, target in zip(masks, sil_targets)]
+            scored = [np.flatnonzero(mask & target)
+                      for mask, target in zip(masks, sil_targets)]
             n_pix = renderer.render_normals_var(n_world, faces, cameras, frags, scored)
             l_norm = losses.normal_fit_loss(n_pix, normal_obs, scored)
             soft, bands = renderer.render_silhouette_soft_var(

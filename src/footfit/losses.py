@@ -235,22 +235,21 @@ def kp_fit_loss(projected, observations):
 
 
 def normal_fit_loss(rendered, observations, scored):
-    """Mean over views of each view's mean, over the pixels of its bool mask
-    ``scored[v]``, of kappa × angle(mu, rendered normal); a view with no
-    scored pixel adds 0.  ``rendered`` holds the (P,3) normals at the scored
-    pixels of every view, as :func:`renderer.render_normals_var` returns
-    them.  One tape node takes the dot with mu, the arccos (with the
+    """Mean over views of each view's mean, over its pixels ``scored[v]``
+    (ascending flat indices), of kappa × angle(mu, rendered normal); a view
+    with no scored pixel adds 0.  ``rendered`` holds the (P,3) normals at
+    the scored pixels of every view, as :func:`renderer.render_normals_var`
+    returns them.  One tape node takes the dot with mu, the arccos (with the
     zero-gradient cut of :func:`autodiff.acos_safe`), the kappa weight and
     the per-view means.  Gradient flows to the rendered normals only."""
     n = len(observations)
-    flats = [np.flatnonzero(s) for s in scored]
-    counts = np.array([len(f) for f in flats])
-    if len(flats) != n or rendered.shape != (counts.sum(), 3):
+    counts = np.array([len(f) for f in scored])
+    if len(scored) != n or rendered.shape != (counts.sum(), 3):
         raise ValueError("one rendered normal per scored pixel required")
     # (3,P), component-major: numpy's inner loops run over the P pixels
     mu = np.ascontiguousarray(np.concatenate(
-        [np.take(o.mu.reshape(-1, 3), f, axis=0) for o, f in zip(observations, flats)]).T)
-    kappa = np.concatenate([np.take(o.kappa, f) for o, f in zip(observations, flats)])
+        [np.take(o.mu.reshape(-1, 3), f, axis=0) for o, f in zip(observations, scored)]).T)
+    kappa = np.concatenate([np.take(o.kappa, f) for o, f in zip(observations, scored)])
     views = np.repeat(np.arange(n), counts)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     r = rendered.value
@@ -269,15 +268,14 @@ def silhouette_l2(soft, bands, masks, targets):
     """Mean over views of the mean squared difference between a view's soft
     silhouette and its binary target.  ``soft`` and ``bands`` come from
     :func:`renderer.render_silhouette_soft_var`; off its band a view's soft
-    silhouette is its hard mask ``masks[v]``, a constant Σ(mask − target)²."""
+    silhouette is its hard mask ``masks[v]``: a constant count of mask ≠ target."""
     n = len(targets)
     band_target, off, inv_area = [], np.zeros(n), np.zeros(n)
     for v, (band, mask, target) in enumerate(zip(bands, masks, targets)):
         if mask.shape != target.shape:
             raise ValueError("silhouette shapes disagree")
-        d = mask.reshape(-1) - target.reshape(-1).astype(np.float64)
-        d[band] = 0.0
-        off[v] = (d * d).sum()
+        wrong = (mask != target).reshape(-1)
+        off[v] = np.count_nonzero(wrong) - np.count_nonzero(wrong[band])
         band_target.append(target.reshape(-1)[band])
         inv_area[v] = 1.0 / target.size
     d = soft - np.concatenate(band_target)

@@ -12,7 +12,7 @@ Pixel centers sit at (column + 0.5, row + 0.5).  Coverage is the
 inclusive half-plane edge-function test.  Back-face culling is on:
 with the y-down camera frame of :mod:`footfit.camera`, front-facing
 triangles have negative signed area in pixel coordinates.  Faces with
-any vertex closer than ``Z_NEAR`` are dropped entirely (no near-plane
+any vertex at depth ≤ ``Z_NEAR`` are dropped entirely (no near-plane
 clipping); synthetic desk scenes keep the mesh far in front of it.
 
 The rasterizer enumerates only each face's row spans: per pixel-centre
@@ -38,16 +38,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import camera as cam_mod
+from .camera import Z_NEAR
 from .geometry import Mesh
 
 __all__ = [
     "FragmentBuffer", "rasterize", "render_normals", "render_normals_var",
-    "render_silhouette_soft_var", "project_keypoints", "project_keypoints_var",
+    "render_silhouette_soft_var", "project_keypoints_var",
     "project_vertices_var", "vertex_normals_var", "pixel_heights",
     "cutoff_fraction", "ContourTopology",
 ]
-
-Z_NEAR = 1e-6
 
 
 @dataclass
@@ -61,9 +60,11 @@ class FragmentBuffer:
         return self.face >= 0
 
 
-def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
-    """Hard visibility of ``mesh`` in ``camera``: per pixel the nearest
-    camera-facing face and its perspective-correct barycentrics.
+def rasterize(faces, pix, z, camera) -> FragmentBuffer:
+    """Hard visibility in ``camera`` of the triangles ``faces`` whose
+    vertices project to ``pix`` (V,2) at depths ``z`` (V,), one view of
+    :func:`footfit.camera.project`: per pixel the nearest camera-facing
+    face and its perspective-correct barycentrics.
 
     Each front face is traversed only over its pixel-centre rows within
     its bounding box, and on each row only over the columns the three
@@ -81,8 +82,7 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
-    pix, z = cam_mod.project(camera, mesh.vertices)
-    corners = mesh.faces.T
+    corners = faces.T
     # (3, F): x, y and depth of corner k of every face
     x, y, zc = pix[:, 0][corners], pix[:, 1][corners], z[corners]
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
@@ -160,24 +160,22 @@ def rasterize(mesh: Mesh, camera) -> FragmentBuffer:
 
 def project_vertices_var(verts: ad.Var, cameras):
     """Pixels (N,V,2) of ``verts`` in N cameras as one Var, plus the raw
-    depths (N,V).  Depths are clamped into [Z_NEAR, 1e12] before the divide
-    and pass gradient only inside that closed interval, so behind-camera
+    depths (N,V): :func:`footfit.camera.project` on the tape.  Its clamped
+    divisor passes gradient only inside [Z_NEAR, 1e12], so behind-camera
     vertices (always culled by the rasterizer) cannot poison gradients."""
-    cam_pts = np.stack([verts.value @ cam.R.T + cam.t for cam in cameras])
-    focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
-    centre = np.array([[[cam.cx, cam.cy]] for cam in cameras])
+    pix, cam_pts = cam_mod.project(cameras, verts.value)
     z = cam_pts[..., 2:3]
-    z_safe = np.clip(z, Z_NEAR, 1e12)
-    inside = (z >= Z_NEAR) & (z <= 1e12)
-    xy = cam_pts[..., :2] * focal
 
     def vjp(g):
-        g_z = -g * xy / (z_safe * z_safe)
+        focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
+        z_safe = np.clip(z, Z_NEAR, 1e12)
+        inside = (z >= Z_NEAR) & (z <= 1e12)
+        g_z = -g * (cam_pts[..., :2] * focal) / (z_safe * z_safe)
         g_cam = np.concatenate(
             [g / z_safe * focal, (g_z[..., 1:2] + g_z[..., 0:1]) * inside], axis=2)
         return (sum(g_cam[v] @ cameras[v].R for v in reversed(range(len(cameras)))),)
 
-    return ad.custom((verts,), xy / z_safe + centre, vjp), cam_pts[..., 2]
+    return ad.custom((verts,), pix, vjp), cam_pts[..., 2]
 
 
 def _unit_cols(x):
@@ -214,9 +212,9 @@ def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
 
 
 def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
-    """Unit camera-frame normals (P,3) at the ``scored`` pixels (bool (H,W)
-    masks inside coverage) of every view, as one Var whose rows run view by
-    view, each view's in flat pixel order.  ``n_world`` is
+    """Unit camera-frame normals (P,3) at the ``scored`` pixels (ascending
+    flat indices inside coverage, one array per view) of every view, as one
+    Var whose rows run view by view.  ``n_world`` is
     :func:`vertex_normals_var` of the mesh rasterized into ``frags``.  One
     node rotates the normals into all cameras, takes each pixel's three
     corners, interpolates them with the perspective-correct barycentrics
@@ -224,8 +222,7 @@ def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
     n_verts = n_world.shape[0]
     face_corners = np.ascontiguousarray(faces.T)
     corners, bary = [], []
-    for view, (frag, sel) in enumerate(zip(frags, scored)):
-        flat = np.flatnonzero(sel)
+    for view, (frag, flat) in enumerate(zip(frags, scored)):
         corners.append(np.take(face_corners, np.take(frag.face, flat), axis=1)
                        + view * n_verts)
         bary.append(np.take(frag.bary.reshape(-1, 3), flat, axis=0))
@@ -257,7 +254,7 @@ def render_normals(mesh: Mesh, camera, frag: FragmentBuffer):
     n_world = vertex_normals_var(ad.Tape().const(mesh.vertices), mesh.faces)
     img = np.zeros((camera.height, camera.width, 3))
     img[frag.mask] = render_normals_var(n_world, mesh.faces, [camera], [frag],
-                                        [frag.mask]).value
+                                        [np.flatnonzero(frag.mask)]).value
     return img
 
 
@@ -502,7 +499,7 @@ def project_keypoints_var(proj, kp_vertex_ids, cameras):
     """Normalized positions (N,K,2) as a Var and 0/1 visibility (N,K) of
     distinct keypoint vertices, read from ``proj``, the result of
     :func:`project_vertices_var` for the N cameras.  A keypoint is visible
-    when it lands in [0, W) × [0, H) pixel bounds with positive depth."""
+    when it lands in [0, W) × [0, H) pixel bounds at depth above ``Z_NEAR``."""
     pix_var, z = proj
     kp_ids = np.asarray(kp_vertex_ids)
     if len(np.unique(kp_ids)) != len(kp_ids):
@@ -510,18 +507,8 @@ def project_keypoints_var(proj, kp_vertex_ids, cameras):
     size = np.array([[[cam.width, cam.height]] for cam in cameras], dtype=np.float64)
     kp_pix = pix_var[:, kp_ids]
     p = kp_pix.value
-    visible = (z[:, kp_ids] > 0) & np.all((p >= 0) & (p < size), axis=2)
+    visible = (z[:, kp_ids] > Z_NEAR) & np.all((p >= 0) & (p < size), axis=2)
     return kp_pix / size, visible.astype(np.float64)
-
-
-def project_keypoints(mesh: Mesh, kp_vertex_ids, camera):
-    """One view's keypoint labels through :func:`camera.project`; they equal
-    :func:`project_keypoints_var`'s at depths of at least ``Z_NEAR``."""
-    pix, z = cam_mod.project(camera, mesh.vertices)
-    p, zk = pix[kp_vertex_ids], z[kp_vertex_ids]
-    size = np.array([camera.width, camera.height], dtype=np.float64)
-    visible = (zk > 0) & np.all((p >= 0) & (p < size), axis=1)
-    return p / size, visible.astype(np.float64)
 
 
 def pixel_heights(mesh: Mesh, frag: FragmentBuffer):

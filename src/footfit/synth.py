@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
 
+from . import autodiff as ad
 from . import camera as cam_mod
 from . import footmodel as fm
 from . import images
@@ -147,16 +148,19 @@ def lambert_image(gt_normals, mask):
 
 def render_view(gt_mesh, kp_ids, camera, sigma_deg, kp_sigma, rng,
                 frag=None) -> ViewBundle:
+    """One view's labels; ``frag`` is ``gt_mesh`` rasterized into ``camera``
+    (here when None).  Keypoints come from the fit's own projection."""
+    proj = renderer.project_vertices_var(ad.Tape().const(gt_mesh.vertices), [camera])
     if frag is None:
-        frag = renderer.rasterize(gt_mesh, camera)
+        frag = renderer.rasterize(gt_mesh.faces, proj[0].value[0], proj[1][0], camera)
     gt_normals = renderer.render_normals(gt_mesh, camera, frag)
     mask = frag.mask
     mu, kappa = synthesize_kappa(gt_normals, mask, sigma_deg, rng)
-    kp, vis = renderer.project_keypoints(gt_mesh, kp_ids, camera)
+    kp, vis = renderer.project_keypoints_var(proj, kp_ids, [camera])
     sigma = np.full((len(kp_ids), 2), float(kp_sigma))
     obs = losses.Observation(
         losses.NormalObservation(mu, kappa),
-        losses.KeypointObservation(kp, sigma, vis), mask)
+        losses.KeypointObservation(kp.value[0], sigma, vis[0]), mask)
     return ViewBundle(camera, obs, lambert_image(gt_normals, mask), gt_normals)
 
 
@@ -197,7 +201,8 @@ def generate_scene(spec: SceneSpec, model, out_dir):
         rng = np.random.default_rng(spec.seed ^ view)
         for _ in range(100):
             cam = cam_mod.sample_arc(spec.arc, rng)
-            frag = renderer.rasterize(gt_mesh, cam)
+            pix, cam_pts = cam_mod.project([cam], gt_mesh.vertices)
+            frag = renderer.rasterize(gt_mesh.faces, pix[0], cam_pts[0, :, 2], cam)
             if renderer.cutoff_fraction(gt_mesh, spec.cutoff, frag) <= CUTOFF_COVER_MAX:
                 break
         else:

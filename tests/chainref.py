@@ -3,11 +3,29 @@
 Each function here builds, from small :mod:`footfit.autodiff` ops, what
 one fused node of the package computes in a single step.  The tests
 compare the fused nodes against them, values and gradients.
+:func:`rasterize_mesh` and :func:`project_keypoints` are the numpy
+rasterization and keypoint labels of a mesh that the tests share.
 """
 
 import numpy as np
 
 from footfit import autodiff as ad
+from footfit import camera as cam_mod
+from footfit import renderer
+
+
+def rasterize_mesh(mesh, camera):
+    """``mesh`` rasterized into ``camera`` from :func:`footfit.camera.project`."""
+    pix, cam_pts = cam_mod.project([camera], mesh.vertices)
+    return renderer.rasterize(mesh.faces, pix[0], cam_pts[0, :, 2], camera)
+
+
+def project_keypoints(verts, kp_ids, cameras):
+    """Normalized keypoints (N,K,2) and visibility (N,K) of the vertices
+    ``verts`` as the fit and the scene labels project them."""
+    proj = renderer.project_vertices_var(ad.Tape().const(verts), cameras)
+    kp, vis = renderer.project_keypoints_var(proj, kp_ids, cameras)
+    return kp.value, vis
 
 
 def scatter_into(base, idx, values):
@@ -46,8 +64,7 @@ def render_normals_var(n_world, faces, cameras, frags, scored):
     :func:`footfit.renderer.render_normals_var` replaces."""
     n_verts = n_world.shape[0]
     corners, bary = [], []
-    for view, (frag, sel) in enumerate(zip(frags, scored)):
-        flat = np.flatnonzero(sel)
+    for view, (frag, flat) in enumerate(zip(frags, scored)):
         corners.append(faces[frag.face.reshape(-1)[flat]] + view * n_verts)
         bary.append(frag.bary.reshape(-1, 3)[flat])
     corners, bary = np.concatenate(corners), np.concatenate(bary)
@@ -70,10 +87,9 @@ def normal_fit_loss(rendered, observations, scored):
     of a product, ``acos_safe``, a segment sum and the weighting that
     :func:`footfit.losses.normal_fit_loss` replaces."""
     n = len(observations)
-    flats = [np.flatnonzero(s) for s in scored]
-    counts = np.array([len(f) for f in flats])
-    mu = np.concatenate([o.mu.reshape(-1, 3)[f] for o, f in zip(observations, flats)])
-    kappa = np.concatenate([o.kappa.reshape(-1)[f] for o, f in zip(observations, flats)])
+    counts = np.array([len(f) for f in scored])
+    mu = np.concatenate([o.mu.reshape(-1, 3)[f] for o, f in zip(observations, scored)])
+    kappa = np.concatenate([o.kappa.reshape(-1)[f] for o, f in zip(observations, scored)])
     theta = ad.acos_safe((rendered * mu).sum(axis=1))
     per_view = ad.segment_sum(theta * kappa, np.repeat(np.arange(n), counts), n)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)

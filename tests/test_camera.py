@@ -9,26 +9,51 @@ def identity_camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0, w=640, h=480):
                       R=np.eye(3), t=np.zeros(3))
 
 
+def project_one(camera, point):
+    """Pixel (2,) and depth of one world point in one camera."""
+    pix, cam_pts = cam.project([camera], [point])
+    return pix[0, 0], cam_pts[0, 0, 2]
+
+
 class TestProject:
     def test_optical_axis(self):
-        pixel, depth = cam.project(identity_camera(), [0.0, 0.0, 1.0])
+        pixel, depth = project_one(identity_camera(), [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(pixel, [320.0, 240.0])
         assert depth == 1.0
 
     def test_offset_point(self):
-        pixel, _ = cam.project(identity_camera(), [0.1, 0.0, 1.0])
+        pixel, _ = project_one(identity_camera(), [0.1, 0.0, 1.0])
         np.testing.assert_allclose(pixel, [370.0, 240.0], rtol=1e-12)
 
     def test_behind_camera_flagged(self):
-        _, depth = cam.project(identity_camera(), [0.0, 0.0, -1.0])
-        assert depth < 0
+        # the divisor is clamped to Z_NEAR: finite pixels at and behind
+        # the camera plane, flagged by their depth
+        for z in (-1.0, 0.0):
+            pixel, depth = project_one(identity_camera(), [0.1, 0.0, z])
+            assert depth <= cam.Z_NEAR
+            np.testing.assert_array_equal(pixel, [320.0 + 500.0 * 0.1 / cam.Z_NEAR, 240.0])
+
+    def test_batched_over_cameras(self):
+        c = identity_camera()
+        other = cam.Camera(fx=300.0, fy=310.0, cx=20.0, cy=30.0, width=64, height=48,
+                           R=cam.look_at([0.2, 0.1, -0.5], [0.0, 0.0, 0.3])[0],
+                           t=[0.01, -0.02, 0.6])
+        pts = np.random.default_rng(3).normal(size=(7, 3)) * 0.1 + [0.0, 0.0, 0.5]
+        pix, cam_pts = cam.project([c, other], pts)
+        assert pix.shape == (2, 7, 2) and cam_pts.shape == (2, 7, 3)
+        for view, camera in enumerate([c, other]):
+            X = pts @ camera.R.T + camera.t
+            np.testing.assert_array_equal(cam_pts[view], X)
+            np.testing.assert_array_equal(
+                pix[view], np.stack([camera.fx * X[:, 0] / X[:, 2] + camera.cx,
+                                     camera.fy * X[:, 1] / X[:, 2] + camera.cy], axis=1))
 
 
 class TestLookAt:
     def test_axis_case(self):
         R, t = cam.look_at([0, 0, -1.0], [0, 0, 0])
         c = cam.Camera(fx=100, fy=100, cx=50, cy=50, width=100, height=100, R=R, t=t)
-        pixel, depth = cam.project(c, [0.0, 0.0, 0.0])
+        pixel, depth = project_one(c, [0.0, 0.0, 0.0])
         np.testing.assert_allclose(pixel, [50.0, 50.0], atol=1e-12)
         np.testing.assert_allclose(depth, 1.0, rtol=1e-12)
 
@@ -47,7 +72,7 @@ class TestLookAt:
             np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(np.linalg.det(R), 1.0, rtol=1e-12)
             c = cam.Camera(fx=200, fy=200, cx=64, cy=64, width=128, height=128, R=R, t=t)
-            pixel, depth = cam.project(c, target)
+            pixel, depth = project_one(c, target)
             assert depth > 0
             np.testing.assert_allclose(pixel, [64.0, 64.0], atol=1e-9)
 
@@ -68,7 +93,7 @@ class TestSampleArc:
             lateral_point = np.array([center[0], 0.0, 0.0])
             r = np.linalg.norm(center - lateral_point)
             assert 0.30 <= r <= 0.40
-            pixel, depth = cam.project(c, np.zeros(3))
+            pixel, depth = project_one(c, np.zeros(3))
             assert depth > 0
             assert 0 <= pixel[0] <= c.width and 0 <= pixel[1] <= c.height
 
@@ -110,8 +135,7 @@ class TestScaleCamera:
         assert (half.width, half.height) == (320, 240)
         pts = np.random.default_rng(11).normal(size=(20, 3)) * 0.1
         pts[:, 2] += 0.5
-        full, _ = cam.project(c, pts)
-        small, _ = cam.project(half, pts)
+        (full, small), _ = cam.project([c, half], pts)
         np.testing.assert_array_equal(small, full / 2.0)
 
     def test_factor_one_is_same_object(self):

@@ -5,7 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,12 @@ class TestConfigResolution:
     def test_missing_required(self):
         with pytest.raises(cli.ConfigError, match="--out"):
             cli.resolve_config("synth", {"model": "m"})
+
+    def test_fit_defaults_are_fit_config_defaults(self):
+        cfg = cli.resolve_config("fit", {"scene": "s", "model": "m", "out": "o"})
+        want = asdict(fitting.FitConfig())
+        assert {key: cli.DEFAULTS["fit"][key] for key in want} == want
+        assert cli._fit_config(cfg) == fitting.FitConfig()
 
     def test_unparseable_config(self, tmp_path):
         p = tmp_path / "c.toml"
@@ -285,7 +291,7 @@ class TestFit:
         gt = fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
         R, t = cam_mod.look_at(position, target)
         cams[0] = replace(cams[0], R=R, t=t)
-        depth = cam_mod.project(cams[0], gt.vertices)[1]
+        depth = cam_mod.project(cams[:1], gt.vertices)[1][0, :, 2]
         assert (depth <= 0).any()
         view = synth.render_view(gt, asset.keypoint_ids, cams[0], 3.0, 0.01,
                                  np.random.default_rng(0))
@@ -360,6 +366,19 @@ class TestFit:
         rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
                        "--out", str(tmp_path / "f4")])
         assert rc == 3
+
+    @pytest.mark.parametrize("name", ["mu.pfm", "mask.pgm", "keypoints.json"])
+    def test_unreadable_scene_file_exits_3(self, tmp_path, model_bin, scene_dir,
+                                           capsys, name):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        path = scene / "view_001" / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])     # truncated mid-payload
+        rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
+                       "--out", str(tmp_path / "f")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("io error")
 
     def test_auto_downsample_halves_large_scene(self, tmp_path, model_bin,
                                                 capsys):

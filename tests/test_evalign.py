@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from chainref import rasterize_mesh
 from footfit import camera as cam_mod
 from footfit import evalign, renderer
 from footfit.footmodel import build_template
@@ -100,7 +101,7 @@ class TestPixelHeights:
         cam = cam_mod.sample_arc(
             cam_mod.ArcSamplerConfig(width=120, height=160),
             np.random.default_rng(2))
-        frag = renderer.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         heights = renderer.pixel_heights(mesh, frag)
         assert np.all(np.isnan(heights[~frag.mask]))
         on = heights[frag.mask]

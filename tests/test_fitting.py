@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 import chainref
-from chainref import scatter_into
+from chainref import project_keypoints, rasterize_mesh, scatter_into
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import fitting
@@ -20,11 +20,11 @@ def _camera_at_y(y):
 
 def _kp_only_observation(mesh, kp_ids, cam):
     """Stage-1 style bundle: real keypoints, placeholder normal maps."""
-    kp, vis = renderer.project_keypoints(mesh, kp_ids, cam)
+    kp, vis = project_keypoints(mesh.vertices, kp_ids, [cam])
     sigma = np.full((len(kp_ids), 2), 0.01)
     normals = losses.NormalObservation(np.zeros((2, 2, 3)), np.zeros((2, 2)))
     return losses.Observation(
-        normals, losses.KeypointObservation(kp, sigma, vis),
+        normals, losses.KeypointObservation(kp[0], sigma, vis[0]),
         np.zeros((2, 2), dtype=bool))
 
 
@@ -452,7 +452,7 @@ def _image_stage2_epoch(model, observations, cameras, config, params):
     l_kp = losses.kp_fit_loss(kp, [o.keypoints for o in observations])
     l_sil = l_norm = tape.const(0.0)
     for view, cam in enumerate(cameras):
-        frag = renderer.rasterize(mesh_now, cam)
+        frag = rasterize_mesh(mesh_now, cam)
         n_map = _image_normals(n_world, faces, cam, frag)
         l_norm = l_norm + _image_normal_loss(n_map, observations[view].normals,
                                              frag.mask & targets[view])
@@ -489,7 +489,7 @@ def _blind_camera(cam):
 def _inside_camera(mesh, cam):
     """``cam`` zoomed 10× into an 8×6 image centred on the covered pixel of
     ``mesh`` farthest from the silhouette: full coverage, so no band."""
-    mask = renderer.rasterize(mesh, cam).mask
+    mask = rasterize_mesh(mesh, cam).mask
     i, j = np.unravel_index(np.argmax(ndimage.distance_transform_edt(mask)), mask.shape)
     zoom = 10.0
     return replace(cam, fx=cam.fx * zoom, fy=cam.fy * zoom,
@@ -507,7 +507,7 @@ class TestStage2AgainstImageChain:
             start_mesh = fm.forward_mesh(asset, field, start)
             cam = (_blind_camera(cams[0]) if extra == "blind"
                    else _inside_camera(start_mesh, cams[0]))
-            frag = renderer.rasterize(start_mesh, cam)
+            frag = rasterize_mesh(start_mesh, cam)
             if extra == "blind":
                 assert not frag.mask.any()
             else:

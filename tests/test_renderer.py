@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 import chainref
-from chainref import scatter_into
+from chainref import project_keypoints, rasterize_mesh, scatter_into
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import footmodel as fm
@@ -110,7 +110,7 @@ def brute_force_raster(mesh, cam):
 def pixel_depths(mesh, cam, frag):
     """Camera depth (H,W) of each covered pixel's surface point, 0 off
     coverage: sum over k of bary_k · z_k of its face's corners."""
-    _, z = cam_mod.project(cam, mesh.vertices)
+    z = cam_mod.project([cam], mesh.vertices)[1][0, :, 2]
     depth = np.sum(frag.bary * z[mesh.faces[frag.face]], axis=2)
     return np.where(frag.mask, depth, 0.0)
 
@@ -118,8 +118,8 @@ def pixel_depths(mesh, cam, frag):
 def render_silhouette_soft(mesh, camera, sharpness=40.0):
     """Numpy soft silhouette (H,W): the hard mask with the band values of
     ``render_silhouette_soft_var`` written in; and the fragments."""
-    proj, _ = rd.project_vertices_var(ad.Tape().const(mesh.vertices), [camera])
-    frag = rd.rasterize(mesh, camera)
+    proj, z = rd.project_vertices_var(ad.Tape().const(mesh.vertices), [camera])
+    frag = rd.rasterize(mesh.faces, proj.value[0], z[0], camera)
     soft, (band,) = rd.render_silhouette_soft_var(
         proj, [camera], [frag], rd.ContourTopology.build(mesh), sharpness)
     img = frag.mask.astype(np.float64)
@@ -134,9 +134,10 @@ def bbox_rasterize(mesh, camera):
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
-    pix, z = cam_mod.project(camera, mesh.vertices)
+    pix, cam_pts = cam_mod.project([camera], mesh.vertices)
+    pix, z = pix[0], cam_pts[0, :, 2]
     tri = mesh.faces
-    front = np.all(z[tri] > rd.Z_NEAR, axis=1)
+    front = np.all(z[tri] > cam_mod.Z_NEAR, axis=1)
 
     p0, p1, p2 = (pix[tri[:, k]] for k in range(3))
     area2 = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
@@ -203,7 +204,7 @@ def bbox_rasterize(mesh, camera):
 
 
 def assert_same_fragments(mesh, cam):
-    got, ref = rd.rasterize(mesh, cam), bbox_rasterize(mesh, cam)
+    got, ref = rasterize_mesh(mesh, cam), bbox_rasterize(mesh, cam)
     for name in ("face", "bary", "front_faces"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
     return got
@@ -261,8 +262,8 @@ class TestRasterize:
         # the faces around them are culled or project millions of px wide
         sphere = uv_sphere(np.array([0.02, -0.01, 0.07]), 0.06, n_lat=12, n_lon=24)
         last = len(sphere.vertices) - 24
-        sphere.vertices[1, 2] = 2 * rd.Z_NEAR
-        sphere.vertices[last:last + 3, 2] = [rd.Z_NEAR, 0.0, 3 * rd.Z_NEAR]
+        sphere.vertices[1, 2] = 2 * cam_mod.Z_NEAR
+        sphere.vertices[last:last + 3, 2] = [cam_mod.Z_NEAR, 0.0, 3 * cam_mod.Z_NEAR]
         frag = assert_same_fragments(sphere, front_cam(width=80, height=60))
         near = np.nonzero(sphere.vertices[sphere.faces, 2].min(axis=1) < 1e-4)[0]
         assert np.isin(frag.face, near).any()
@@ -287,7 +288,7 @@ class TestRasterize:
         cam = front_cam(width=40, height=30, f=50.0)
         for seed in range(6):
             mesh = random_soup(np.random.default_rng(seed))
-            frag = rd.rasterize(mesh, cam)
+            frag = rasterize_mesh(mesh, cam)
             face_bf, depth_bf = brute_force_raster(mesh, cam)
             ok = frag.face == face_bf
             # pixels whose two candidate depths differ by <1e-9 may resolve
@@ -301,7 +302,7 @@ class TestRasterize:
         cam = front_cam()
         v = np.array([[-0.1, -0.1, 0.4], [-0.1, 0.3, 0.6], [0.3, -0.1, 0.8]])
         mesh = Mesh(v, np.array([[0, 1, 2]]))
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         assert frag.mask.any()
         n = np.cross(v[1] - v[0], v[2] - v[0])
         depth = pixel_depths(mesh, cam, frag)
@@ -315,7 +316,7 @@ class TestRasterize:
         cam = front_cam()
         quad = quad_mesh()
         flipped = Mesh(quad.vertices, quad.faces[:, ::-1])
-        assert not rd.rasterize(flipped, cam).mask.any()
+        assert not rasterize_mesh(flipped, cam).mask.any()
 
     def test_nearer_surface_wins(self):
         cam = front_cam()
@@ -323,7 +324,7 @@ class TestRasterize:
         far = quad_mesh(z=0.9)
         both = Mesh(np.vstack([far.vertices, near.vertices]),
                     np.vstack([far.faces, near.faces + 4]))
-        frag = rd.rasterize(both, cam)
+        frag = rasterize_mesh(both, cam)
         center = frag.face[cam.height // 2, cam.width // 2]
         assert center >= 2  # one of the near quad's faces
         depth = pixel_depths(both, cam, frag)
@@ -331,13 +332,13 @@ class TestRasterize:
 
     def test_behind_camera_dropped(self):
         cam = front_cam()
-        assert not rd.rasterize(quad_mesh(z=-0.5), cam).mask.any()
+        assert not rasterize_mesh(quad_mesh(z=-0.5), cam).mask.any()
 
     def test_deterministic(self):
         cam = front_cam()
         mesh = random_soup(np.random.default_rng(9))
-        a = rd.rasterize(mesh, cam)
-        b = rd.rasterize(mesh, cam)
+        a = rasterize_mesh(mesh, cam)
+        b = rasterize_mesh(mesh, cam)
         assert np.array_equal(a.face, b.face)
         assert np.array_equal(a.bary, b.bary)
         assert np.array_equal(pixel_depths(mesh, cam, a), pixel_depths(mesh, cam, b))
@@ -345,7 +346,7 @@ class TestRasterize:
     def test_barycentric_weights_sum_to_one(self):
         cam = front_cam()
         mesh = random_soup(np.random.default_rng(2))
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         s = frag.bary[frag.mask].sum(axis=1)
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
         assert (frag.bary[frag.mask] >= -1e-12).all()
@@ -354,7 +355,7 @@ class TestRasterize:
 class TestRenderNormals:
     def test_flat_quad_normal(self):
         cam = front_cam()
-        frag = rd.rasterize(quad_mesh(), cam)
+        frag = rasterize_mesh(quad_mesh(), cam)
         img = rd.render_normals(quad_mesh(), cam, frag)
         assert frag.mask.any()
         np.testing.assert_allclose(img[frag.mask], [[0, 0, -1]] * frag.mask.sum(),
@@ -365,7 +366,7 @@ class TestRenderNormals:
         cam = front_cam(width=160, height=120, f=133.0)
         center = np.array([0.02, -0.01, 0.35])
         mesh = uv_sphere(center, 0.08)
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         img = rd.render_normals(mesh, cam, frag)
         ii, jj = np.nonzero(frag.mask)
         d = np.stack([(jj + 0.5 - cam.cx) / cam.fx,
@@ -390,7 +391,7 @@ class TestRenderNormals:
         mesh = uv_sphere(center, 0.07, n_lat=20, n_lon=40)
         for f in (60.0, 120.0):
             cam = front_cam(f=f)
-            frag = rd.rasterize(mesh, cam)
+            frag = rasterize_mesh(mesh, cam)
             img = rd.render_normals(mesh, cam, frag)
             assert (img[frag.mask][:, 2] < 0).all()
 
@@ -398,13 +399,14 @@ class TestRenderNormals:
         cam = front_cam(width=32, height=24, f=40.0)
         v = np.array([[-0.06, -0.05, 0.40], [0.07, -0.04, 0.50], [0.00, 0.08, 0.45]])
         faces = np.array([[0, 2, 1]])
-        frag = rd.rasterize(Mesh(v, faces), cam)
+        frag = rasterize_mesh(Mesh(v, faces), cam)
         assert frag.mask.any()
         w = np.random.default_rng(5).standard_normal((24, 32, 3))
 
         def loss(verts):
             n_world = rd.vertex_normals_var(verts, faces)
-            rows = rd.render_normals_var(n_world, faces, [cam], [frag], [frag.mask])
+            rows = rd.render_normals_var(n_world, faces, [cam], [frag],
+                                         [np.flatnonzero(frag.mask)])
             return (rows * w[frag.mask]).sum()
 
         assert ad.grad_check(loss, [v]) < 1e-4
@@ -412,8 +414,8 @@ class TestRenderNormals:
     def test_rerender_bit_identical(self):
         cam = front_cam()
         mesh = uv_sphere(np.array([0.0, 0.0, 0.4]), 0.06, n_lat=12, n_lon=24)
-        a = rd.render_normals(mesh, cam, rd.rasterize(mesh, cam))
-        b = rd.render_normals(mesh, cam, rd.rasterize(mesh, cam))
+        a = rd.render_normals(mesh, cam, rasterize_mesh(mesh, cam))
+        b = rd.render_normals(mesh, cam, rasterize_mesh(mesh, cam))
         assert np.array_equal(a, b)
 
 
@@ -461,7 +463,7 @@ class TestSoftSilhouette:
     def test_gradient_matches_fd(self):
         cam = front_cam(width=32, height=24, f=40.0)
         mesh = quad_mesh(cx=0.011, cy=0.007, half=0.09, z=0.5)
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         topo = rd.ContourTopology.build(mesh)
         w = np.random.default_rng(8).standard_normal((24, 32))
 
@@ -480,7 +482,7 @@ class TestSoftSilhouette:
         verts = tape.leaf(mesh.vertices)
         proj, _ = rd.project_vertices_var(verts, [cam])
         soft, _ = rd.render_silhouette_soft_var(
-            proj, [cam], [rd.rasterize(mesh, cam)], rd.ContourTopology.build(mesh))
+            proj, [cam], [rasterize_mesh(mesh, cam)], rd.ContourTopology.build(mesh))
         grads = tape.backward(soft.sum())
         g = grads[verts]
         # outward motion of each corner increases total coverage
@@ -502,7 +504,7 @@ def chain_project(verts, cam):
     as a Var, like one view of ``project_vertices_var``."""
     tape = verts.tape
     cam_pts = verts @ tape.const(cam.R.T) + tape.const(cam.t)
-    z_safe = ad.clamp(cam_pts[:, 2:3], rd.Z_NEAR, 1e12)
+    z_safe = ad.clamp(cam_pts[:, 2:3], cam_mod.Z_NEAR, 1e12)
     px = cam_pts[:, 0:1] * cam.fx / z_safe + cam.cx
     py = cam_pts[:, 1:2] * cam.fy / z_safe + cam.cy
     return ad.concat([px, py], axis=1)
@@ -588,12 +590,12 @@ def ac05_views(tmp_path_factory):
 
 
 def band_and_contour(mesh, cam, band=3.0):
-    frag = rd.rasterize(mesh, cam)
+    frag = rasterize_mesh(mesh, cam)
     contour = rd._contour_edges(rd.ContourTopology.build(mesh), frag.front_faces)
     flat = rd._band_pixels(frag.mask, band)
     ii, jj = np.divmod(flat, cam.width)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
-    pix, _ = cam_mod.project(cam, mesh.vertices)
+    pix = cam_mod.project([cam], mesh.vertices)[0][0]
     return frag, pc, pix[contour[:, 0]], pix[contour[:, 1]]
 
 
@@ -610,7 +612,7 @@ class TestFusedProjection:
         g_chain = tape.backward(sum((c * w[v]).sum() for v, c in enumerate(chain)))[verts]
         for view, cam in enumerate(cams):
             np.testing.assert_array_equal(pix.value[view], chain[view].value)
-            np.testing.assert_array_equal(z[view], cam_mod.project(cam, mesh.vertices)[1])
+            np.testing.assert_array_equal(z[view], (mesh.vertices @ cam.R.T + cam.t)[:, 2])
         scale = np.abs(g_chain).max()
         assert scale > 0
         np.testing.assert_allclose(g_fused, g_chain, rtol=0, atol=1e-15 * scale)
@@ -624,12 +626,12 @@ class TestFusedProjection:
         # vertices at, just behind and just in front of it; a second
         # camera sees all of it
         mesh = uv_sphere(np.array([0.02, -0.01, 0.05]), 0.06, n_lat=12, n_lon=24)
-        mesh.vertices[:3, 2] = [rd.Z_NEAR, 0.0, -rd.Z_NEAR]
+        mesh.vertices[:3, 2] = [cam_mod.Z_NEAR, 0.0, -cam_mod.Z_NEAR]
         R, t = cam_mod.look_at([0.3, 0.1, -0.4], [0.0, 0.0, 0.05])
         side = Camera(fx=90.0, fy=90.0, cx=40.0, cy=30.0, width=80, height=60, R=R, t=t)
         z = self.check_against_chain(mesh, [front_cam(width=80, height=60), side])
-        assert (z[0] < rd.Z_NEAR).any() and (z[0] == rd.Z_NEAR).any()
-        assert (z[0] > rd.Z_NEAR).any() and (z[1] > rd.Z_NEAR).all()
+        assert (z[0] < cam_mod.Z_NEAR).any() and (z[0] == cam_mod.Z_NEAR).any()
+        assert (z[0] > cam_mod.Z_NEAR).any() and (z[1] > cam_mod.Z_NEAR).all()
 
 
 class TestNearestEdge:
@@ -680,7 +682,7 @@ class TestBand:
         pytest.param(12.0 / s, id=f"sharpness{s}") for s in (1.7, 2.5, 3.3, 3.7)])
     def test_cropped_equals_full_image(self, ac05_views, band):
         mesh, cams = ac05_views
-        masks = [rd.rasterize(mesh, cam).mask for cam in cams]
+        masks = [rasterize_mesh(mesh, cam).mask for cam in cams]
         edge = np.zeros((30, 40), dtype=bool)
         edge[:6, 35:] = True                  # touches two image borders
         one = np.zeros((30, 40), dtype=bool)
@@ -723,16 +725,17 @@ class TestFusedNormals:
         cams = list(cams)
         if views == "blind":
             cams.append(replace(cams[0], t=cams[0].t + np.array([5.0, 0.0, 0.0])))
-        frags = [rd.rasterize(mesh, cam) for cam in cams]
+        frags = [rasterize_mesh(mesh, cam) for cam in cams]
         rng = np.random.default_rng(4)
-        scored = [f.mask & (rng.uniform(size=f.mask.shape) < 0.8) for f in frags]
+        scored = [np.flatnonzero(f.mask & (rng.uniform(size=f.mask.shape) < 0.8))
+                  for f in frags]
         obs = []
         for cam, frag in zip(cams, frags):
             mu = rd.render_normals(mesh, cam, frag) + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
             obs.append(losses.NormalObservation(
                 mu / np.linalg.norm(mu, axis=2, keepdims=True),
                 rng.uniform(0.5, 20.0, size=frag.mask.shape)))
-        assert views != "blind" or not scored[-1].any()
+        assert views != "blind" or scored[-1].size == 0
 
         def run(vertex_normals, render, loss):
             tape = ad.Tape()
@@ -761,7 +764,7 @@ class TestFusedSilhouette:
         mesh, cams = ac05_views
         cams = cams[:3]
         topo = rd.ContourTopology.build(mesh)
-        frags = [rd.rasterize(mesh, cam) for cam in cams]
+        frags = [rasterize_mesh(mesh, cam) for cam in cams]
         w = np.random.default_rng(3).normal(size=(3, cams[0].height, cams[0].width))
 
         tape = ad.Tape()
@@ -795,12 +798,13 @@ class TestFusedSilhouette:
             tape = ad.Tape()
             ref = weakref.ref(tape)
             verts = tape.leaf(mesh.vertices)
-            frag = rd.rasterize(mesh, cam)
+            frag = rasterize_mesh(mesh, cam)
             proj, _ = rd.project_vertices_var(verts, [cam])
             soft, _ = rd.render_silhouette_soft_var(
                 proj, [cam], [frag], rd.ContourTopology.build(mesh))
             n_world = rd.vertex_normals_var(verts, mesh.faces)
-            n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag], [frag.mask])
+            n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag],
+                                          [np.flatnonzero(frag.mask)])
             tape.backward((soft * soft).sum() + n_pix.sum())
             del tape, verts, proj, soft, n_world, n_pix
             assert ref() is None
@@ -812,7 +816,7 @@ class TestContours:
     def test_face_on_quad_has_four_contour_edges(self):
         cam = front_cam()
         mesh = quad_mesh()
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         topo = rd.ContourTopology.build(mesh)
         contour = rd._contour_edges(topo, frag.front_faces)
         assert len(contour) == 4  # outer edges; the shared diagonal is not
@@ -820,11 +824,11 @@ class TestContours:
     def test_sphere_contour_rings_silhouette(self):
         cam = front_cam()
         mesh = uv_sphere(np.array([0.0, 0.0, 0.4]), 0.06, n_lat=16, n_lon=32)
-        frag = rd.rasterize(mesh, cam)
+        frag = rasterize_mesh(mesh, cam)
         topo = rd.ContourTopology.build(mesh)
         contour = rd._contour_edges(topo, frag.front_faces)
         assert len(contour) > 10
-        pix, _ = cam_mod.project(cam, mesh.vertices)
+        pix = cam_mod.project([cam], mesh.vertices)[0][0]
         r = np.linalg.norm(pix[contour].reshape(-1, 2) - [cam.cx, cam.cy], axis=1)
         r_sil = cam.fx * 0.06 / np.sqrt(0.4 ** 2 - 0.06 ** 2)
         assert np.abs(r - r_sil).max() < 1.5
@@ -833,20 +837,21 @@ class TestContours:
 class TestKeypoints:
     def test_projection_matches_camera_model(self):
         cam = front_cam()
-        mesh = quad_mesh()
-        norm, vis = rd.project_keypoints(mesh, [0, 1, 2, 3], cam)
-        pix, _ = cam_mod.project(cam, mesh.vertices)
-        np.testing.assert_allclose(norm * [cam.width, cam.height], pix, atol=1e-12)
-        assert vis.tolist() == [1, 1, 1, 1]
+        v = quad_mesh().vertices
+        norm, vis = project_keypoints(v, [0, 1, 2, 3], [cam])
+        pix = cam.fx * v[:, :2] / v[:, 2:] + [cam.cx, cam.cy]
+        np.testing.assert_allclose(norm[0] * [cam.width, cam.height], pix, atol=1e-12)
+        assert vis.tolist() == [[1, 1, 1, 1]]
 
     def test_visibility_flags(self):
         cam = front_cam()
-        v = np.array([[0.0, 0.0, 0.5],     # visible
-                      [10.0, 0.0, 0.5],    # off image
-                      [0.0, 0.0, -0.5]])   # behind camera
-        mesh = Mesh(v, np.array([[0, 1, 2]]))
-        _, vis = rd.project_keypoints(mesh, [0, 1, 2], cam)
-        assert vis.tolist() == [1, 0, 0]
+        v = np.array([[0.0, 0.0, 0.5],              # visible
+                      [10.0, 0.0, 0.5],             # off image
+                      [0.0, 0.0, -0.5],             # behind camera
+                      [0.0, 0.0, cam_mod.Z_NEAR],   # on the near plane
+                      [0.0, 0.0, 2 * cam_mod.Z_NEAR]])
+        _, vis = project_keypoints(v, [0, 1, 2, 3, 4], [cam])
+        assert vis.tolist() == [[1, 0, 0, 0, 1]]
 
     def test_gradient_matches_fd(self):
         cam = front_cam()
@@ -876,15 +881,15 @@ class TestCutoffFraction:
         hi.vertices[:, :2] *= 0.7 / 0.5  # same projected size at z=0.7
         both = Mesh(np.vstack([lo.vertices, hi.vertices]),
                     np.vstack([lo.faces, hi.faces + 4]))
-        frac = rd.cutoff_fraction(both, 0.6, rd.rasterize(both, cam))
+        frac = rd.cutoff_fraction(both, 0.6, rasterize_mesh(both, cam))
         assert frac == pytest.approx(0.5, abs=0.02)
 
     def test_all_below_gives_zero(self):
         cam = front_cam()
         mesh = quad_mesh(z=0.5)
-        assert rd.cutoff_fraction(mesh, 0.9, rd.rasterize(mesh, cam)) == 0.0
+        assert rd.cutoff_fraction(mesh, 0.9, rasterize_mesh(mesh, cam)) == 0.0
 
     def test_empty_coverage_gives_zero(self):
         cam = front_cam()
         mesh = quad_mesh(cx=9.0)
-        assert rd.cutoff_fraction(mesh, 0.2, rd.rasterize(mesh, cam)) == 0.0
+        assert rd.cutoff_fraction(mesh, 0.2, rasterize_mesh(mesh, cam)) == 0.0

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from chainref import project_keypoints, rasterize_mesh
 from footfit import camera as cam_mod
 from footfit import footmodel as fm
 from footfit import images, losses, renderer, synth
@@ -114,16 +115,15 @@ class TestSynthesizeKappa:
 class TestRenderView:
     def test_mask_is_hard_coverage(self, model, gt, bundle):
         _, mesh = gt
-        frag = renderer.rasterize(mesh, bundle.camera)
+        frag = rasterize_mesh(mesh, bundle.camera)
         assert np.array_equal(bundle.obs.mask, frag.mask)
 
     def test_keypoints_share_projection_code_path(self, model, gt, bundle):
         asset, _ = model
         _, mesh = gt
-        kp, vis = renderer.project_keypoints(mesh, asset.keypoint_ids,
-                                             bundle.camera)
-        assert np.array_equal(bundle.obs.keypoints.k, kp)
-        assert np.array_equal(bundle.obs.keypoints.v, vis)
+        kp, vis = project_keypoints(mesh.vertices, asset.keypoint_ids, [bundle.camera])
+        assert np.array_equal(bundle.obs.keypoints.k, kp[0])
+        assert np.array_equal(bundle.obs.keypoints.v, vis[0])
         assert np.all(bundle.obs.keypoints.sigma == 0.01)
 
     def test_image_shading(self, bundle):
@@ -160,7 +160,7 @@ class TestGenerateScene:
         mesh = fm.forward_mesh(asset, field, spec.params)
         cams = cam_mod.load_cameras(out / "cameras.json")
         for cam in cams:
-            frag = renderer.rasterize(mesh, cam)
+            frag = rasterize_mesh(mesh, cam)
             assert renderer.cutoff_fraction(mesh, spec.cutoff, frag) <= 0.20
 
     def test_deterministic(self, model, scene, tmp_path):
@@ -179,7 +179,7 @@ class TestGenerateScene:
         mesh = fm.forward_mesh(asset, field, spec.params)
         cams = cam_mod.load_cameras(out / "cameras.json")
         loaded = images.load_pfm(out / "view_001" / "gt_normals.pfm")
-        fresh = renderer.render_normals(mesh, cams[1], renderer.rasterize(mesh, cams[1]))
+        fresh = renderer.render_normals(mesh, cams[1], rasterize_mesh(mesh, cams[1]))
         assert np.array_equal(loaded, fresh.astype(np.float32))
 
     def test_keypoints_exact(self, model, scene):
@@ -188,10 +188,10 @@ class TestGenerateScene:
         mesh = fm.forward_mesh(asset, field, spec.params)
         cams = cam_mod.load_cameras(out / "cameras.json")
         _, _, obs = synth.load_scene(out)
-        for cam, o in zip(cams, obs):
-            kp, vis = renderer.project_keypoints(mesh, asset.keypoint_ids, cam)
-            assert np.array_equal(o.keypoints.k, kp)
-            assert np.array_equal(o.keypoints.v, vis)
+        kp, vis = project_keypoints(mesh.vertices, asset.keypoint_ids, cams)
+        for view, o in enumerate(obs):
+            assert np.array_equal(o.keypoints.k, kp[view])
+            assert np.array_equal(o.keypoints.v, vis[view])
 
     def test_visibility_matches_bounds(self, scene):
         _, out = scene
