@@ -17,10 +17,15 @@ import numpy as np
 __all__ = [
     "Camera", "ArcSamplerConfig", "project", "look_at",
     "make_camera", "sample_arc", "scale_camera",
-    "save_cameras", "load_cameras", "Z_NEAR",
+    "save_cameras", "load_cameras", "Z_NEAR", "SceneFormatError",
 ]
 
 Z_NEAR = 1e-6   # m; the divisor clamp, the rasterizer's cull and keypoint visibility
+
+
+class SceneFormatError(ValueError):
+    """A scene file (cameras.json, scene.json) that lacks a field or holds
+    a value of the wrong kind."""
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,19 @@ def project(cameras, points):
     package's one pinhole projection.  The divisor Z is clamped into
     [Z_NEAR, 1e12], so pixels are finite; a point counts as in front of the
     camera only at ``cam_pts[..., 2] > Z_NEAR``, which callers test."""
+    return _pinhole(cameras, points)[:2]
+
+
+def _pinhole(cameras, points):
+    """:func:`project`'s pixels and camera-frame points, with the (N,1,2)
+    focal lengths and the (N,V,1) clamped divisor it used; the projection's
+    VJP reads the last two."""
     points = np.asarray(points, dtype=np.float64)
     cam_pts = np.stack([points @ cam.R.T + cam.t for cam in cameras])
     focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
     centre = np.array([[[cam.cx, cam.cy]] for cam in cameras])
     z_safe = np.clip(cam_pts[..., 2:3], Z_NEAR, 1e12)
-    return cam_pts[..., :2] * focal / z_safe + centre, cam_pts
+    return cam_pts[..., :2] * focal / z_safe + centre, cam_pts, focal, z_safe
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)):
@@ -160,12 +172,19 @@ def save_cameras(path, cameras):
 
 
 def load_cameras(path):
+    """Cameras of a cameras.json; an entry that lacks a key or holds a value
+    of the wrong kind raises :class:`SceneFormatError`."""
     with open(path) as fh:
         doc = json.load(fh)
     cams = []
-    for row in doc:
-        cams.append(Camera(fx=row["fx"], fy=row["fy"], cx=row["cx"], cy=row["cy"],
-                           width=int(row["width"]), height=int(row["height"]),
-                           R=np.array(row["R"], dtype=np.float64).reshape(3, 3),
-                           t=np.array(row["t"], dtype=np.float64)))
+    for i, row in enumerate(doc):
+        try:
+            cams.append(Camera(fx=row["fx"], fy=row["fy"], cx=row["cx"], cy=row["cy"],
+                               width=int(row["width"]), height=int(row["height"]),
+                               R=np.array(row["R"], dtype=np.float64).reshape(3, 3),
+                               t=np.array(row["t"], dtype=np.float64)))
+        except KeyError as exc:
+            raise SceneFormatError(f"{path}: camera {i} has no key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SceneFormatError(f"{path}: camera {i}: {exc}") from exc
     return cams

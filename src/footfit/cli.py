@@ -545,10 +545,10 @@ def _load_cloud(path):
         return geometry.load_obj(path).vertices
     if path.endswith(".ply"):
         return geometry.load_ply(path).vertices
-    if path.endswith(".npy"):
-        pts = np.load(path)
-    else:
-        pts = np.loadtxt(path)
+    try:
+        pts = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
+    except (ValueError, EOFError) as exc:
+        raise geometry.MeshError(f"{path}: not a readable point array: {exc}") from exc
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ConfigError(f"{path}: expected an (N,3) point cloud")
@@ -650,7 +650,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (fm.ModelFormatError, geometry.MeshError, images.ImageFormatError,
-            json.JSONDecodeError, OSError) as exc:
+            cam_mod.SceneFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, FloatingPointError) as exc:

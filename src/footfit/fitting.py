@@ -5,13 +5,16 @@ scale; ``STAGE1_FREE``) against keypoints only.  Stage 2 frees the shape
 and pose codes as well (``PARAM_ORDER``) and adds soft-silhouette and
 normal-map terms.  Each stage returns the fitted parameters and a
 :class:`FitTrace` of per-epoch losses.  Both stages run full-batch Adam
-with a fixed epoch count; each epoch builds one tape, runs the model
-forward once and projects into all views in one tape node.  Stage 1
-evaluates and projects only the keypoint rows, the only rows its loss
-reads.  Stage 2 evaluates the whole mesh, rasterizes its projection into
-each view in numpy, and scores the pixels of all views at once: the
-normal term over every view's covered target pixels, the silhouette term
-over every view's contour band, each a mean over views of per-view means.
+with a fixed epoch count; each epoch builds one tape, registers the
+deformed template once and projects into all views in one tape node.
+Stage 1 evaluates and projects only the keypoint rows, the only rows its
+loss reads, and since its codes are fixed it evaluates the deformation
+field on them once per stage, not on each epoch's tape.  Stage 2
+evaluates the field over the whole mesh every epoch, rasterizes its
+projection into each view in numpy, and scores the pixels of all views
+at once: the normal term over every view's covered target pixels, the
+silhouette term over every view's contour band, each a mean over views
+of per-view means.
 """
 
 from __future__ import annotations
@@ -147,12 +150,18 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     # only those rows are evaluated and projected
     rows = None if with_render else asset.keypoint_ids
     kp_ids = asset.keypoint_ids if with_render else np.arange(len(rows))
+    # with both codes fixed the deformed template is the same in every
+    # epoch: evaluate the field once, off the epoch tapes
+    deformed = None
+    if "z_s" not in free and "z_p" not in free:
+        deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), params),
+                             rows).value
 
     trace = FitTrace()
     for epoch in range(epochs):
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
-        verts = fm.forward(asset, field, pv, rows=rows)
+        verts = fm.forward(asset, field, pv, rows=rows, deformed=deformed)
         if with_render:
             n_world = renderer.vertex_normals_var(verts, faces)
         proj = renderer.project_vertices_var(verts, cameras)
@@ -171,11 +180,11 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
             l_sil = losses.silhouette_l2(soft, bands, masks, sil_targets)
             total = (l_kp * config.w_kp + l_sil * config.w_sil
                      + l_norm * config.w_norm)
+            terms = float(l_sil.value), float(l_norm.value)
         else:
-            l_sil = l_norm = tape.const(0.0)
             total = l_kp * config.w_kp
-        trace.rows.append((epoch, float(l_kp.value), float(l_sil.value),
-                           float(l_norm.value), float(total.value)))
+            terms = 0.0, 0.0
+        trace.rows.append((epoch, float(l_kp.value), *terms, float(total.value)))
         grads = tape.backward(total)
         free_grads = {n: grads[getattr(pv, n)] for n in free}
         stepped = adam_step(state, {n: values[n] for n in free},
@@ -186,8 +195,9 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
 
 def fit_stage1(model, observations, cameras, config=None,
                init: fm.FootParams | None = None):
-    """Keypoint-only registration from the identity initialization; each
-    epoch evaluates and projects the keypoint rows of the model only."""
+    """Keypoint-only registration from the identity initialization.  The
+    deformed template's keypoint rows are evaluated once; each epoch
+    registers and projects only those rows."""
     asset, field = model
     config = (config or FitConfig()).validate()
     if init is None:

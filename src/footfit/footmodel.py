@@ -27,7 +27,7 @@ from .geometry import Mesh
 __all__ = [
     "FootParams", "ParamVars", "DeformationField", "TemplateAsset",
     "ModelFormatError", "KEYPOINT_NAMES", "build_template", "random_field",
-    "make_default_model", "forward", "forward_mesh",
+    "make_default_model", "deform", "forward", "forward_mesh",
     "lift_params", "save_model", "load_model",
 ]
 
@@ -359,23 +359,49 @@ def _euler_var(r):
     return ad.custom((r,), A @ Rx, vjp)
 
 
+def deform(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
+           rows=None) -> ad.Var:
+    """Deformed template ``x_i + F(x_i, z_s, z_p)`` (V,3) on the tape of
+    ``pv``; ``rows`` evaluates only those template vertices."""
+    if pv.z_s.shape != (field.d_s,) or pv.z_p.shape != (field.d_p,):
+        raise ValueError("code dimensions do not match the field")
+    X = pv.r.tape.const(asset.mesh.vertices if rows is None
+                        else asset.mesh.vertices[rows])
+    return X + _field_var(field, X, pv.z_s, pv.z_p)
+
+
+def _register_var(u, R, s, t):
+    """``(u @ R^T) * s + t`` as one tape node.  The VJP repeats the
+    arithmetic of the transpose, matmul, mul and add ops it replaces, so
+    values and gradients are bit-equal to theirs."""
+    uv, Rt, sv = u.value, R.value.T.copy(), s.value
+    m = uv @ Rt
+    need = [p.requires_grad for p in (u, R, s, t)]
+
+    def vjp(g):
+        gm = g * sv
+        return (gm @ Rt.T if need[0] else None,
+                (uv.T @ gm).T if need[1] else None,
+                (g * m).sum(axis=(0,)) if need[2] else None,
+                g.sum(axis=(0,)) if need[3] else None)
+
+    return ad.custom((u, R, s, t), m * sv + t.value, vjp)
+
+
 def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
-            rows=None) -> ad.Var:
+            rows=None, deformed=None) -> ad.Var:
     """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces.
 
     ``rows`` evaluates only those template vertices; the field and the
     registration act point by point, so this equals the full ``[rows]``.
+    ``deformed`` is :func:`deform`'s value at ``rows``, held by a caller
+    whose codes stay constant; the field is then not evaluated.
     """
-    if pv.z_s.shape != (field.d_s,) or pv.z_p.shape != (field.d_p,):
-        raise ValueError("code dimensions do not match the field")
     if not np.all(pv.s.value > 0):
         raise ValueError("scale components must be positive")
-    tape = pv.r.tape
-    X = tape.const(asset.mesh.vertices if rows is None
-                   else asset.mesh.vertices[rows])
-    u = X + _field_var(field, X, pv.z_s, pv.z_p)
-    R = _euler_var(pv.r)
-    return (u @ ad.transpose(R)) * pv.s + pv.t
+    u = (deform(asset, field, pv, rows) if deformed is None
+         else pv.r.tape.const(deformed))
+    return _register_var(u, _euler_var(pv.r), pv.s, pv.t)
 
 
 def forward_mesh(asset, field, params: FootParams) -> Mesh:

@@ -219,8 +219,8 @@ def kp_fit_loss(projected, observations):
     sigma-normalized reprojection errors.  ``projected`` is an (N,K,2) Var
     or a list of N (K,2) Vars; ``observations`` is the N views'
     :meth:`KeypointObservation.stack`, or a list of their observations,
-    which is then stacked and validated on each call.  Gradient reaches
-    only the projections; observations are fixed."""
+    which is then stacked and validated on each call.  One tape node;
+    gradient reaches only the projections, observations are fixed."""
     if not isinstance(projected, ad.Var):
         projected = ad.stack(projected)
     if not isinstance(observations, KeypointObservation):
@@ -230,8 +230,16 @@ def kp_fit_loss(projected, observations):
         raise ValueError("views mismatch between projections and observations")
     if projected.shape != k.shape:
         raise ValueError("keypoint count mismatch")
-    d = (projected - k) / sigma
-    return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)
+    d = (projected.value - k) / sigma
+    inv_n = 1.0 / v.size
+
+    def vjp(g):
+        # the arithmetic of the op chain it replaces: mul(d, d) sends g·d
+        # twice, and the sums broadcast their cotangent back
+        g_dd = ((g * inv_n) * v)[..., None] * d
+        return ((g_dd + g_dd) / sigma,)
+
+    return ad.custom((projected,), ((d * d).sum(axis=2) * v).sum() * inv_n, vjp)
 
 
 def normal_fit_loss(rendered, observations, scored):

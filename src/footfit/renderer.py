@@ -1,12 +1,13 @@
 """Differentiable rasterization: normal maps, soft silhouettes, keypoints.
 
 The rasterizer produces a :class:`FragmentBuffer`: a hard pixel→face
-assignment with perspective-correct barycentric weights, and the
-camera-facing faces.  It keeps no depth image; a pixel's depth or world
-height is the barycentric mix of its face's corners.  The assignment is
-treated as a constant during backward (straight-through visibility):
-gradients reach the mesh vertices only through interpolated normal
-values, projected keypoints, and the soft silhouette's edge distances.
+assignment with perspective-correct barycentric weights, its coverage
+mask, and the camera-facing faces.  It keeps no depth image; a pixel's
+depth or world height is the barycentric mix of its face's corners.  The
+assignment is treated as a constant during backward (straight-through
+visibility): gradients reach the mesh vertices only through interpolated
+normal values, projected keypoints, and the soft silhouette's edge
+distances.
 
 Pixel centers sit at (column + 0.5, row + 0.5).  Coverage is the
 inclusive half-plane edge-function test.  Back-face culling is on:
@@ -32,7 +33,7 @@ edge sigmoid.  The op-by-op chains they replace are test references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +55,10 @@ class FragmentBuffer:
     face: np.ndarray      # (H,W) int64, -1 where empty
     bary: np.ndarray      # (H,W,3) perspective-correct weights
     front_faces: np.ndarray   # bool per face: z-valid and camera-facing
+    mask: np.ndarray = field(init=False)   # (H,W) bool coverage, face >= 0
 
-    @property
-    def mask(self):
-        return self.face >= 0
+    def __post_init__(self):
+        self.mask = self.face >= 0
 
 
 def rasterize(faces, pix, z, camera) -> FragmentBuffer:
@@ -88,9 +89,8 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     front = ((zc[0] > Z_NEAR) & (zc[1] > Z_NEAR) & (zc[2] > Z_NEAR)
              & (area2 < -1e-14))     # camera-facing under y-down pixel coords
-    frag = FragmentBuffer(face_buf, bary_buf, front)
     if not np.any(front):
-        return frag
+        return FragmentBuffer(face_buf, bary_buf, front)
 
     fids = np.nonzero(front)[0]
     x, y, zc = (np.take(c, fids, axis=1) for c in (x, y, zc))
@@ -131,7 +131,7 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     w0, w1, w2 = (run[row] - rise[row] * (px_c - ax[row]) for run, rise, ax in edges)
     inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)   # same sign as the negative area
     if not np.any(inside):
-        return frag
+        return FragmentBuffer(face_buf, bary_buf, front)
     row, jj = row[inside], jj[inside]
     cand = row_face[row]
     lam = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / a2[cand][:, None]
@@ -152,7 +152,7 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
-    return frag
+    return FragmentBuffer(face_buf, bary_buf, front)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +163,10 @@ def project_vertices_var(verts: ad.Var, cameras):
     depths (N,V): :func:`footfit.camera.project` on the tape.  Its clamped
     divisor passes gradient only inside [Z_NEAR, 1e12], so behind-camera
     vertices (always culled by the rasterizer) cannot poison gradients."""
-    pix, cam_pts = cam_mod.project(cameras, verts.value)
+    pix, cam_pts, focal, z_safe = cam_mod._pinhole(cameras, verts.value)
     z = cam_pts[..., 2:3]
 
     def vjp(g):
-        focal = np.array([[[cam.fx, cam.fy]] for cam in cameras])
-        z_safe = np.clip(z, Z_NEAR, 1e12)
         inside = (z >= Z_NEAR) & (z <= 1e12)
         g_z = -g * (cam_pts[..., :2] * focal) / (z_safe * z_safe)
         g_cam = np.concatenate(

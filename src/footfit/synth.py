@@ -233,6 +233,8 @@ def load_scene(scene_dir):
         raise losses.MissingObservation(f"{scene_dir}: missing scene.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if "n_views" not in meta:
+        raise cam_mod.SceneFormatError(f"{meta_path}: no key 'n_views'")
     cams = cam_mod.load_cameras(os.path.join(scene_dir, "cameras.json"))
     obs = [losses.load_observation(os.path.join(scene_dir, f"view_{i:03d}"))
            for i in range(meta["n_views"])]

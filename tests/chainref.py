@@ -94,3 +94,20 @@ def normal_fit_loss(rendered, observations, scored):
     per_view = ad.segment_sum(theta * kappa, np.repeat(np.arange(n), counts), n)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     return (per_view * weight).sum() * (1.0 / n)
+
+
+def register(u, R, s, t):
+    """``(u @ R^T) * s + t`` as the transpose, matmul, mul and add ops
+    that the registration node of :func:`footfit.footmodel.forward`
+    replaces."""
+    return (u @ ad.transpose(R)) * s + t
+
+
+def kp_fit_loss(projected, observations):
+    """v-gated mean of squared sigma-normalized reprojection errors, as the
+    chain of a difference, a quotient, a square and three weighted sums
+    that :func:`footfit.losses.kp_fit_loss` replaces.  ``projected`` is an
+    (N,K,2) Var; ``observations`` the stacked observation."""
+    k, sigma, v = observations.k, observations.sigma, observations.v
+    d = (projected - k) / sigma
+    return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)

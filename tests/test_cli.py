@@ -380,6 +380,25 @@ class TestFit:
         assert rc == 3
         assert capsys.readouterr().err.startswith("io error")
 
+    @pytest.mark.parametrize("damage", ["camera_key", "n_views"])
+    def test_bad_scene_metadata_exits_3(self, tmp_path, model_bin, scene_dir,
+                                        capsys, damage):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        name = "cameras.json" if damage == "camera_key" else "scene.json"
+        doc = json.loads((scene / name).read_text())
+        if damage == "camera_key":
+            del doc[0]["fx"]
+        else:
+            del doc["n_views"]
+        (scene / name).write_text(json.dumps(doc))
+        rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
+                       "--out", str(tmp_path / "f")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: {scene / name}: ")
+        assert ("'fx'" if damage == "camera_key" else "'n_views'") in err
+
     def test_auto_downsample_halves_large_scene(self, tmp_path, model_bin,
                                                 capsys):
         scene = tmp_path / "big"
@@ -497,6 +516,17 @@ class TestAlign:
         rc = cli.main(["align", "--source", str(p), "--target", str(p),
                        "--out", str(tmp_path / "al3")])
         assert rc == 2
+
+    @pytest.mark.parametrize("name,raw", [("bad.npy", b"not npy"), ("empty.npy", b""),
+                                          ("bad.xyz", b"a b c\n")])
+    def test_unreadable_cloud_exits_3(self, tmp_path, capsys, name, raw):
+        src, tgt, _ = make_align_pair(tmp_path)
+        bad = tmp_path / name
+        bad.write_bytes(raw)
+        rc = cli.main(["align", "--source", str(bad), "--target", tgt,
+                       "--out", str(tmp_path / "al4")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"io error: {bad}: ")
 
 
 class TestGradcheck:

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import chainref
 from footfit import autodiff as ad
 from footfit import footmodel as fm
 from footfit.geometry import euler_rotation
@@ -131,6 +132,26 @@ class TestForward:
         err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
         assert err < 1e-4
 
+    def test_constant_deformed_template_matches(self, asset, field):
+        # the stage-1 form: codes fixed, the field evaluated once outside
+        rows = asset.keypoint_ids
+        p = fm.FootParams(r=np.array([0.2, -0.1, 0.3]), t=np.array([0.01, 0.02, -0.01]),
+                          s=np.array([1.05, 0.97, 1.01]), z_s=np.full(8, 0.3),
+                          z_p=np.full(8, -0.2))
+        deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), p), rows).value
+        w = np.random.default_rng(2).standard_normal((len(rows), 3))
+        out = []
+        for held in (None, deformed):
+            tape = ad.Tape()
+            pv = fm.lift_params(tape, p, train=("r", "t", "s"))
+            verts = fm.forward(asset, field, pv, rows=rows, deformed=held)
+            grads = tape.backward((verts * w).sum())
+            out.append((verts.value, [grads[getattr(pv, n)] for n in ("r", "t", "s")]))
+        (v_field, g_field), (v_held, g_held) = out
+        assert np.array_equal(v_field, v_held)
+        for a, b in zip(g_field, g_held):
+            assert np.array_equal(a, b)
+
     def test_rejects_nonpositive_scale(self, asset, field):
         tape = ad.Tape()
         p = fm.FootParams.identity()
@@ -224,6 +245,40 @@ class TestEulerNode:
         w = np.random.default_rng(4).normal(size=(3, 3))
         assert ad.grad_check(lambda r: (fm._euler_var(r) * w).sum(),
                              [np.array([0.4, -0.7, 1.1])]) < 1e-6
+
+
+class TestRegistrationNode:
+    @pytest.mark.parametrize("u_grad", [True, False])
+    def test_equals_chain_bit_for_bit(self, u_grad):
+        rng = np.random.default_rng(6)
+        u0, w = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        r0, t0, s0 = rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)
+        out = []
+        for build in (fm._register_var, chainref.register):
+            tape = ad.Tape()
+            u = tape.leaf(u0, requires_grad=u_grad)
+            r, t, s = tape.leaf(r0), tape.leaf(t0), tape.leaf(s0)
+            before = len(tape)
+            verts = build(u, fm._euler_var(r), s, t)
+            nodes = len(tape) - before
+            grads = tape.backward((verts * w).sum())
+            out.append((nodes, verts.value,
+                        [grads[v] for v in ((u, r, t, s) if u_grad else (r, t, s))]))
+        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = out
+        assert n_node == 2 and n_chain == 5        # the rotation, then 1 or 4
+        assert np.array_equal(v_node, v_chain)
+        for a, b in zip(g_node, g_chain):
+            assert np.array_equal(a, b)
+
+    def test_gradient_matches_fd(self):
+        rng = np.random.default_rng(7)
+        u0, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        inputs = [u0, rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)]
+        for build in (fm._register_var, chainref.register):
+            def loss(u, r, t, s):
+                return (build(u, fm._euler_var(r), s, t) * w).sum()
+
+            assert ad.grad_check(loss, inputs) < 1e-6
 
 
 class TestModelFile:

@@ -236,6 +236,31 @@ class TestKeypointFitLoss:
         with pytest.raises(ValueError, match="sigma"):
             KeypointObservation.stack([obs[0], bad])
 
+    def test_one_node_matches_op_chain(self):
+        # stacked and list forms against the op chain the node replaces,
+        # scored with a weight so the incoming cotangent is not 1
+        rng = np.random.default_rng(29)
+        obs = [make_kp_obs(rng) for _ in range(3)]
+        obs[1].v[:] = 0.0
+        stacked = KeypointObservation.stack(obs)
+        preds = stacked.k + rng.normal(size=stacked.k.shape) * 0.1
+        results = []
+        for loss in (lambda p: kp_fit_loss(p, stacked),
+                     lambda p: kp_fit_loss([p[0], p[1], p[2]], obs),
+                     lambda p: chainref.kp_fit_loss(p, stacked)):
+            tape = ad.Tape()
+            proj = tape.leaf(preds)
+            before = len(tape)
+            out = loss(proj) * 0.37
+            results.append((len(tape) - before, out.value, tape.backward(out)[proj]))
+        (n_stacked, v_stacked, g_stacked), (_, v_list, g_list), (n_chain, v_chain, g_chain) = results
+        assert n_stacked == 3 and n_chain > 10     # loss node, weight, product
+        assert v_stacked == v_list == v_chain
+        assert np.array_equal(g_stacked, g_chain) and np.array_equal(g_list, g_chain)
+        assert np.all(g_chain[1] == 0.0) and g_chain[0].any()
+        for loss in (kp_fit_loss, chainref.kp_fit_loss):
+            assert ad.grad_check(lambda p: loss(p, stacked), [preds]) < 1e-6
+
     def test_count_mismatch_raises(self):
         rng = np.random.default_rng(18)
         obs = make_kp_obs(rng, K=5)

@@ -200,12 +200,12 @@ def bbox_rasterize(mesh, camera):
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
-    return frag
+    return rd.FragmentBuffer(face_buf, bary_buf, front)
 
 
 def assert_same_fragments(mesh, cam):
     got, ref = rasterize_mesh(mesh, cam), bbox_rasterize(mesh, cam)
-    for name in ("face", "bary", "front_faces"):
+    for name in ("face", "bary", "front_faces", "mask"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
     return got
 
@@ -255,6 +255,12 @@ class TestRasterize:
         hires = [cam_mod.sample_arc(arc, rng) for _ in range(3)]
         for cam in cams + hires:
             assert_same_fragments(mesh, cam).mask.sum() > 1000
+
+    def test_mask_is_computed_once(self, ac05_views):
+        mesh, cams = ac05_views
+        frag = rasterize_mesh(mesh, cams[0])
+        assert frag.mask is frag.mask
+        assert np.array_equal(frag.mask, frag.face >= 0) and frag.mask.any()
 
     def test_matches_bounding_box_reference_near_plane_and_soups(self):
         # a sphere pulled onto a camera's near plane: its near pole and
