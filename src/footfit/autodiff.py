@@ -11,8 +11,6 @@ Gradient conventions that callers rely on:
 
 * broadcasting follows numpy; cotangents are summed back down to the
   parent shape,
-* ``clamp`` passes gradient only where the input is inside the closed
-  interval,
 * ``acos_safe`` evaluates arccos exactly on [-1, 1] but zeroes the
   gradient where ``|x| > 1 - eps``, bounding the otherwise singular
   slope at the endpoints.
@@ -31,9 +29,8 @@ import numpy as np
 __all__ = [
     "Tape", "Var", "DomainError", "TapeMixError",
     "add", "sub", "mul", "div", "neg", "matmul",
-    "sqrt", "exp", "log", "sin", "cos", "tanh", "acos_safe",
-    "clamp", "sigmoid", "norm2",
-    "take", "segment_sum", "concat", "stack", "custom",
+    "exp", "log", "tanh", "acos_safe", "norm2",
+    "segment_sum", "concat", "stack", "custom",
     "grad_check", "logistic", "acos_safe_slope", "scatter_rows",
 ]
 
@@ -315,18 +312,6 @@ def matmul(a, b):
     return tape._record(av @ bv, (a._i, b._i), vjp, ga or gb)
 
 
-def sqrt(a):
-    av = a.value
-    if np.any(av < 0.0):
-        raise DomainError("sqrt of negative value")
-    out = np.sqrt(av)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
-
-    return a.tape._record(out, (a._i,), vjp, a.requires_grad)
-
-
 def exp(a):
     out = np.exp(a.value)
     return a.tape._record(out, (a._i,), lambda g: (g * out,), a.requires_grad)
@@ -337,16 +322,6 @@ def log(a):
     if np.any(av <= 0.0):
         raise DomainError("log of non-positive value")
     return a.tape._record(np.log(av), (a._i,), lambda g: (g / av,), a.requires_grad)
-
-
-def sin(a):
-    av = a.value
-    return a.tape._record(np.sin(av), (a._i,), lambda g: (g * np.cos(av),), a.requires_grad)
-
-
-def cos(a):
-    av = a.value
-    return a.tape._record(np.cos(av), (a._i,), lambda g: (-g * np.sin(av),), a.requires_grad)
 
 
 def tanh(a):
@@ -377,31 +352,11 @@ def acos_safe(a, eps=1e-7):
                           a.requires_grad)
 
 
-def clamp(a, lo, hi):
-    av = a.value
-    out = np.clip(av, lo, hi)
-    mask = (av >= lo) & (av <= hi)
-
-    def vjp(g):
-        return (g * mask,)
-
-    return a.tape._record(out, (a._i,), vjp, a.requires_grad)
-
-
 def logistic(x):
     """Numpy 1/(1 + exp(-x)) that never overflows: 1/(1 + e) for x >= 0
     and e/(1 + e) below, with e = exp(-|x|) <= 1."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a):
-    out = logistic(a.value)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return a.tape._record(out, (a._i,), vjp, a.requires_grad)
 
 
 def norm2(a, axis=None, keepdims=False):
@@ -416,18 +371,6 @@ def norm2(a, axis=None, keepdims=False):
         return (g * av / nk,)
 
     return a.tape._record(np.asarray(out), (a._i,), vjp, a.requires_grad)
-
-
-def take(a, idx):
-    """Rows ``a[idx]`` along axis 0 for an integer index array."""
-    idx = np.asarray(idx)
-    av = a.value
-    out = av[idx]
-
-    def vjp(g):
-        return (scatter_rows(g, idx, av.shape),)
-
-    return a.tape._record(out, (a._i,), vjp, a.requires_grad)
 
 
 def scatter_rows(g, idx, shape):
@@ -527,8 +470,8 @@ def grad_check(fn, inputs, h=1e-5):
 
     ``fn`` maps one Var per input array to a scalar Var.  The relative
     error per component is |analytic - fd| / max(1, |fd|).  Keep inputs
-    away from non-differentiable points (clamp boundaries, norm at
-    zero); the finite-difference stencil straddles them otherwise.
+    away from non-differentiable points (kinks, norm at zero); the
+    finite-difference stencil straddles them otherwise.
     """
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
 

@@ -139,16 +139,14 @@ def _rotation_to_z(n):
     return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
-def level_to_floor(geometry, floor: FloorFit):
+def level_to_floor(points, floor: FloorFit):
     """Rigid transform putting the floor at z=0 with normal +z.
 
     The plane normal is oriented so the majority of the off-floor
-    points (the subject) ends up above the floor.  Accepts a Mesh or an
-    (N,3) cloud; returns (transformed geometry, R, t) with x' = Rx + t.
+    points (the subject) ends up above the floor.  Takes an (N,3) cloud;
+    returns (moved cloud, R, t) with x' = Rx + t.
     """
-    mesh = geometry if isinstance(geometry, Mesh) else None
-    pts = mesh.vertices if mesh is not None else np.asarray(
-        geometry, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     n = floor.normal / np.linalg.norm(floor.normal)
     d = float(floor.d)
     outliers = pts[~floor.inliers] if len(floor.inliers) == len(pts) else pts
@@ -159,10 +157,7 @@ def level_to_floor(geometry, floor: FloorFit):
         n, d = -n, -d
     R = _rotation_to_z(n)
     t = np.array([0.0, 0.0, d])
-    moved = pts @ R.T + t
-    if mesh is not None:
-        return mesh.copy_with(moved), R, t
-    return moved, R, t
+    return pts @ R.T + t, R, t
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +217,14 @@ def _pooled_objective_and_grad(src, tgt, a_idx, b_idx, vec, pivot):
     return obj, np.array([g_theta, g_tx, g_ty, g_s])
 
 
+def _associate(vec, src, tgt, pivot):
+    """Nearest neighbours both ways under the align params ``vec``: (index,
+    distance) into ``tgt`` of each moved source point, and into the moved
+    source of each target point."""
+    moved = AlignParams(*vec).apply(src, pivot)
+    return nearest_neighbors(moved, tgt), nearest_neighbors(tgt, moved)
+
+
 def _optimize(src, tgt, init_vec, pivot, lr, steps, reassoc_every):
     vec = init_vec.copy()
     state = fitting.AdamState.for_params({"p": vec})
@@ -230,18 +233,14 @@ def _optimize(src, tgt, init_vec, pivot, lr, steps, reassoc_every):
     a_idx = b_idx = None
     for step in range(steps):
         if step % reassoc_every == 0:
-            moved = AlignParams(*vec).apply(src, pivot)
-            a_idx, _ = nearest_neighbors(moved, tgt)
-            b_idx, _ = nearest_neighbors(tgt, moved)
+            (a_idx, _), (b_idx, _) = _associate(vec, src, tgt, pivot)
         obj, grad = _pooled_objective_and_grad(src, tgt, a_idx, b_idx, vec,
                                                pivot)
         if obj < best_obj:
             best_obj, best_vec = obj, vec.copy()
         trace.append(best_obj)
         vec = fitting.adam_step(state, {"p": vec}, {"p": grad}, lr)["p"]
-    moved = AlignParams(*vec).apply(src, pivot)
-    a_idx, da = nearest_neighbors(moved, tgt)
-    b_idx, db = nearest_neighbors(tgt, moved)
+    (_, da), (_, db) = _associate(vec, src, tgt, pivot)
     obj = float(np.concatenate([da, db]).mean())
     if obj < best_obj:
         best_obj, best_vec = obj, vec.copy()
@@ -249,30 +248,27 @@ def _optimize(src, tgt, init_vec, pivot, lr, steps, reassoc_every):
     return best_vec, best_obj, np.array(trace)
 
 
-def align_4param(source, target, init: AlignParams | None = None, lr=0.01,
-                 steps=500, reassoc_every=25, outlier_factor=3.0) -> AlignResult:
+def align_4param(source, target, lr=0.01, steps=500, reassoc_every=25,
+                 outlier_factor=3.0) -> AlignResult:
     """Chamfer alignment of source onto target over (theta_z, tx, ty, s).
 
-    Adam with periodic re-association, then one outlier-rejection round:
-    points whose nearest neighbor sits beyond ``outlier_factor`` times
-    the median distance are dropped on both sides and the optimization
-    repeats from the first-round answer.  The reported trace (best
-    objective so far, hence non-increasing) covers the final round.
+    Adam from the identity with periodic re-association, then one
+    outlier-rejection round: points whose nearest neighbor sits beyond
+    ``outlier_factor`` times the median distance are dropped on both
+    sides and the optimization repeats from the first-round answer.  The
+    reported trace (best objective so far, hence non-increasing) covers
+    the final round.
     """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
     for name, cloud in (("source", src), ("target", tgt)):
         if cloud.ndim != 2 or cloud.shape[1] != 3 or len(cloud) < 10:
             raise ValueError(f"degenerate {name} cloud: need at least 10 points")
-    init = (init or AlignParams()).validate()
     pivot = src.mean(axis=0)
-    vec0 = np.array([init.theta_z, init.tx, init.ty, init.s])
+    vec1, _, trace = _optimize(src, tgt, np.array([0.0, 0.0, 0.0, 1.0]), pivot,
+                               lr, steps, reassoc_every)
 
-    vec1, _, trace = _optimize(src, tgt, vec0, pivot, lr, steps, reassoc_every)
-
-    moved = AlignParams(*vec1).apply(src, pivot)
-    _, da = nearest_neighbors(moved, tgt)
-    _, db = nearest_neighbors(tgt, moved)
+    (_, da), (_, db) = _associate(vec1, src, tgt, pivot)
     keep_s = da <= outlier_factor * np.median(da)
     keep_t = db <= outlier_factor * np.median(db)
     if (~keep_s).any() or (~keep_t).any():
@@ -281,9 +277,7 @@ def align_4param(source, target, init: AlignParams | None = None, lr=0.01,
                                        lr, steps, reassoc_every)
 
     params = AlignParams(*[float(x) for x in vec1]).validate()
-    moved = params.apply(src[keep_s], pivot)
-    _, da = nearest_neighbors(moved, tgt[keep_t])
-    _, db = nearest_neighbors(tgt[keep_t], moved)
+    (_, da), (_, db) = _associate(vec1, src[keep_s], tgt[keep_t], pivot)
     objective = float(np.concatenate([da, db]).mean())
     return AlignResult(params, trace, pivot, objective,
                        int(keep_s.sum()), int(keep_t.sum()))

@@ -7,14 +7,15 @@ normal-map terms.  Each stage returns the fitted parameters and a
 :class:`FitTrace` of per-epoch losses.  Both stages run full-batch Adam
 with a fixed epoch count; each epoch builds one tape, registers the
 deformed template once and projects into all views in one tape node.
-Stage 1 evaluates and projects only the keypoint rows, the only rows its
-loss reads, and since its codes are fixed it evaluates the deformation
-field on them once per stage, not on each epoch's tape.  Stage 2
-evaluates the field over the whole mesh every epoch, rasterizes its
-projection into each view in numpy, and scores the pixels of all views
-at once: the normal term over every view's covered target pixels, the
-silhouette term over every view's contour band, each a mean over views
-of per-view means.
+Stage 1 always frees r, t and s only, so its deformed template is a
+constant: it runs the deformation field once per stage, off the epoch
+tapes and only on the keypoint rows, the only rows its loss reads, and
+each epoch registers and projects those rows.  Stage 2 evaluates the
+field over the whole mesh every epoch, rasterizes its projection into
+each view in numpy, and scores the pixels of all views at once: the
+normal term over every view's covered target pixels, the silhouette term
+over every view's contour band, each a mean over views of per-view
+means.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _params_of(values):
 
 
 def _run_stage(asset, field, observations, cameras, config, params, epochs,
-               free, with_render):
+               with_render):
     if len(observations) != len(cameras):
         raise ValueError("one observation bundle per camera required")
     kp_obs = losses.KeypointObservation.stack([o.keypoints for o in observations])
@@ -137,6 +138,7 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     if visible < 2:
         raise ValueError(
             f"under-constrained fit: {visible} visible keypoints in total")
+    free = PARAM_ORDER if with_render else STAGE1_FREE
     values = _values_of(params)
     state = AdamState.for_params({n: values[n] for n in free})
     faces = asset.mesh.faces
@@ -146,22 +148,20 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         sil_targets = [losses.silhouette_from_uncertainty(
             o.normals.kappa, config.sil_threshold_deg) for o in observations]
 
-    # the keypoint loss reads only the keypoint rows, so without rendering
-    # only those rows are evaluated and projected
-    rows = None if with_render else asset.keypoint_ids
-    kp_ids = asset.keypoint_ids if with_render else np.arange(len(rows))
-    # with both codes fixed the deformed template is the same in every
-    # epoch: evaluate the field once, off the epoch tapes
-    deformed = None
-    if "z_s" not in free and "z_p" not in free:
+    # stage 1 holds the codes fixed and its loss reads only the keypoint
+    # rows, so their deformed template is the same in every epoch: evaluate
+    # the field on those rows once, off the epoch tapes
+    kp_ids, deformed = asset.keypoint_ids, None
+    if not with_render:
         deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), params),
-                             rows).value
+                             kp_ids).value
+        kp_ids = np.arange(len(kp_ids))
 
     trace = FitTrace()
     for epoch in range(epochs):
         tape = ad.Tape()
         pv = fm.lift_params(tape, _params_of(values), train=free)
-        verts = fm.forward(asset, field, pv, rows=rows, deformed=deformed)
+        verts = fm.forward(asset, field, pv, deformed=deformed)
         if with_render:
             n_world = renderer.vertex_normals_var(verts, faces)
         proj = renderer.project_vertices_var(verts, cameras)
@@ -193,17 +193,16 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     return _params_of(values).validate(), trace
 
 
-def fit_stage1(model, observations, cameras, config=None,
-               init: fm.FootParams | None = None):
-    """Keypoint-only registration from the identity initialization.  The
-    deformed template's keypoint rows are evaluated once; each epoch
-    registers and projects only those rows."""
+def fit_stage1(model, observations, cameras, config=None):
+    """Keypoint-only registration from the identity initialization.  Only
+    r, t and s are free, so the deformed template is a constant: the field
+    runs once, over the keypoint rows, and each epoch registers and
+    projects only those rows."""
     asset, field = model
     config = (config or FitConfig()).validate()
-    if init is None:
-        init = fm.FootParams.identity(field.d_s, field.d_p)
-    return _run_stage(asset, field, observations, cameras, config, init,
-                      config.stage1_epochs, STAGE1_FREE, with_render=False)
+    return _run_stage(asset, field, observations, cameras, config,
+                      fm.FootParams.identity(field.d_s, field.d_p),
+                      config.stage1_epochs, with_render=False)
 
 
 def fit_stage2(model, observations, cameras, params, config=None):
@@ -212,4 +211,4 @@ def fit_stage2(model, observations, cameras, params, config=None):
     asset, field = model
     config = (config or FitConfig()).validate()
     return _run_stage(asset, field, observations, cameras, config, params,
-                      config.stage2_epochs, PARAM_ORDER, with_render=True)
+                      config.stage2_epochs, with_render=True)

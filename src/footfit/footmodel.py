@@ -389,17 +389,17 @@ def _register_var(u, R, s, t):
 
 
 def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
-            rows=None, deformed=None) -> ad.Var:
+            deformed=None) -> ad.Var:
     """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces.
 
-    ``rows`` evaluates only those template vertices; the field and the
-    registration act point by point, so this equals the full ``[rows]``.
-    ``deformed`` is :func:`deform`'s value at ``rows``, held by a caller
-    whose codes stay constant; the field is then not evaluated.
+    ``deformed`` is a value of :func:`deform`, held by a caller whose codes
+    stay constant: the field is then not evaluated, and the output has the
+    rows of ``deformed``.  The field and the registration act point by
+    point, so ``deform(..., rows)`` there gives the full output's ``[rows]``.
     """
     if not np.all(pv.s.value > 0):
         raise ValueError("scale components must be positive")
-    u = (deform(asset, field, pv, rows) if deformed is None
+    u = (deform(asset, field, pv) if deformed is None
          else pv.r.tape.const(deformed))
     return _register_var(u, _euler_var(pv.r), pv.s, pv.t)
 

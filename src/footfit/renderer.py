@@ -43,8 +43,8 @@ from .camera import Z_NEAR
 from .geometry import Mesh
 
 __all__ = [
-    "FragmentBuffer", "rasterize", "render_normals", "render_normals_var",
-    "render_silhouette_soft_var", "project_keypoints_var",
+    "FragmentBuffer", "rasterize", "rasterize_views", "render_normals",
+    "render_normals_var", "render_silhouette_soft_var", "project_keypoints_var",
     "project_vertices_var", "vertex_normals_var", "pixel_heights",
     "cutoff_fraction", "ContourTopology",
 ]
@@ -153,6 +153,13 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
     return FragmentBuffer(face_buf, bary_buf, front)
+
+
+def rasterize_views(mesh: Mesh, cameras):
+    """One :func:`rasterize` of ``mesh`` per camera of ``cameras``."""
+    pix, cam_pts = cam_mod.project(cameras, mesh.vertices)
+    return [rasterize(mesh.faces, pix[v], cam_pts[v, :, 2], cam)
+            for v, cam in enumerate(cameras)]
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,7 @@ def generate_scene(spec: SceneSpec, model, out_dir):
         rng = np.random.default_rng(spec.seed ^ view)
         for _ in range(100):
             cam = cam_mod.sample_arc(spec.arc, rng)
-            pix, cam_pts = cam_mod.project([cam], gt_mesh.vertices)
-            frag = renderer.rasterize(gt_mesh.faces, pix[0], cam_pts[0, :, 2], cam)
+            frag = renderer.rasterize_views(gt_mesh, [cam])[0]
             if renderer.cutoff_fraction(gt_mesh, spec.cutoff, frag) <= CUTOFF_COVER_MAX:
                 break
         else:
@@ -235,15 +234,21 @@ def load_scene(scene_dir):
         meta = json.load(fh)
     if "n_views" not in meta:
         raise cam_mod.SceneFormatError(f"{meta_path}: no key 'n_views'")
-    cams = cam_mod.load_cameras(os.path.join(scene_dir, "cameras.json"))
+    cam_path = os.path.join(scene_dir, "cameras.json")
+    cams = cam_mod.load_cameras(cam_path)
+    if len(cams) != meta["n_views"]:
+        raise cam_mod.SceneFormatError(
+            f"{cam_path}: {len(cams)} cameras for {meta['n_views']} views")
     obs = [losses.load_observation(os.path.join(scene_dir, f"view_{i:03d}"))
            for i in range(meta["n_views"])]
     return meta, cams, obs
 
 
 def scene_gt_params(meta) -> fm.FootParams:
-    p = meta["params"]
-    return fm.FootParams(np.asarray(p["r"]), np.asarray(p["t"]),
-                         np.asarray(p["s"]), np.asarray(p["z_s"]),
-                         np.asarray(p["z_p"]))
+    """Ground-truth parameters of a loaded ``scene.json``."""
+    try:
+        p = meta["params"]
+        return fm.FootParams(*(np.asarray(p[k]) for k in ("r", "t", "s", "z_s", "z_p")))
+    except KeyError as exc:
+        raise cam_mod.SceneFormatError(f"scene.json: no ground-truth key {exc}") from exc
 

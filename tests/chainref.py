@@ -5,19 +5,21 @@ one fused node of the package computes in a single step.  The tests
 compare the fused nodes against them, values and gradients.
 :func:`rasterize_mesh` and :func:`project_keypoints` are the numpy
 rasterization and keypoint labels of a mesh that the tests share.
+The element-wise ops (:func:`sqrt`, :func:`sin`, :func:`cos`,
+:func:`clamp`, :func:`sigmoid`) and the row gather :func:`take` are tape
+ops that only these references use; each is one
+:func:`footfit.autodiff.custom` node.
 """
 
 import numpy as np
 
 from footfit import autodiff as ad
-from footfit import camera as cam_mod
 from footfit import renderer
 
 
 def rasterize_mesh(mesh, camera):
-    """``mesh`` rasterized into ``camera`` from :func:`footfit.camera.project`."""
-    pix, cam_pts = cam_mod.project([camera], mesh.vertices)
-    return renderer.rasterize(mesh.faces, pix[0], cam_pts[0, :, 2], camera)
+    """``mesh`` rasterized into ``camera``."""
+    return renderer.rasterize_views(mesh, [camera])[0]
 
 
 def project_keypoints(verts, kp_ids, cameras):
@@ -26,6 +28,44 @@ def project_keypoints(verts, kp_ids, cameras):
     proj = renderer.project_vertices_var(ad.Tape().const(verts), cameras)
     kp, vis = renderer.project_keypoints_var(proj, kp_ids, cameras)
     return kp.value, vis
+
+
+def sqrt(a):
+    av = a.value
+    if np.any(av < 0.0):
+        raise ad.DomainError("sqrt of negative value")
+    out = np.sqrt(av)
+    return ad.custom((a,), out, lambda g: (g * 0.5 / out,))
+
+
+def sin(a):
+    av = a.value
+    return ad.custom((a,), np.sin(av), lambda g: (g * np.cos(av),))
+
+
+def cos(a):
+    av = a.value
+    return ad.custom((a,), np.cos(av), lambda g: (-g * np.sin(av),))
+
+
+def clamp(a, lo, hi):
+    """``np.clip``; gradient passes only where the input is inside the
+    closed interval [lo, hi]."""
+    av = a.value
+    mask = (av >= lo) & (av <= hi)
+    return ad.custom((a,), np.clip(av, lo, hi), lambda g: (g * mask,))
+
+
+def sigmoid(a):
+    out = ad.logistic(a.value)
+    return ad.custom((a,), out, lambda g: (g * out * (1.0 - out),))
+
+
+def take(a, idx):
+    """Rows ``a[idx]`` along axis 0 for an integer index array."""
+    idx = np.asarray(idx)
+    shape = a.shape
+    return ad.custom((a,), a.value[idx], lambda g: (ad.scatter_rows(g, idx, shape),))
 
 
 def scatter_into(base, idx, values):
@@ -44,9 +84,9 @@ def vertex_normals_var(verts, faces):
     """Area-weighted unit vertex normals (world frame), as the chain of
     takes, column products, a segment sum and a norm that
     :func:`footfit.renderer.vertex_normals_var` replaces."""
-    a = ad.take(verts, faces[:, 0])
-    b = ad.take(verts, faces[:, 1])
-    c = ad.take(verts, faces[:, 2])
+    a = take(verts, faces[:, 0])
+    b = take(verts, faces[:, 1])
+    c = take(verts, faces[:, 2])
     e1 = b - a
     e2 = c - a
     cx = e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1]
@@ -75,9 +115,9 @@ def render_normals_var(n_world, faces, cameras, frags, scored):
         return (sum(g[v] @ rots[v] for v in reversed(range(len(rots)))),)
 
     n_cam = ad.custom((n_world,), np.concatenate([n_world.value @ R.T for R in rots]), vjp)
-    n0 = ad.take(n_cam, corners[:, 0])
-    n1 = ad.take(n_cam, corners[:, 1])
-    n2 = ad.take(n_cam, corners[:, 2])
+    n0 = take(n_cam, corners[:, 0])
+    n1 = take(n_cam, corners[:, 1])
+    n2 = take(n_cam, corners[:, 2])
     n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
     return n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
 

@@ -1,11 +1,13 @@
-"""Tests of the op-by-op references' own tape op, ``scatter_into``."""
+"""Tests of ``scatter_into``, the op-by-op references' image scatter.
+The other tape ops of ``chainref`` are tested beside the autodiff ops in
+``test_autodiff.py``."""
 
 import gc
 import weakref
 
 import numpy as np
 
-from chainref import scatter_into
+from chainref import scatter_into, sigmoid
 from footfit import autodiff as ad
 
 
@@ -18,7 +20,7 @@ class TestScatterInto:
         weights = rng.normal(size=(3, 3))
 
         def f(v):
-            img = scatter_into(base, idx, ad.sigmoid(v))
+            img = scatter_into(base, idx, sigmoid(v))
             return (img * v.tape.const(weights)).sum()
 
         assert ad.grad_check(f, [vals], h=1e-5) < 1e-6

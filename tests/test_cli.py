@@ -21,6 +21,18 @@ def run(capsys, *argv):
     return rc, out
 
 
+def run_with_blas_threads(threads, *argv):
+    """``footfit ARGV`` in its own process, since BLAS reads its thread
+    count once at load; two threads at most to fit a two-core host."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "footfit.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("model")
@@ -234,22 +246,12 @@ class TestFit:
 
     def test_byte_identical_across_blas_threads(self, tmp_path, model_bin,
                                                 scene_dir):
-        # each fit in its own process, since BLAS reads its thread count
-        # once at load; two threads at most to fit a two-core host
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            env = dict(os.environ, PYTHONPATH=path,
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "footfit.cli", "fit",
-                 "--scene", str(scene_dir), "--model", model_bin,
-                 "--out", str(out), "--stage1-epochs", "40",
-                 "--stage2-epochs", "10"],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            run_with_blas_threads(threads, "fit", "--scene", str(scene_dir),
+                                  "--model", model_bin, "--out", str(out),
+                                  "--stage1-epochs", "40", "--stage2-epochs", "10")
             outs.append(out)
         for f in ("fitted.obj", "params.json", "trace.csv"):
             assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)
@@ -380,24 +382,27 @@ class TestFit:
         assert rc == 3
         assert capsys.readouterr().err.startswith("io error")
 
-    @pytest.mark.parametrize("damage", ["camera_key", "n_views"])
+    @pytest.mark.parametrize("damage", ["camera_key", "n_views", "camera_count"])
     def test_bad_scene_metadata_exits_3(self, tmp_path, model_bin, scene_dir,
                                         capsys, damage):
         scene = tmp_path / "scene"
         shutil.copytree(scene_dir, scene)
-        name = "cameras.json" if damage == "camera_key" else "scene.json"
+        name = "scene.json" if damage == "n_views" else "cameras.json"
         doc = json.loads((scene / name).read_text())
         if damage == "camera_key":
             del doc[0]["fx"]
-        else:
+        elif damage == "n_views":
             del doc["n_views"]
+        else:
+            del doc[1:]     # one camera for the scene's three views
         (scene / name).write_text(json.dumps(doc))
         rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
                        "--out", str(tmp_path / "f")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(f"io error: {scene / name}: ")
-        assert ("'fx'" if damage == "camera_key" else "'n_views'") in err
+        assert {"camera_key": "'fx'", "n_views": "'n_views'",
+                "camera_count": "1 cameras for 3 views"}[damage] in err
 
     def test_auto_downsample_halves_large_scene(self, tmp_path, model_bin,
                                                 capsys):
@@ -464,6 +469,23 @@ class TestEval3d:
         rc = cli.main(["eval3d", "--fitted", str(fit_dir / "fitted.obj"),
                        "--out", str(tmp_path / "e3x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval3d", "eval-normals"])
+    @pytest.mark.parametrize("key", ["params", "z_s"])
+    def test_scene_without_gt_params_exits_3(self, tmp_path, model_bin, scene_dir,
+                                             fit_dir, capsys, command, key):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        doc = json.loads((scene / "scene.json").read_text())
+        del (doc if key == "params" else doc["params"])[key]
+        (scene / "scene.json").write_text(json.dumps(doc))
+        args = {"eval3d": ["--fitted", str(fit_dir / "fitted.obj")],
+                "eval-normals": []}[command]
+        rc = cli.main([command, *args, "--scene", str(scene), "--model", model_bin,
+                       "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            f"io error: scene.json: no ground-truth key '{key}'")
 
 
 def make_align_pair(tmp_path, theta=0.3, tx=0.02, ty=-0.01, s=1.05):
@@ -549,6 +571,13 @@ class TestGradcheck:
         rc = cli.main(["gradcheck", "--out", str(tmp_path / "gc2"),
                        "--configs", "1", "--tol", "1e-14"])
         assert rc == 4
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        for threads in ("1", "2"):
+            run_with_blas_threads(threads, "gradcheck", "--out", str(tmp_path / threads),
+                                  "--configs", "1")
+        assert filecmp.cmp(tmp_path / "1" / "gradcheck.json",
+                           tmp_path / "2" / "gradcheck.json", shallow=False)
 
 
 class TestBenchmarkTracer:

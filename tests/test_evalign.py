@@ -216,17 +216,6 @@ class TestLevelToFloor:
         assert np.abs(t2).max() < 1e-9
         assert np.abs(again - leveled).max() < 1e-9
 
-    def test_mesh_input(self, template):
-        mesh = template.mesh
-        rng = np.random.default_rng(13)
-        cloud = make_floor_cloud(rng, z=0.02)
-        floor = evalign.fit_floor(cloud, seed=0)
-        out, R, t = evalign.level_to_floor(mesh, floor)
-        assert out is not mesh
-        np.testing.assert_array_equal(out.vertices,
-                                      mesh.vertices @ R.T + t)
-        np.testing.assert_array_equal(out.faces, mesh.faces)
-
 
 def blob_cloud(rng, n=800):
     return rng.normal(size=(n, 3)) * [0.08, 0.03, 0.02]

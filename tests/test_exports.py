@@ -12,12 +12,6 @@ SRC = pathlib.Path(footfit.__file__).parent
 
 # Exported names with no use in src/, each kept for the reason given.
 UNUSED_IN_SRC = {
-    "autodiff.sqrt": "the op-by-op silhouette chain reference in tests/test_renderer.py",
-    "autodiff.sin": "the op-by-op Euler rotation reference in tests/test_footmodel.py",
-    "autodiff.cos": "the op-by-op Euler rotation reference in tests/test_footmodel.py",
-    "autodiff.clamp": "the op-by-op projection and silhouette chain references",
-    "autodiff.sigmoid": "the op-by-op edge-sigmoid chain reference",
-    "autodiff.take": "the op-by-op normal chains of tests/chainref.py",
     "geometry.euler_rotation": "AC-04's rotation error and the numpy reference rotation",
     "geometry.save_ply": "writer of the PLY clouds that align reads",
     "images.load_ppm": "reader of the PPM images that synth writes",

@@ -189,10 +189,10 @@ class TestStage1:
         assert calls == [(len(cams), len(model[0].keypoint_ids), 2)]
 
 
-def _stage1_full_mesh(model, observations, cameras, config, free):
-    """Reference stage 1 on the groups ``free``: the model forward over
-    every template vertex, then the keypoint rows read out of each view's
-    full projection."""
+def _stage1_full_mesh(model, observations, cameras, config):
+    """Reference stage 1: the model forward over every template vertex,
+    then the keypoint rows read out of each view's full projection."""
+    free = fitting.STAGE1_FREE
     asset, field = model
     values = fitting._values_of(fm.FootParams.identity(field.d_s, field.d_p))
     state = fitting.AdamState.for_params({n: values[n] for n in free})
@@ -215,20 +215,13 @@ def _stage1_full_mesh(model, observations, cameras, config, free):
 
 
 class TestStage1KeypointRows:
-    @pytest.mark.parametrize("free", [fitting.STAGE1_FREE,
-                                      ("r", "t", "s", "z_s")])
-    def test_matches_full_mesh_reference(self, model, stage1_setup, free):
+    def test_matches_full_mesh_reference(self, model, stage1_setup):
         _, cams, obs = stage1_setup
-        asset, field = model
         config = fitting.FitConfig(stage1_epochs=50)
-        fitted, trace = fitting._run_stage(
-            asset, field, obs, cams, config, fm.FootParams.identity(field.d_s, field.d_p),
-            config.stage1_epochs, free, with_render=False)
-        ref, ref_rows = _stage1_full_mesh(model, obs, cams, config, free)
+        fitted, trace = fitting.fit_stage1(model, obs, cams, config)
+        ref, ref_rows = _stage1_full_mesh(model, obs, cams, config)
         for name in fitting.PARAM_ORDER:
             assert np.abs(getattr(fitted, name) - getattr(ref, name)).max() < 1e-12, name
-        if "z_s" in free:
-            assert not np.array_equal(fitted.z_s, np.zeros_like(fitted.z_s))
         got, want = np.array(trace.rows), np.array(ref_rows)
         assert got.shape == want.shape == (50, 5)
         scale = np.maximum(np.abs(want), np.finfo(float).tiny)
@@ -412,9 +405,9 @@ def _image_normals(n_world, faces, cam, frag):
         return tape.const(np.zeros((H, W, 3)))
     fsel = frag.face.reshape(-1)[flat]
     bary = frag.bary.reshape(-1, 3)[flat]
-    n0 = ad.take(n_cam, faces[fsel, 0])
-    n1 = ad.take(n_cam, faces[fsel, 1])
-    n2 = ad.take(n_cam, faces[fsel, 2])
+    n0 = chainref.take(n_cam, faces[fsel, 0])
+    n1 = chainref.take(n_cam, faces[fsel, 1])
+    n2 = chainref.take(n_cam, faces[fsel, 2])
     n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
     n_pix = n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
     idx = flat[:, None] * 3 + np.arange(3)[None, :]
@@ -426,7 +419,7 @@ def _image_normal_loss(n_map, obs, mask):
     if flat.size == 0:
         return n_map.tape.const(0.0)
     H, W = mask.shape
-    n_sel = ad.take(n_map.reshape((H * W, 3)), flat)
+    n_sel = chainref.take(n_map.reshape((H * W, 3)), flat)
     dot = (n_sel * obs.mu.reshape(-1, 3)[flat]).sum(axis=1)
     return (ad.acos_safe(dot) * obs.kappa.reshape(-1)[flat]).sum() * (1.0 / flat.size)
 

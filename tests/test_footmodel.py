@@ -119,7 +119,8 @@ class TestForward:
         tape = ad.Tape()
         pv = fm.lift_params(tape, p)
         full = fm.forward(asset, field, pv).value
-        part = fm.forward(asset, field, pv, rows=rows).value
+        part = fm.forward(asset, field, pv,
+                          deformed=fm.deform(asset, field, pv, rows).value).value
         assert part.shape == (len(rows), 3)
         assert np.abs(part - full[rows]).max() < 1e-13
 
@@ -127,7 +128,7 @@ class TestForward:
 
         def loss(r, t, s, z_s, z_p):
             pv = fm.ParamVars(r, t, s, z_s, z_p)
-            return (fm.forward(asset, field, pv, rows=rows) * w).sum()
+            return (fm.deform(asset, field, pv, rows) * w).sum()
 
         err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
         assert err < 1e-4
@@ -141,10 +142,14 @@ class TestForward:
         deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), p), rows).value
         w = np.random.default_rng(2).standard_normal((len(rows), 3))
         out = []
-        for held in (None, deformed):
+        for held in (False, True):
             tape = ad.Tape()
             pv = fm.lift_params(tape, p, train=("r", "t", "s"))
-            verts = fm.forward(asset, field, pv, rows=rows, deformed=held)
+            if held:
+                verts = fm.forward(asset, field, pv, deformed=deformed)
+            else:
+                verts = fm._register_var(fm.deform(asset, field, pv, rows),
+                                         fm._euler_var(pv.r), pv.s, pv.t)
             grads = tape.backward((verts * w).sum())
             out.append((verts.value, [grads[getattr(pv, n)] for n in ("r", "t", "s")]))
         (v_field, g_field), (v_held, g_held) = out
@@ -204,9 +209,9 @@ def chain_euler(r):
     tape = r.tape
     one = tape.const(1.0)
     zero = tape.const(0.0)
-    cx, sx = ad.cos(r[0]), ad.sin(r[0])
-    cy, sy = ad.cos(r[1]), ad.sin(r[1])
-    cz, sz = ad.cos(r[2]), ad.sin(r[2])
+    cx, sx = chainref.cos(r[0]), chainref.sin(r[0])
+    cy, sy = chainref.cos(r[1]), chainref.sin(r[1])
+    cz, sz = chainref.cos(r[2]), chainref.sin(r[2])
     Rx = ad.stack([ad.stack([one, zero, zero]),
                    ad.stack([zero, cx, -sx]),
                    ad.stack([zero, sx, cx])])

@@ -510,7 +510,7 @@ def chain_project(verts, cam):
     as a Var, like one view of ``project_vertices_var``."""
     tape = verts.tape
     cam_pts = verts @ tape.const(cam.R.T) + tape.const(cam.t)
-    z_safe = ad.clamp(cam_pts[:, 2:3], cam_mod.Z_NEAR, 1e12)
+    z_safe = chainref.clamp(cam_pts[:, 2:3], cam_mod.Z_NEAR, 1e12)
     px = cam_pts[:, 0:1] * cam.fx / z_safe + cam.cx
     py = cam_pts[:, 1:2] * cam.fy / z_safe + cam.cy
     return ad.concat([px, py], axis=1)
@@ -566,17 +566,18 @@ def chain_silhouette(verts, faces, cam, sharpness, frag, topo):
     ii, jj = np.divmod(flat, W)
     pc = np.stack([jj + 0.5, ii + 0.5], axis=1)
     nearest = dense_nearest(pc, pix[contour[:, 0]], pix[contour[:, 1]])
-    va = ad.take(pix_var, contour[nearest, 0])
-    vb = ad.take(pix_var, contour[nearest, 1])
+    va = chainref.take(pix_var, contour[nearest, 0])
+    vb = chainref.take(pix_var, contour[nearest, 1])
     pa = tape.const(pc) - va
     ab_v = vb - va
-    tt = ad.clamp((pa * ab_v).sum(axis=1, keepdims=True)
-                  / ad.clamp((ab_v * ab_v).sum(axis=1, keepdims=True), 1e-30, 1e30),
-                  0.0, 1.0)
+    tt = chainref.clamp((pa * ab_v).sum(axis=1, keepdims=True)
+                        / chainref.clamp((ab_v * ab_v).sum(axis=1, keepdims=True),
+                                         1e-30, 1e30),
+                        0.0, 1.0)
     res = pa - tt * ab_v
-    dist = ad.sqrt(ad.clamp((res * res).sum(axis=1), 1e-24, 1e60))
+    dist = chainref.sqrt(chainref.clamp((res * res).sum(axis=1), 1e-24, 1e60))
     sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
-    vals = ad.sigmoid(dist * (sign * sharpness))
+    vals = chainref.sigmoid(dist * (sign * sharpness))
     img = scatter_into(mask.astype(np.float64).reshape(-1), flat, vals)
     return img.reshape((H, W)), frag
 
