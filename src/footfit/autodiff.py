@@ -12,7 +12,7 @@ Gradient conventions that callers rely on:
 * broadcasting follows numpy; cotangents are summed back down to the
   parent shape,
 * ``acos_safe`` evaluates arccos exactly on [-1, 1] but zeroes the
-  gradient where ``|x| > 1 - eps``, bounding the otherwise singular
+  gradient where ``|x| > 1 - ACOS_EPS``, bounding the otherwise singular
   slope at the endpoints.
 
 A VJP returns one cotangent per parent, or ``None`` for a parent that
@@ -33,6 +33,8 @@ __all__ = [
     "segment_sum", "concat", "stack", "custom",
     "grad_check", "logistic", "acos_safe_slope", "scatter_rows",
 ]
+
+ACOS_EPS = 1e-7    # acos_safe's gradient is zero where |x| > 1 - ACOS_EPS
 
 
 class DomainError(ValueError):
@@ -329,26 +331,26 @@ def tanh(a):
     return a.tape._record(out, (a._i,), lambda g: (g * (1.0 - out * out),), a.requires_grad)
 
 
-def acos_safe_slope(x, eps=1e-7):
+def acos_safe_slope(x):
     """Numpy slope of :func:`acos_safe` at ``x``: -1/sqrt(1 - x^2) where
-    |x| <= 1 - eps, exactly zero beyond."""
+    |x| <= 1 - ACOS_EPS, exactly zero beyond."""
     der = np.zeros_like(x)
-    inside = np.abs(x) <= 1.0 - eps
+    inside = np.abs(x) <= 1.0 - ACOS_EPS
     xi = x[inside]
     der[inside] = -1.0 / np.sqrt(1.0 - xi * xi)
     return der
 
 
-def acos_safe(a, eps=1e-7):
+def acos_safe(a):
     """arccos with exact values on [-1, 1] and a bounded gradient.
 
-    The derivative is the true -1/sqrt(1 - x^2) where |x| <= 1 - eps and
+    The derivative is the true -1/sqrt(1 - x^2) where |x| <= 1 - ACOS_EPS and
     exactly zero beyond, so perfectly aligned unit vectors neither blow
     up nor receive a push.
     """
     av = a.value
     out = np.arccos(np.clip(av, -1.0, 1.0))
-    return a.tape._record(out, (a._i,), lambda g: (g * acos_safe_slope(av, eps),),
+    return a.tape._record(out, (a._i,), lambda g: (g * acos_safe_slope(av),),
                           a.requires_grad)
 
 

@@ -104,8 +104,10 @@ def resolve_config(command, flag_values, config_path=None):
             merged[key] = value
     merged.update(flag_values)
     for key, default in defaults.items():
-        if isinstance(default, float) and isinstance(merged[key], int):
+        if isinstance(default, float) and type(merged[key]) is int:
             merged[key] = float(merged[key])
+        if default is not None and type(merged[key]) is not type(default):
+            raise ConfigError(f"{key} must be of type {type(default).__name__}")
     for key in REQUIRED[command]:
         if merged[key] is None:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
@@ -234,19 +236,13 @@ def cmd_fit(cfg):
     _echo(cfg, "fit", cfg["out"])
     _progress(f"fitting {m} views at 1/{factor} scale")
     start = time.perf_counter()
-    try:
-        params1, trace1 = fitting.fit_stage1(model, obs, cams, fit_cfg)
-        _progress(f"stage 1 done: kp loss {trace1.rows[-1][1]:.6g}"
-                  if trace1.rows else "stage 1 skipped")
-        params2, trace2 = fitting.fit_stage2(model, obs, cams, params1,
-                                             fit_cfg)
-    except ValueError as exc:
-        if "under-constrained" in str(exc):
-            raise NumericalError(str(exc)) from exc
-        raise
+    params1, rows1 = fitting.fit_stage1(model, obs, cams, fit_cfg)
+    _progress(f"stage 1 done: kp loss {rows1[-1][1]:.6g}"
+              if rows1 else "stage 1 skipped")
+    params2, rows2 = fitting.fit_stage2(model, obs, cams, params1, fit_cfg)
     wall_s = time.perf_counter() - start
-    _progress(f"stage 2 done: total {trace2.rows[-1][4]:.6g}"
-              if trace2.rows else "stage 2 skipped")
+    _progress(f"stage 2 done: total {rows2[-1][4]:.6g}"
+              if rows2 else "stage 2 skipped")
 
     asset, field = model
     mesh = fm.forward_mesh(asset, field, params2)
@@ -259,12 +255,12 @@ def cmd_fit(cfg):
     with open(os.path.join(cfg["out"], "trace.csv"), "w") as fh:
         fh.write("epoch,L_kp,L_sil,L_norm,total\n")
         offset = 0
-        for trace in (trace1, trace2):
-            for row in trace.rows:
+        for rows in (rows1, rows2):
+            for row in rows:
                 fh.write(f"{row[0] + offset},{row[1]:.17g},{row[2]:.17g},"
                          f"{row[3]:.17g},{row[4]:.17g}\n")
-            offset += len(trace.rows)
-    totals = (list(trace1.totals()) + list(trace2.totals())) or [float("nan")]
+            offset += len(rows)
+    totals = [row[4] for row in rows1 + rows2] or [float("nan")]
     return {"command": "fit", "out": cfg["out"], "views": m,
             "downsample": factor, "final_total": float(totals[-1]),
             "epochs": len(totals), "wall_s": wall_s}
@@ -299,11 +295,10 @@ def cmd_eval_normals(cfg):
     gt = np.concatenate(pooled_gt)
     hs = np.concatenate(pooled_h)
     try:
-        rep = evalign.eval_normals(pred, gt, np.ones(len(hs), dtype=bool),
-                                   heights=hs, leg_cutoff=cfg["cutoff"])
+        report = evalign.eval_normals(pred, gt, np.ones(len(hs), dtype=bool),
+                                      heights=hs, leg_cutoff=cfg["cutoff"])
     except ValueError as exc:
         raise NumericalError(str(exc)) from exc
-    report = rep.as_dict()
     report["views"] = len(cams)
     _echo(cfg, "eval-normals", cfg["out"])
     _write_reports(report, cfg["out"], cfg["csv"], "normal evaluation")
@@ -447,7 +442,8 @@ def main(argv=None):
             cam_mod.SceneFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, fitting.UnderConstrainedError,
+            FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -21,7 +21,7 @@ from .geometry import (Mesh, chamfer_stats, lower_median, nearest_neighbors,
                        sample_surface)
 
 __all__ = [
-    "NormalEvalReport", "FloorFit", "AlignParams", "AlignResult",
+    "FloorFit", "AlignParams", "AlignResult",
     "eval_normals", "fit_floor", "level_to_floor",
     "align_4param", "eval_3d", "report_json", "report_table", "report_csv",
 ]
@@ -29,32 +29,19 @@ __all__ = [
 LEG_CUTOFF = 0.20
 THRESHOLDS_DEG = (11.25, 22.5, 30.0)
 
-
-@dataclass
-class NormalEvalReport:
-    mean_deg: float
-    median_deg: float
-    rmse_deg: float
-    pct_lt_11_25: float
-    pct_lt_22_5: float
-    pct_lt_30: float
-    pixels: int
-
-    def as_dict(self):
-        return {
-            "mean_deg": self.mean_deg,
-            "median_deg": self.median_deg,
-            "rmse_deg": self.rmse_deg,
-            "pct_lt_11_25": self.pct_lt_11_25,
-            "pct_lt_22_5": self.pct_lt_22_5,
-            "pct_lt_30": self.pct_lt_30,
-            "pixels": self.pixels,
-        }
+# RANSAC floor fit: iterations, inlier distance (m), least inlier share
+FLOOR_ITERS = 1000
+FLOOR_THRESHOLD = 0.003
+FLOOR_MIN_INLIER_FRAC = 0.20
+# chamfer alignment: Adam steps between re-associations, and the outlier
+# cut as a multiple of the median nearest-neighbour distance
+REASSOC_EVERY = 25
+OUTLIER_FACTOR = 3.0
 
 
 def eval_normals(pred_mu, gt_normals, mask, heights=None,
-                 leg_cutoff=LEG_CUTOFF) -> NormalEvalReport:
-    """Angular-error statistics over masked pixels, optionally dropping
+                 leg_cutoff=LEG_CUTOFF):
+    """Angular-error report dict over masked pixels, optionally dropping
     pixels at or above the cutoff height."""
     sel = np.asarray(mask, dtype=bool).copy()
     if heights is not None:
@@ -65,9 +52,10 @@ def eval_normals(pred_mu, gt_normals, mask, heights=None,
     dots = np.clip(np.sum(pred_mu[sel] * gt_normals[sel], axis=1), -1.0, 1.0)
     err = np.degrees(np.arccos(dots))
     pcts = [float((err < t).mean() * 100.0) for t in THRESHOLDS_DEG]
-    return NormalEvalReport(float(err.mean()), lower_median(err),
-                            float(np.sqrt(np.mean(err ** 2))),
-                            pcts[0], pcts[1], pcts[2], int(sel.sum()))
+    return {"mean_deg": float(err.mean()), "median_deg": lower_median(err),
+            "rmse_deg": float(np.sqrt(np.mean(err ** 2))),
+            "pct_lt_11_25": pcts[0], "pct_lt_22_5": pcts[1],
+            "pct_lt_30": pcts[2], "pixels": int(sel.sum())}
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +67,8 @@ class FloorFit:
     d: float               # plane is normal . x + d = 0
     inliers: np.ndarray    # (N,) bool against the fitted points
 
-    def distances(self, points):
-        return points @ self.normal + self.d
 
-
-def fit_floor(points, iters=1000, threshold=0.003, min_inlier_frac=0.20,
-              seed=0) -> FloorFit:
+def fit_floor(points, seed=0) -> FloorFit:
     """Seeded RANSAC plane with a least-squares refinement on inliers.
 
     Winner is (inlier count, lowest iteration index); substreams are
@@ -94,9 +78,9 @@ def fit_floor(points, iters=1000, threshold=0.003, min_inlier_frac=0.20,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise ValueError("need at least 3 points")
-    streams = np.random.SeedSequence(seed).spawn(iters)
+    streams = np.random.SeedSequence(seed).spawn(FLOOR_ITERS)
     best_count, best_plane = 0, None
-    for i in range(iters):
+    for i in range(FLOOR_ITERS):
         rng = np.random.default_rng(streams[i])
         a, b, c = pts[rng.choice(len(pts), size=3, replace=False)]
         n = np.cross(b - a, c - a)
@@ -105,22 +89,22 @@ def fit_floor(points, iters=1000, threshold=0.003, min_inlier_frac=0.20,
             continue
         n = n / nn
         d = -float(n @ a)
-        count = int((np.abs(pts @ n + d) <= threshold).sum())
+        count = int((np.abs(pts @ n + d) <= FLOOR_THRESHOLD).sum())
         if count > best_count:
             best_count, best_plane = count, (n, d)
-    if best_count < min_inlier_frac * len(pts):
+    if best_count < FLOOR_MIN_INLIER_FRAC * len(pts):
         raise ValueError(
             f"no dominant plane: best inlier fraction "
-            f"{best_count / len(pts):.3f} < {min_inlier_frac}")
+            f"{best_count / len(pts):.3f} < {FLOOR_MIN_INLIER_FRAC}")
     n, d = best_plane
-    inl = np.abs(pts @ n + d) <= threshold
+    inl = np.abs(pts @ n + d) <= FLOOR_THRESHOLD
     centroid = pts[inl].mean(axis=0)
     _, _, vt = np.linalg.svd(pts[inl] - centroid, full_matrices=False)
     refined = vt[-1]
     if refined @ n < 0:
         refined = -refined
     n, d = refined, -float(refined @ centroid)
-    return FloorFit(n, d, np.abs(pts @ n + d) <= threshold)
+    return FloorFit(n, d, np.abs(pts @ n + d) <= FLOOR_THRESHOLD)
 
 
 def _rotation_to_z(n):
@@ -185,7 +169,6 @@ class AlignParams:
 @dataclass
 class AlignResult:
     params: AlignParams
-    trace: np.ndarray        # best-so-far objective of the final pass
     pivot: np.ndarray        # scale/rotation pivot (source centroid)
     objective: float
     kept_source: int
@@ -225,39 +208,34 @@ def _associate(vec, src, tgt, pivot):
     return nearest_neighbors(moved, tgt), nearest_neighbors(tgt, moved)
 
 
-def _optimize(src, tgt, init_vec, pivot, lr, steps, reassoc_every):
+def _optimize(src, tgt, init_vec, pivot, lr, steps):
+    """Best align params seen over ``steps`` Adam steps and at the end."""
     vec = init_vec.copy()
     state = fitting.AdamState.for_params({"p": vec})
     best_obj, best_vec = np.inf, vec.copy()
-    trace = []
     a_idx = b_idx = None
     for step in range(steps):
-        if step % reassoc_every == 0:
+        if step % REASSOC_EVERY == 0:
             (a_idx, _), (b_idx, _) = _associate(vec, src, tgt, pivot)
         obj, grad = _pooled_objective_and_grad(src, tgt, a_idx, b_idx, vec,
                                                pivot)
         if obj < best_obj:
             best_obj, best_vec = obj, vec.copy()
-        trace.append(best_obj)
         vec = fitting.adam_step(state, {"p": vec}, {"p": grad}, lr)["p"]
     (_, da), (_, db) = _associate(vec, src, tgt, pivot)
-    obj = float(np.concatenate([da, db]).mean())
-    if obj < best_obj:
-        best_obj, best_vec = obj, vec.copy()
-    trace.append(best_obj)
-    return best_vec, best_obj, np.array(trace)
+    if float(np.concatenate([da, db]).mean()) < best_obj:
+        best_vec = vec.copy()
+    return best_vec
 
 
-def align_4param(source, target, lr=0.01, steps=500, reassoc_every=25,
-                 outlier_factor=3.0) -> AlignResult:
+def align_4param(source, target, lr=0.01, steps=500) -> AlignResult:
     """Chamfer alignment of source onto target over (theta_z, tx, ty, s).
 
     Adam from the identity with periodic re-association, then one
     outlier-rejection round: points whose nearest neighbor sits beyond
-    ``outlier_factor`` times the median distance are dropped on both
-    sides and the optimization repeats from the first-round answer.  The
-    reported trace (best objective so far, hence non-increasing) covers
-    the final round.
+    ``OUTLIER_FACTOR`` times the median distance are dropped on both
+    sides and the optimization repeats from the first-round answer.  Each
+    round returns the best params it saw.
     """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
@@ -265,21 +243,19 @@ def align_4param(source, target, lr=0.01, steps=500, reassoc_every=25,
         if cloud.ndim != 2 or cloud.shape[1] != 3 or len(cloud) < 10:
             raise ValueError(f"degenerate {name} cloud: need at least 10 points")
     pivot = src.mean(axis=0)
-    vec1, _, trace = _optimize(src, tgt, np.array([0.0, 0.0, 0.0, 1.0]), pivot,
-                               lr, steps, reassoc_every)
+    vec1 = _optimize(src, tgt, np.array([0.0, 0.0, 0.0, 1.0]), pivot, lr, steps)
 
     (_, da), (_, db) = _associate(vec1, src, tgt, pivot)
-    keep_s = da <= outlier_factor * np.median(da)
-    keep_t = db <= outlier_factor * np.median(db)
+    keep_s = da <= OUTLIER_FACTOR * np.median(da)
+    keep_t = db <= OUTLIER_FACTOR * np.median(db)
     if (~keep_s).any() or (~keep_t).any():
         if keep_s.sum() >= 10 and keep_t.sum() >= 10:
-            vec1, _, trace = _optimize(src[keep_s], tgt[keep_t], vec1, pivot,
-                                       lr, steps, reassoc_every)
+            vec1 = _optimize(src[keep_s], tgt[keep_t], vec1, pivot, lr, steps)
 
     params = AlignParams(*[float(x) for x in vec1]).validate()
     (_, da), (_, db) = _associate(vec1, src[keep_s], tgt[keep_t], pivot)
     objective = float(np.concatenate([da, db]).mean())
-    return AlignResult(params, trace, pivot, objective,
+    return AlignResult(params, pivot, objective,
                        int(keep_s.sum()), int(keep_t.sum()))
 
 

@@ -3,24 +3,24 @@
 Stage 1 registers the template rigidly (rotation, translation, per-axis
 scale; ``STAGE1_FREE``) against keypoints only.  Stage 2 frees the shape
 and pose codes as well (``PARAM_ORDER``) and adds soft-silhouette and
-normal-map terms.  Each stage returns the fitted parameters and a
-:class:`FitTrace` of per-epoch losses.  Both stages run full-batch Adam
-with a fixed epoch count; each epoch builds one tape, registers the
-deformed template once and projects into all views in one tape node.
-Stage 1 always frees r, t and s only, so its deformed template is a
-constant: it runs the deformation field once per stage, off the epoch
-tapes and only on the keypoint rows, the only rows its loss reads, and
-each epoch registers and projects those rows.  Stage 2 evaluates the
-field over the whole mesh every epoch, rasterizes its projection into
-each view in numpy, and scores the pixels of all views at once: the
-normal term over every view's covered target pixels, the silhouette term
-over every view's contour band, each a mean over views of per-view
-means.
+normal-map terms.  Each stage returns the fitted parameters and one
+``(epoch, kp, sil, norm, total)`` loss row per epoch.  Both stages run
+full-batch Adam with a fixed epoch count; each epoch builds one tape,
+registers the deformed template once and projects into all views in one
+tape node.  Stage 1 always frees r, t and s only, so its deformed
+template is a constant: it runs the deformation field once per stage,
+off the epoch tapes and only on the keypoint rows, the only rows its
+loss reads, and each epoch registers and projects those rows.  Stage 2
+evaluates the field over the whole mesh every epoch, rasterizes its
+projection into each view in numpy, and scores the pixels of all views
+at once: the normal term over every view's covered target pixels, the
+silhouette term over every view's contour band, each a mean over views
+of per-view means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import losses
 from . import renderer
 
 __all__ = [
-    "FitConfig", "AdamState", "FitTrace", "select_views", "adam_step",
+    "FitConfig", "AdamState", "select_views", "adam_step",
     "fit_stage1", "fit_stage2",
 ]
 
@@ -63,13 +63,8 @@ class FitConfig:
         return self
 
 
-@dataclass
-class FitTrace:
-    """Per-epoch loss breakdown."""
-    rows: list = dc_field(default_factory=list)   # (epoch, kp, sil, norm, total)
-
-    def totals(self):
-        return np.array([r[4] for r in self.rows])
+class UnderConstrainedError(ValueError):
+    """Too few visible keypoints to fit."""
 
 
 @dataclass
@@ -119,16 +114,6 @@ def select_views(cameras, m):
     return [int(order[r]) for r in ranks]
 
 
-def _values_of(params: fm.FootParams):
-    return {"r": params.r.copy(), "t": params.t.copy(), "s": params.s.copy(),
-            "z_s": params.z_s.copy(), "z_p": params.z_p.copy()}
-
-
-def _params_of(values):
-    return fm.FootParams(values["r"], values["t"], values["s"],
-                         values["z_s"], values["z_p"])
-
-
 def _run_stage(asset, field, observations, cameras, config, params, epochs,
                with_render):
     if len(observations) != len(cameras):
@@ -136,11 +121,10 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     kp_obs = losses.KeypointObservation.stack([o.keypoints for o in observations])
     visible = int((kp_obs.v > 0.5).sum())
     if visible < 2:
-        raise ValueError(
+        raise UnderConstrainedError(
             f"under-constrained fit: {visible} visible keypoints in total")
     free = PARAM_ORDER if with_render else STAGE1_FREE
-    values = _values_of(params)
-    state = AdamState.for_params({n: values[n] for n in free})
+    state = AdamState.for_params({n: getattr(params, n) for n in free})
     faces = asset.mesh.faces
     if with_render and epochs > 0:
         normal_obs = [o.normals for o in observations]
@@ -157,10 +141,10 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
                              kp_ids).value
         kp_ids = np.arange(len(kp_ids))
 
-    trace = FitTrace()
+    rows = []
     for epoch in range(epochs):
         tape = ad.Tape()
-        pv = fm.lift_params(tape, _params_of(values), train=free)
+        pv = fm.lift_params(tape, params, train=free)
         verts = fm.forward(asset, field, pv, deformed=deformed)
         if with_render:
             n_world = renderer.vertex_normals_var(verts, faces)
@@ -184,13 +168,12 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         else:
             total = l_kp * config.w_kp
             terms = 0.0, 0.0
-        trace.rows.append((epoch, float(l_kp.value), *terms, float(total.value)))
+        rows.append((epoch, float(l_kp.value), *terms, float(total.value)))
         grads = tape.backward(total)
-        free_grads = {n: grads[getattr(pv, n)] for n in free}
-        stepped = adam_step(state, {n: values[n] for n in free},
-                            free_grads, config.lr)
-        values.update(stepped)
-    return _params_of(values).validate(), trace
+        params = replace(params, **adam_step(
+            state, {n: getattr(params, n) for n in free},
+            {n: grads[getattr(pv, n)] for n in free}, config.lr))
+    return params.validate(), rows
 
 
 def fit_stage1(model, observations, cameras, config=None):

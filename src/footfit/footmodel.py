@@ -39,6 +39,7 @@ KEYPOINT_NAMES = (
 
 MAGIC = b"FMDL"
 VERSION = 1
+FIELD_RMS = 0.008      # field displacement RMS (m) at unit-normal codes
 
 
 class ModelFormatError(ValueError):
@@ -293,10 +294,9 @@ def _assign_keypoints(verts):
 # ---------------------------------------------------------------------------
 # Deformation field construction and evaluation.
 
-def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3,
-                 seed=0, target_rms=0.008):
+def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3, seed=0):
     """Seeded field whose displacement RMS at unit-normal codes is
-    calibrated to ``target_rms`` over the template vertices.
+    calibrated to ``FIELD_RMS`` over the template vertices.
 
     First-layer position weights are scaled so the position block
     contributes as much preactivation variance as the code block;
@@ -324,7 +324,7 @@ def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3,
         sq += np.mean(np.sum(d * d, axis=1))
     rms = np.sqrt(sq / len(probes))
     W, b = field.weights[-1]
-    field.weights[-1] = (W * (target_rms / rms), b)
+    field.weights[-1] = (W * (FIELD_RMS / rms), b)
     return field
 
 

@@ -16,6 +16,8 @@ from . import renderer
 
 __all__ = ["gradient_suite"]
 
+BRANCH_MARGIN = 0.05    # px; see _stable_branch_weights
+
 
 def _unit_rows(rng, n):
     v = rng.normal(size=(n, 3))
@@ -106,20 +108,20 @@ def _check_render_normals(rng, h):
     return ad.grad_check(fn, [v0], h=h)
 
 
-def _stable_branch_weights(verts, cam, rng, margin=0.05):
+def _stable_branch_weights(verts, cam, rng):
     """Loss weights for the silhouette check, zeroed where the rendered
     value is not differentiable in a probe-sized neighborhood: pixels whose
     two nearest contour edges are nearly tied (argmin flips) and pixels
     lying on an edge (the unsigned distance folds at zero).  A probe moves
-    projections by well under margin px, so weighted pixels stay on one
-    smooth branch and central differences are trustworthy."""
+    projections by well under ``BRANCH_MARGIN`` px, so weighted pixels stay
+    on one smooth branch and central differences are trustworthy."""
     pix = cam_mod.project([cam], verts)[0][0]
     ab = pix[[1, 2, 3, 0]] - pix        # the quad's four outer edges
     jj, ii = np.meshgrid(np.arange(cam.width) + 0.5, np.arange(cam.height) + 0.5)
     d = np.sort(np.sqrt(renderer._segment_d2(
         jj.reshape(-1, 1), ii.reshape(-1, 1), pix[:, 0], pix[:, 1], ab[:, 0], ab[:, 1],
         np.maximum((ab * ab).sum(axis=1), 1e-30))), axis=1)
-    ok = ((d[:, 1] - d[:, 0]) > margin) & (d[:, 0] > margin)
+    ok = ((d[:, 1] - d[:, 0]) > BRANCH_MARGIN) & (d[:, 0] > BRANCH_MARGIN)
     return rng.normal(size=cam.height * cam.width) * ok
 
 

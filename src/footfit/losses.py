@@ -205,7 +205,7 @@ def kappa_for_expected_error(err_deg):
             hi = mid
 
 
-def silhouette_from_uncertainty(kappa_map, threshold_deg=30.0):
+def silhouette_from_uncertainty(kappa_map, threshold_deg):
     """Pseudo-GT silhouette: pixels whose expected angular error is at
     most the threshold (inclusive)."""
     return expected_angular_error(kappa_map) <= threshold_deg

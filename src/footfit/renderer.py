@@ -457,7 +457,7 @@ def _edge_sigmoid(pix_var: ad.Var, ia, ib, pc, scale):
 
 
 def render_silhouette_soft_var(proj: ad.Var, cameras, frags, topo: ContourTopology,
-                               sharpness=40.0):
+                               sharpness):
     """Soft silhouette at the band pixels of every view, from one
     :func:`_edge_sigmoid` node (rows view by view), and each view's band as
     ascending flat pixel indices.  ``proj`` is the (N,V,2) pixel Var of

@@ -45,6 +45,7 @@ __all__ = [
 CALIBRATION = np.sqrt(2.0 / np.pi)   # mean of |N(0,1)|
 CUTOFF_COVER_MAX = 0.20
 AMBIENT, DIFFUSE = 0.25, 0.7
+CODE_SCALE = 0.6                     # std of the drawn shape and pose codes
 
 
 @dataclass
@@ -53,25 +54,16 @@ class SceneSpec:
     arc: cam_mod.ArcSamplerConfig = dc_field(default_factory=cam_mod.ArcSamplerConfig)
     n_views: int = 8
     cutoff: float = 0.20
-    sigma_view_deg: object = 5.0     # scalar or one value per view
+    sigma_view_deg: float = 5.0      # normal noise of every view
     kp_sigma: float = 0.01           # reported keypoint spread, normalized units
     seed: int = 0
-
-    def sigma_list(self):
-        s = self.sigma_view_deg
-        if np.isscalar(s):
-            return [float(s)] * self.n_views
-        out = [float(v) for v in s]
-        if len(out) != self.n_views:
-            raise ValueError("need one sigma per view")
-        return out
 
     def validate(self):
         if self.n_views < 1:
             raise ValueError("need at least one view")
         if self.cutoff < 0:
             raise ValueError("cutoff height must be non-negative")
-        if any(v < 0 for v in self.sigma_list()):
+        if self.sigma_view_deg < 0:
             raise ValueError("view noise must be non-negative")
         if self.kp_sigma <= 0:
             raise ValueError("keypoint spread must be positive")
@@ -89,14 +81,14 @@ class ViewBundle:
     gt_normals: np.ndarray   # (H,W,3), zero off-mask
 
 
-def random_scene_params(rng, d_s=8, d_p=8, code_scale=0.6):
+def random_scene_params(rng, d_s=8, d_p=8):
     """Registration and code draw used for synthetic scenes: a foot
     roughly at the origin, as a handheld capture rig would frame it."""
     return fm.FootParams(rng.uniform(-0.06, 0.06, 3),
                          rng.uniform(-0.01, 0.01, 3),
                          rng.uniform(0.98, 1.02, 3),
-                         rng.normal(size=d_s) * code_scale,
-                         rng.normal(size=d_p) * code_scale)
+                         rng.normal(size=d_s) * CODE_SCALE,
+                         rng.normal(size=d_p) * CODE_SCALE)
 
 
 def synthesize_kappa(gt_normals, mask, sigma_deg, rng):
@@ -169,7 +161,7 @@ def _spec_echo(spec: SceneSpec):
         "seed": spec.seed,
         "n_views": spec.n_views,
         "cutoff": spec.cutoff,
-        "sigma_view_deg": spec.sigma_list(),
+        "sigma_view_deg": [float(spec.sigma_view_deg)] * spec.n_views,
         "kp_sigma": spec.kp_sigma,
         "lateral_axis": "world_x",
         "arc": asdict(spec.arc),
@@ -194,7 +186,6 @@ def generate_scene(spec: SceneSpec, model, out_dir):
     spec.validate()
     asset, field = model
     gt_mesh = fm.forward_mesh(asset, field, spec.params)
-    sigmas = spec.sigma_list()
     os.makedirs(out_dir, exist_ok=True)
     cams = []
     for view in range(spec.n_views):
@@ -210,8 +201,9 @@ def generate_scene(spec: SceneSpec, model, out_dir):
                 f"<= {CUTOFF_COVER_MAX} in 100 attempts; loosen the arc "
                 f"or raise the cutoff")
         cams.append(cam)
-        bundle = render_view(gt_mesh, asset.keypoint_ids, cam, sigmas[view],
-                             spec.kp_sigma, rng, frag=frag)
+        bundle = render_view(gt_mesh, asset.keypoint_ids, cam,
+                             float(spec.sigma_view_deg), spec.kp_sigma, rng,
+                             frag=frag)
         view_dir = os.path.join(out_dir, f"view_{view:03d}")
         losses.save_observation(view_dir, bundle.obs)
         images.save_ppm(os.path.join(view_dir, "image.ppm"),

@@ -33,6 +33,19 @@ def run_with_blas_threads(threads, *argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def assert_same_across_blas_threads(tmp_path, *argv):
+    """``footfit ARGV --out DIR`` under 1 and under 2 BLAS threads writes the
+    same files, byte for byte, apart from the echo of DIR."""
+    outs = [tmp_path / f"threads_{threads}" for threads in ("1", "2")]
+    for threads, out in zip(("1", "2"), outs):
+        run_with_blas_threads(threads, *argv, "--out", str(out))
+    names = [sorted(str(f.relative_to(out)) for f in out.rglob("*")
+                    if f.is_file() and f.name != "config_echo.json") for out in outs]
+    assert names[0] == names[1] and names[0]
+    for name in names[0]:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("model")
@@ -96,6 +109,14 @@ class TestConfigResolution:
             with pytest.raises(cli.ConfigError, match=key):
                 cli.resolve_config(command, required, str(p))
 
+    @pytest.mark.parametrize("line", ["noise = [2.0, 5.0, 10.0]", "views = 2.5",
+                                      "noise = true"])
+    def test_wrong_type_in_file(self, tmp_path, line):
+        p = tmp_path / "c.toml"
+        p.write_text(line + "\n")
+        with pytest.raises(cli.ConfigError, match=line.split()[0]):
+            cli.resolve_config("synth", {"model": "m", "out": "o"}, str(p))
+
     def test_int_coerced_to_float(self):
         cfg = cli.resolve_config("synth", {"model": "m", "out": "o",
                                            "noise": 3})
@@ -129,6 +150,9 @@ class TestMakeModel:
         summary = json.loads(lines[0])
         assert summary["vertices"] == 2706
         assert summary["seed"] == 3
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        assert_same_across_blas_threads(tmp_path, "make-model", "--seed", "3")
 
     def test_config_echo(self, model_dir):
         echo = json.loads((model_dir / "config_echo.json").read_text())
@@ -175,6 +199,11 @@ class TestSynth:
                 assert filecmp.cmp(os.path.join(root, f),
                                    os.path.join(out, rel, f),
                                    shallow=False), f"{rel}/{f}"
+
+    def test_byte_identical_across_blas_threads(self, tmp_path, model_bin):
+        assert_same_across_blas_threads(
+            tmp_path, "synth", "--model", model_bin, "--views", "3", "--width", "160",
+            "--height", "120", "--noise", "3", "--seed", "7")
 
     def test_zero_views_exits_2(self, tmp_path, model_bin):
         rc = cli.main(["synth", "--model", model_bin,
@@ -444,6 +473,12 @@ class TestEvalNormals:
         assert 0.0 < rep["mean_deg"] < 90.0
         assert rep["pixels"] > 100
 
+    def test_byte_identical_across_blas_threads(self, tmp_path, model_bin, scene_dir,
+                                                fit_dir):
+        assert_same_across_blas_threads(
+            tmp_path, "eval-normals", "--scene", str(scene_dir), "--model", model_bin,
+            "--mesh", str(fit_dir / "fitted.obj"), "--csv")
+
 
 class TestEval3d:
     def test_self_comparison_is_zero(self, tmp_path, fit_dir, capsys):
@@ -464,6 +499,12 @@ class TestEval3d:
         assert 0.0 < summary["mean_distance"] < 0.05
         rep = json.loads((tmp_path / "e3g" / "report.json").read_text())
         assert rep["n_points"] == 1000
+
+    def test_byte_identical_across_blas_threads(self, tmp_path, model_bin, scene_dir,
+                                                fit_dir):
+        assert_same_across_blas_threads(
+            tmp_path, "eval3d", "--fitted", str(fit_dir / "fitted.obj"),
+            "--scene", str(scene_dir), "--model", model_bin, "--csv")
 
     def test_needs_a_ground_truth(self, tmp_path, fit_dir):
         rc = cli.main(["eval3d", "--fitted", str(fit_dir / "fitted.obj"),
@@ -531,6 +572,12 @@ class TestAlign:
         rep = json.loads((tmp_path / "al2" / "report.json").read_text())
         assert "source_floor_points" not in rep
         assert abs(rep["tx_m"] - 0.01) < 0.002
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # the floor step runs: make_align_pair's clouds stand on a floor
+        src, tgt, _ = make_align_pair(tmp_path)
+        assert_same_across_blas_threads(tmp_path, "align", "--source", src,
+                                        "--target", tgt, "--csv")
 
     def test_bad_cloud_shape_exits_2(self, tmp_path):
         p = tmp_path / "flat.npy"

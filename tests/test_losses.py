@@ -140,7 +140,7 @@ class TestExpectedAngularError:
 
 class TestSilhouetteFromUncertainty:
     def test_zero_kappa_is_background(self):
-        mask = silhouette_from_uncertainty(np.zeros((4, 4)))
+        mask = silhouette_from_uncertainty(np.zeros((4, 4)), 30.0)
         assert not mask.any()
 
     def test_boundary_is_inclusive(self):
@@ -148,7 +148,7 @@ class TestSilhouetteFromUncertainty:
             lambda k: expected_angular_error(float(k)) - 30.0, 0.5, 20.0,
             xtol=1e-12)
         mask = silhouette_from_uncertainty(
-            np.array([[k_star + 1e-6, k_star - 1e-3]]))
+            np.array([[k_star + 1e-6, k_star - 1e-3]]), 30.0)
         assert mask[0, 0] and not mask[0, 1]
         # an error exactly at the threshold must classify as foreground
         k = np.array([[losses.kappa_for_expected_error(30.0)]])

@@ -488,7 +488,8 @@ class TestSoftSilhouette:
         verts = tape.leaf(mesh.vertices)
         proj, _ = rd.project_vertices_var(verts, [cam])
         soft, _ = rd.render_silhouette_soft_var(
-            proj, [cam], [rasterize_mesh(mesh, cam)], rd.ContourTopology.build(mesh))
+            proj, [cam], [rasterize_mesh(mesh, cam)], rd.ContourTopology.build(mesh),
+            sharpness=40.0)
         grads = tape.backward(soft.sum())
         g = grads[verts]
         # outward motion of each corner increases total coverage
@@ -808,7 +809,7 @@ class TestFusedSilhouette:
             frag = rasterize_mesh(mesh, cam)
             proj, _ = rd.project_vertices_var(verts, [cam])
             soft, _ = rd.render_silhouette_soft_var(
-                proj, [cam], [frag], rd.ContourTopology.build(mesh))
+                proj, [cam], [frag], rd.ContourTopology.build(mesh), sharpness=40.0)
             n_world = rd.vertex_normals_var(verts, mesh.faces)
             n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag],
                                           [np.flatnonzero(frag.mask)])

@@ -30,7 +30,7 @@ def gt(model):
 def scene(model, gt, tmp_path_factory):
     params, _ = gt
     spec = synth.SceneSpec(params, arc=SMALL_ARC, n_views=3,
-                           sigma_view_deg=[2.0, 5.0, 10.0], seed=11)
+                           sigma_view_deg=5.0, seed=11)
     out = tmp_path_factory.mktemp("scene") / "s0"
     synth.generate_scene(spec, model, out)
     return spec, out
@@ -53,10 +53,9 @@ class TestSceneSpec:
     @pytest.mark.parametrize("kw", [
         {"n_views": 0},
         {"cutoff": -0.1},
-        {"sigma_view_deg": [1.0, 2.0]},
         {"sigma_view_deg": -3.0},
         {"kp_sigma": 0.0},
-    ])
+    ], ids=["kw0", "kw1", "kw3", "kw4"])
     def test_rejects(self, gt, kw):
         params, _ = gt
         with pytest.raises(ValueError):
@@ -206,23 +205,27 @@ class TestGenerateScene:
         spec, out = scene
         meta, _, _ = synth.load_scene(out)
         assert meta["lateral_axis"] == "world_x"
-        assert meta["sigma_view_deg"] == [2.0, 5.0, 10.0]
+        assert meta["sigma_view_deg"] == [5.0, 5.0, 5.0]
         assert meta["seed"] == 11
         back = synth.scene_gt_params(meta)
         assert np.array_equal(back.r, spec.params.r)
         assert np.array_equal(back.z_s, spec.params.z_s)
         assert np.array_equal(back.z_p, spec.params.z_p)
 
-    def test_calibration_per_bin(self, model, scene):
-        # one bin per view (kappa is constant within a view)
-        spec, out = scene
-        _, _, obs = synth.load_scene(out)
-        for i, o in enumerate(obs):
-            gt = images.load_pfm(
-                out / f"view_{i:03d}" / "gt_normals.pfm").astype(np.float64)
+    def test_calibration_per_bin(self, model, gt, scene):
+        # one bin per noise level, each rendered into one scene camera
+        # (kappa is constant within a view)
+        _, out = scene
+        asset, _ = model
+        _, mesh = gt
+        cams = cam_mod.load_cameras(out / "cameras.json")
+        for i, (cam, sigma) in enumerate(zip(cams, (2.0, 5.0, 10.0))):
+            view = synth.render_view(mesh, asset.keypoint_ids, cam, sigma, 0.01,
+                                     np.random.default_rng(i))
+            o, gt_normals = view.obs, view.gt_normals
             m = o.mask
             assert m.sum() >= 500
-            d = np.clip((o.normals.mu[m] * gt[m]).sum(axis=1), -1.0, 1.0)
+            d = np.clip((o.normals.mu[m] * gt_normals[m]).sum(axis=1), -1.0, 1.0)
             mean_err = np.degrees(np.arccos(d)).mean()
             k = o.normals.kappa[m][0]
             expect = losses.expected_angular_error(k)
