@@ -16,10 +16,10 @@ Gradient conventions that callers rely on:
   slope at the endpoints.
 
 A VJP returns one cotangent per parent, or ``None`` for a parent that
-needs none; ``Tape.backward`` skips it.  ``add``, ``sub``, ``mul``,
-``div`` and ``matmul`` decide at record time which parents require grad
-and return ``None`` for the constant ones, so constant operands (model
-weights, barycentric weights, observations) cost no cotangent.
+needs none; ``Tape.backward`` skips it.  ``add``, ``sub``, ``mul`` and
+``div`` decide at record time which parents require grad and return
+``None`` for the constant ones, so constant operands (barycentric
+weights, observations) cost no cotangent.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 __all__ = [
     "Tape", "Var", "DomainError", "TapeMixError",
-    "add", "sub", "mul", "div", "neg", "matmul",
-    "exp", "log", "tanh", "acos_safe", "norm2",
-    "segment_sum", "concat", "stack", "custom",
+    "add", "sub", "mul", "div",
+    "exp", "log", "acos_safe", "norm2",
+    "segment_sum", "stack", "custom",
     "grad_check", "logistic", "acos_safe_slope", "scatter_rows",
 ]
 
@@ -167,10 +167,6 @@ class Var:
     def ndim(self):
         return self.value.ndim
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self):
         return float(self.value)
 
@@ -205,12 +201,6 @@ class Var:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _basic_index(self, key)
@@ -287,10 +277,6 @@ def div(a, b):
     return tape._record(av / bv, (a._i, b._i), vjp, ga or gb)
 
 
-def neg(a):
-    return a.tape._record(-a.value, (a._i,), lambda g: (-g,), a.requires_grad)
-
-
 def vsum(a, axis=None, keepdims=False):
     av = a.value
     out = av.sum(axis=axis, keepdims=keepdims)
@@ -303,17 +289,6 @@ def vsum(a, axis=None, keepdims=False):
     return a.tape._record(np.asarray(out), (a._i,), vjp, a.requires_grad)
 
 
-def matmul(a, b):
-    tape, a, b, av, bv, ga, gb = _binary(a, b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-
-    def vjp(g):
-        return g @ bv.T if ga else None, av.T @ g if gb else None
-
-    return tape._record(av @ bv, (a._i, b._i), vjp, ga or gb)
-
-
 def exp(a):
     out = np.exp(a.value)
     return a.tape._record(out, (a._i,), lambda g: (g * out,), a.requires_grad)
@@ -324,11 +299,6 @@ def log(a):
     if np.any(av <= 0.0):
         raise DomainError("log of non-positive value")
     return a.tape._record(np.log(av), (a._i,), lambda g: (g / av,), a.requires_grad)
-
-
-def tanh(a):
-    out = np.tanh(a.value)
-    return a.tape._record(out, (a._i,), lambda g: (g * (1.0 - out * out),), a.requires_grad)
 
 
 def acos_safe_slope(x):
@@ -399,21 +369,6 @@ def segment_sum(a, idx, num):
     return a.tape._record(out, (a._i,), vjp, a.requires_grad)
 
 
-def concat(vars_, axis=0):
-    tape = _tape_of(*vars_)
-    vars_ = [_lift(tape, v) for v in vars_]
-    values = [v.value for v in vars_]
-    out = np.concatenate(values, axis=axis)
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return tape._record(out, tuple(v._i for v in vars_), vjp,
-                        any(v.requires_grad for v in vars_))
-
-
 def stack(vars_, axis=0):
     tape = _tape_of(*vars_)
     vars_ = [_lift(tape, v) for v in vars_]
@@ -435,12 +390,6 @@ def reshape(a, shape):
         return (g.reshape(av.shape),)
 
     return a.tape._record(out, (a._i,), vjp, a.requires_grad)
-
-
-def transpose(a):
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-d Var")
-    return a.tape._record(a.value.T.copy(), (a._i,), lambda g: (g.T,), a.requires_grad)
 
 
 def _basic_index(a, key):

@@ -188,11 +188,11 @@ def _keep_heap_top():
     """Let glibc keep up to ``_TOP_PAD_BYTES`` of freed heap top.
 
     A fit builds one tape per epoch and frees it when the epoch ends, and
-    the field calibration of make-model one per probe code.  By default
-    glibc hands the freed heap top back to the kernel at once, and the
-    next tape faults the same pages in again: a 1,000-epoch stage-1 fit
-    spent about a fifth of its time there.  Returns whether the setting
-    took; False on other C libraries.
+    the field calibration of make-model its layer outputs per probe code.
+    By default glibc hands the freed heap top back to the kernel at once,
+    and the next one faults the same pages in again: a 1,000-epoch
+    stage-1 fit spent about a fifth of its time there.  Returns whether
+    the setting took; False on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -318,9 +318,7 @@ def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3, seed=0):
     probes = rng.normal(size=(16, d_s + d_p))
     sq = 0.0
     for row in probes:
-        tape = ad.Tape()
-        d = _field_var(field, tape.const(template_verts), tape.const(row[:d_s]),
-                       tape.const(row[d_s:])).value
+        d = _field(field, template_verts, row[:d_s], row[d_s:])[-1]
         sq += np.mean(np.sum(d * d, axis=1))
     rms = np.sqrt(sq / len(probes))
     W, b = field.weights[-1]
@@ -328,17 +326,40 @@ def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3, seed=0):
     return field
 
 
-def _field_var(field, X, z_s, z_p):
-    tape = X.tape
-    n = X.shape[0]
-    ones = tape.const(np.ones((n, 1)))
-    h = ad.concat([X, ones @ z_s.reshape((1, field.d_s)),
-                   ones @ z_p.reshape((1, field.d_p))], axis=1)
+def _field(field, X, z_s, z_p):
+    """Numpy outputs of the field's layers at the rows ``X`` for the codes
+    ``z_s`` and ``z_p``: each hidden layer's tanh, then the displacement."""
+    ones = np.ones((len(X), 1))
+    h = np.concatenate([X, ones @ z_s.reshape((1, field.d_s)),
+                        ones @ z_p.reshape((1, field.d_p))], axis=1)
+    layers = []
     for i, (W, b) in enumerate(field.weights):
-        h = h @ tape.const(W) + tape.const(b)
+        h = h @ W + b
         if i < len(field.weights) - 1:
-            h = ad.tanh(h)
-    return h
+            h = np.tanh(h)
+        layers.append(h)
+    return layers
+
+
+def _field_var(field, X, z_s, z_p):
+    """``X + F(X, z_s, z_p)`` at the constant rows ``X`` as one tape node.
+    Its VJP repeats the backward of the op chain it replaces (lifts,
+    concat, matmuls, bias adds, tanh), so values and code gradients are
+    bit-equal to the chain's."""
+    layers = _field(field, X, z_s.value, z_p.value)
+    ones, cut = np.ones((len(X), 1)), 3 + field.d_s
+    need = z_s.requires_grad, z_p.requires_grad
+
+    def vjp(g):
+        for (W, _), h in zip(field.weights[:0:-1], layers[-2::-1]):
+            g = (g @ W.T) * (1.0 - h * h)
+        g = g @ field.weights[0][0].T
+        # the chain's ops each got a contiguous copy of their cotangent, and
+        # the last bits of a product depend on the layout of its operands
+        return ((ones.T @ g[:, 3:cut].copy()).reshape(field.d_s) if need[0] else None,
+                (ones.T @ g[:, cut:].copy()).reshape(field.d_p) if need[1] else None)
+
+    return ad.custom((z_s, z_p), X + layers[-1], vjp)
 
 
 def _euler_var(r):
@@ -361,13 +382,14 @@ def _euler_var(r):
 
 def deform(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
            rows=None) -> ad.Var:
-    """Deformed template ``x_i + F(x_i, z_s, z_p)`` (V,3) on the tape of
-    ``pv``; ``rows`` evaluates only those template vertices."""
+    """Deformed template ``x_i + F(x_i, z_s, z_p)`` (V,3): one node on the
+    tape of ``pv`` whose parents are the codes ``z_s`` and ``z_p``; the
+    template rows are constants.  ``rows`` evaluates only those template
+    vertices."""
     if pv.z_s.shape != (field.d_s,) or pv.z_p.shape != (field.d_p,):
         raise ValueError("code dimensions do not match the field")
-    X = pv.r.tape.const(asset.mesh.vertices if rows is None
-                        else asset.mesh.vertices[rows])
-    return X + _field_var(field, X, pv.z_s, pv.z_p)
+    X = asset.mesh.vertices if rows is None else asset.mesh.vertices[rows]
+    return _field_var(field, X, pv.z_s, pv.z_p)
 
 
 def _register_var(u, R, s, t):
@@ -391,6 +413,8 @@ def _register_var(u, R, s, t):
 def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
             deformed=None) -> ad.Var:
     """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces.
+    The field of :func:`deform`, the rotation and the registration are one
+    tape node each.
 
     ``deformed`` is a value of :func:`deform`, held by a caller whose codes
     stay constant: the field is then not evaluated, and the output has the

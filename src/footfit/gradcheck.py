@@ -48,8 +48,8 @@ def _check_kp_fit(rng, h):
         np.array([1.0, 1.0, 0.0])) for _ in range(2)]
     p0 = [o.k + rng.normal(size=o.k.shape) * 0.05 for o in obs]
     stacked = losses.KeypointObservation.stack(obs)
-    return ad.grad_check(lambda a, b: losses.kp_fit_loss([a, b], stacked), p0,
-                         h=h)
+    return ad.grad_check(lambda a, b: losses.kp_fit_loss(ad.stack([a, b]), stacked),
+                         p0, h=h)
 
 
 def _check_normal_fit(rng, h):

@@ -5,10 +5,11 @@ one fused node of the package computes in a single step.  The tests
 compare the fused nodes against them, values and gradients.
 :func:`rasterize_mesh` and :func:`project_keypoints` are the numpy
 rasterization and keypoint labels of a mesh that the tests share.
-The element-wise ops (:func:`sqrt`, :func:`sin`, :func:`cos`,
-:func:`clamp`, :func:`sigmoid`) and the row gather :func:`take` are tape
-ops that only these references use; each is one
-:func:`footfit.autodiff.custom` node.
+The element-wise ops (:func:`neg`, :func:`sqrt`, :func:`sin`,
+:func:`cos`, :func:`tanh`, :func:`clamp`, :func:`sigmoid`), the row
+gather :func:`take`, :func:`matmul`, :func:`transpose` and
+:func:`concat` are tape ops that only these references and the tests
+use; each is one :func:`footfit.autodiff.custom` node.
 """
 
 import numpy as np
@@ -30,6 +31,10 @@ def project_keypoints(verts, kp_ids, cameras):
     return kp.value, vis
 
 
+def neg(a):
+    return ad.custom((a,), -a.value, lambda g: (-g,))
+
+
 def sqrt(a):
     av = a.value
     if np.any(av < 0.0):
@@ -46,6 +51,11 @@ def sin(a):
 def cos(a):
     av = a.value
     return ad.custom((a,), np.cos(av), lambda g: (-g * np.sin(av),))
+
+
+def tanh(a):
+    out = np.tanh(a.value)
+    return ad.custom((a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def clamp(a, lo, hi):
@@ -66,6 +76,29 @@ def take(a, idx):
     idx = np.asarray(idx)
     shape = a.shape
     return ad.custom((a,), a.value[idx], lambda g: (ad.scatter_rows(g, idx, shape),))
+
+
+def matmul(a, b):
+    """2-d ``a @ b``.  A parent that needs no gradient gets no cotangent."""
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ValueError("matmul expects 2-d operands")
+    ga, gb = a.requires_grad, b.requires_grad
+    return ad.custom((a, b), av @ bv,
+                     lambda g: (g @ bv.T if ga else None, av.T @ g if gb else None))
+
+
+def transpose(a):
+    if a.ndim != 2:
+        raise ValueError("transpose expects a 2-d Var")
+    return ad.custom((a,), a.value.T.copy(), lambda g: (g.T,))
+
+
+def concat(vars_, axis=0):
+    values = [v.value for v in vars_]
+    offsets = np.cumsum([v.shape[axis] for v in values])[:-1]
+    return ad.custom(tuple(vars_), np.concatenate(values, axis=axis),
+                     lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
 def scatter_into(base, idx, values):
@@ -94,7 +127,7 @@ def vertex_normals_var(verts, faces):
     cz = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     cross = ad.stack([cx, cy, cz], axis=1)
     idx = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    acc = ad.segment_sum(ad.concat([cross, cross, cross], axis=0), idx, verts.shape[0])
+    acc = ad.segment_sum(concat([cross, cross, cross], axis=0), idx, verts.shape[0])
     return acc / ad.norm2(acc, axis=1, keepdims=True)
 
 
@@ -136,11 +169,28 @@ def normal_fit_loss(rendered, observations, scored):
     return (per_view * weight).sum() * (1.0 / n)
 
 
+def field(mlp, X, z_s, z_p):
+    """``X + F(X, z_s, z_p)`` at the constant (V,3) rows ``X``, as the lift
+    of each code to every row, the concat, the matmul and bias add of each
+    layer and the tanh of each hidden layer that the field node of
+    :func:`footfit.footmodel.deform` replaces."""
+    tape = z_s.tape
+    X = tape.const(X)
+    ones = tape.const(np.ones((X.shape[0], 1)))
+    h = concat([X, matmul(ones, z_s.reshape((1, mlp.d_s))),
+                matmul(ones, z_p.reshape((1, mlp.d_p)))], axis=1)
+    for i, (W, b) in enumerate(mlp.weights):
+        h = matmul(h, tape.const(W)) + tape.const(b)
+        if i < len(mlp.weights) - 1:
+            h = tanh(h)
+    return X + h
+
+
 def register(u, R, s, t):
     """``(u @ R^T) * s + t`` as the transpose, matmul, mul and add ops
     that the registration node of :func:`footfit.footmodel.forward`
     replaces."""
-    return (u @ ad.transpose(R)) * s + t
+    return matmul(u, transpose(R)) * s + t
 
 
 def kp_fit_loss(projected, observations):

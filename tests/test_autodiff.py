@@ -90,7 +90,7 @@ class TestPrimitives:
         tape = ad.Tape()
         av = tape.leaf(a, requires_grad=True)
         wv = tape.leaf(w, requires_grad=True)
-        m = av @ wv
+        m = chainref.matmul(av, wv)
         idx = np.array([0, 0, 1, 3])
         picked = chainref.take(m, idx)
         pooled = ad.segment_sum(picked, np.array([0, 1, 1, 0]), 2)
@@ -118,7 +118,7 @@ class TestPrimitives:
 
 
 class TestActivity:
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, chainref.matmul])
     def test_constant_parent_gets_no_cotangent(self, op):
         tape = ad.Tape()
         x = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -128,7 +128,7 @@ class TestActivity:
             g_a, g_b = tape._nodes[out._i].vjp(np.ones((2, 2)))
             assert (g_a is None, g_b is None) == (a is c, b is c)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, chainref.matmul])
     def test_gradient_as_with_a_live_parent(self, op):
         # the live parent's cotangent does not depend on the other's activity
         x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -203,7 +203,7 @@ class TestGradCheck:
             v = rng.normal(size=5) * 0.5
 
             def f(x):
-                y = chainref.sigmoid(x) * chainref.cos(x) + ad.tanh(x * 0.7)
+                y = chainref.sigmoid(x) * chainref.cos(x) + chainref.tanh(x * 0.7)
                 return ad.norm2(y) + ad.log(ad.exp(y).sum())
 
             assert ad.grad_check(f, [v], h=1e-5) < 1e-4
@@ -215,7 +215,7 @@ class TestGradCheck:
 
         def f(x, y):
             m = ad.stack([x, y, x * y], axis=0)
-            c = ad.concat([m, m * 2.0], axis=0)
+            c = chainref.concat([m, m * 2.0], axis=0)
             return (c[:, 0] * c[:, 2]).sum() + c[1, 1]
 
         assert ad.grad_check(f, [a, b], h=1e-5) < 1e-6
@@ -227,26 +227,26 @@ OPS = {
     "sub": lambda x, m: x - 1.0,
     "mul": lambda x, m: x * m,
     "div": lambda x, m: x / (x * x + 1.0),
-    "neg": lambda x, m: -x,
+    "neg": lambda x, m: chainref.neg(x),
     "sum": lambda x, m: m.sum(axis=0),
     "mean": lambda x, m: m.mean(axis=1),
-    "matmul": lambda x, m: m @ m,
+    "matmul": lambda x, m: chainref.matmul(m, m),
     "sqrt": lambda x, m: chainref.sqrt(x * x + 1.0),
     "exp": lambda x, m: ad.exp(x),
     "log": lambda x, m: ad.log(x * x + 1.0),
     "sin": lambda x, m: chainref.sin(x),
     "cos": lambda x, m: chainref.cos(x),
-    "tanh": lambda x, m: ad.tanh(x),
+    "tanh": lambda x, m: chainref.tanh(x),
     "acos_safe": lambda x, m: ad.acos_safe(x * 0.1),
     "clamp": lambda x, m: chainref.clamp(x, -0.5, 0.5),
     "sigmoid": lambda x, m: chainref.sigmoid(x),
     "norm2": lambda x, m: ad.norm2(m, axis=1),
     "take": lambda x, m: chainref.take(m, np.array([0, 2, 2])),
     "segment_sum": lambda x, m: ad.segment_sum(m, np.array([0, 0, 1]), 2),
-    "concat": lambda x, m: ad.concat([x, x * 2.0]),
+    "concat": lambda x, m: chainref.concat([x, x * 2.0]),
     "stack": lambda x, m: ad.stack([x, x * 2.0], axis=1),
     "reshape": lambda x, m: m.reshape((9,)),
-    "transpose": lambda x, m: m.T,
+    "transpose": lambda x, m: chainref.transpose(m),
     "index": lambda x, m: m[1, :2],
     "custom": lambda x, m: ad.custom((x,), 2.0 * x.value, lambda g: (2.0 * g,)),
 }

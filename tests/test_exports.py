@@ -2,10 +2,14 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
 import footfit
+from footfit import autodiff as ad
+from footfit import cli
+from footfit.gradcheck import gradient_suite
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(footfit.__path__))
 SRC = pathlib.Path(footfit.__file__).parent
@@ -67,3 +71,35 @@ def test_every_export_is_used_in_src():
               if not _used_in_src(trees, mod, name)}
     # a new export needs a caller in src/; a stale entry must leave the list
     assert unused == set(UNUSED_IN_SRC)
+
+
+def _recording_ops():
+    """Names of the autodiff functions that record a tape node."""
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "_record" for call in ast.walk(node))}
+
+
+def test_every_tape_op_is_recorded_by_the_pipeline(tmp_path, monkeypatch):
+    # an op reached only through a Var operator has no name in __all__ to
+    # check above; this checks every op by what the pipeline records
+    callers = set()
+    record = ad.Tape._record
+
+    def recording(tape, *args):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return record(tape, *args)
+
+    monkeypatch.setattr(ad.Tape, "_record", recording)
+    model, scene, fit = (str(tmp_path / name) for name in ("model", "scene", "fit"))
+    assert cli.main(["make-model", "--out", model]) == 0
+    assert cli.main(["synth", "--model", f"{model}/model.bin", "--out", scene,
+                     "--views", "3", "--width", "160", "--height", "120"]) == 0
+    assert cli.main(["fit", "--scene", scene, "--model", f"{model}/model.bin",
+                     "--out", fit, "--stage1-epochs", "2", "--stage2-epochs", "2"]) == 0
+    gradient_suite(configs=1)
+    ops = _recording_ops()
+    assert {"leaf", "custom", "add", "mul"} <= ops
+    assert ops - callers == set()

@@ -17,9 +17,8 @@ def zero_field(d_s=8, d_p=8, hidden=64, n_hidden=3):
 
 
 def displacement(field, points, z_s, z_p):
-    """The field at ``points`` for one code, on a constant tape."""
-    tape = ad.Tape()
-    return fm._field_var(field, tape.const(points), tape.const(z_s), tape.const(z_p)).value
+    """The field at ``points`` for one code."""
+    return fm._field(field, points, z_s, z_p)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +203,50 @@ class TestFieldInit:
             assert np.array_equal(ba, bb)
 
 
+@pytest.fixture(scope="module")
+def suite_field(asset):
+    """The gradient suite's field: two codes each, one hidden layer of 16."""
+    return fm.random_field(asset.mesh.vertices, d_s=2, d_p=2, hidden=16,
+                           n_hidden=1, seed=1)
+
+
+class TestFieldNode:
+    @pytest.mark.parametrize("which", ["default", "suite"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["all_rows", "kp_rows"])
+    @pytest.mark.parametrize("live", [(True, True), (True, False), (False, True)],
+                             ids=["codes_live", "z_p_const", "z_s_const"])
+    def test_equals_chain_bit_for_bit(self, asset, field, suite_field, which, rows, live):
+        f = field if which == "default" else suite_field
+        X = asset.mesh.vertices[asset.keypoint_ids] if rows else asset.mesh.vertices
+        rng = np.random.default_rng(5)
+        z0, w = (rng.normal(size=f.d_s), rng.normal(size=f.d_p)), rng.normal(size=X.shape)
+        out = []
+        for build in (fm._field_var, chainref.field):
+            tape = ad.Tape()
+            z = [tape.leaf(v, requires_grad=g) for v, g in zip(z0, live)]
+            before = len(tape)
+            y = build(f, X, *z)
+            nodes = len(tape) - before
+            grads = tape.backward((y * w).sum())
+            out.append((nodes, y.value, [grads[v] for v in z if v.requires_grad]))
+        (n_node, v_node, g_node), (_, v_chain, g_chain) = out
+        assert n_node == 1
+        assert np.array_equal(v_node, v_chain)
+        assert len(g_node) == len(g_chain) == sum(live)
+        for a, b in zip(g_node, g_chain):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("which", ["default", "suite"])
+    def test_gradient_matches_fd(self, asset, field, suite_field, which):
+        f = field if which == "default" else suite_field
+        X = asset.mesh.vertices[asset.keypoint_ids]
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=X.shape)
+        err = ad.grad_check(lambda z_s, z_p: (fm._field_var(f, X, z_s, z_p) * w).sum(),
+                            [rng.normal(size=f.d_s), rng.normal(size=f.d_p)])
+        assert err < 1e-8
+
+
 def chain_euler(r):
     """Reference: the rotation Rz @ Ry @ Rx as a chain of small tape ops."""
     tape = r.tape
@@ -213,15 +256,15 @@ def chain_euler(r):
     cy, sy = chainref.cos(r[1]), chainref.sin(r[1])
     cz, sz = chainref.cos(r[2]), chainref.sin(r[2])
     Rx = ad.stack([ad.stack([one, zero, zero]),
-                   ad.stack([zero, cx, -sx]),
+                   ad.stack([zero, cx, chainref.neg(sx)]),
                    ad.stack([zero, sx, cx])])
     Ry = ad.stack([ad.stack([cy, zero, sy]),
                    ad.stack([zero, one, zero]),
-                   ad.stack([-sy, zero, cy])])
-    Rz = ad.stack([ad.stack([cz, -sz, zero]),
+                   ad.stack([chainref.neg(sy), zero, cy])])
+    Rz = ad.stack([ad.stack([cz, chainref.neg(sz), zero]),
                    ad.stack([sz, cz, zero]),
                    ad.stack([zero, zero, one])])
-    return Rz @ Ry @ Rx
+    return chainref.matmul(chainref.matmul(Rz, Ry), Rx)
 
 
 class TestEulerNode:
@@ -236,7 +279,7 @@ class TestEulerNode:
             tape = ad.Tape()
             rv = tape.leaf(np.array(r))
             R = build(rv)
-            loss = ((tape.const(x) @ ad.transpose(R)) * w).sum()
+            loss = (chainref.matmul(tape.const(x), chainref.transpose(R)) * w).sum()
             out.append((R.value, tape.backward(loss)[rv]))
         (v_node, g_node), (v_chain, g_chain) = out
         assert np.array_equal(v_node, v_chain)

@@ -510,11 +510,11 @@ def chain_project(verts, cam):
     """One camera's projection as a chain of small tape ops: pixels (V,2)
     as a Var, like one view of ``project_vertices_var``."""
     tape = verts.tape
-    cam_pts = verts @ tape.const(cam.R.T) + tape.const(cam.t)
+    cam_pts = chainref.matmul(verts, tape.const(cam.R.T)) + tape.const(cam.t)
     z_safe = chainref.clamp(cam_pts[:, 2:3], cam_mod.Z_NEAR, 1e12)
     px = cam_pts[:, 0:1] * cam.fx / z_safe + cam.cx
     py = cam_pts[:, 1:2] * cam.fy / z_safe + cam.cy
-    return ad.concat([px, py], axis=1)
+    return chainref.concat([px, py], axis=1)
 
 
 def dense_nearest(pc, a, b):
