@@ -7,15 +7,18 @@ normal-map terms.  Each stage returns the fitted parameters and one
 ``(epoch, kp, sil, norm, total)`` loss row per epoch.  Both stages run
 full-batch Adam with a fixed epoch count; each epoch builds one tape,
 registers the deformed template once and projects into all views in one
-tape node.  Stage 1 always frees r, t and s only, so its deformed
-template is a constant: it runs the deformation field once per stage,
-off the epoch tapes and only on the keypoint rows, the only rows its
-loss reads, and each epoch registers and projects those rows.  Stage 2
-evaluates the field over the whole mesh every epoch, rasterizes its
-projection into each view in numpy, and scores the pixels of all views
-at once: the normal term over every view's covered target pixels, the
-silhouette term over every view's contour band, each a mean over views
-of per-view means.
+tape node.  The cameras' image sizes are built once per stage.  Stage 1
+always frees r, t and s only, so its deformed template is a constant: it
+runs the deformation field once per stage, off the epoch tapes and only
+on the keypoint rows, the only rows its loss reads, and each epoch
+registers and projects those rows and reads the keypoints as every row
+of that projection, with no index node.  Stage 2 evaluates the field over
+the whole mesh every epoch, rasterizes its projection into each view's
+sparse fragment lists in numpy, and scores the pixels of all views at
+once: the normal term over every view's covered target pixels (picked as
+positions into the view's covered pixels), the silhouette term over every
+view's contour band, each a mean over views of per-view means.  No
+image-sized face or barycentric buffer is built.
 """
 
 from __future__ import annotations
@@ -134,12 +137,14 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
 
     # stage 1 holds the codes fixed and its loss reads only the keypoint
     # rows, so their deformed template is the same in every epoch: evaluate
-    # the field on those rows once, off the epoch tapes
+    # the field on those rows once, off the epoch tapes, and read every row
+    # of their projection
     kp_ids, deformed = asset.keypoint_ids, None
+    size = renderer.image_size(cameras)
     if not with_render:
         deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), params),
                              kp_ids).value
-        kp_ids = np.arange(len(kp_ids))
+        kp_ids = None
 
     rows = []
     for epoch in range(epochs):
@@ -149,16 +154,18 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         if with_render:
             n_world = renderer.vertex_normals_var(verts, faces)
         proj = renderer.project_vertices_var(verts, cameras)
-        kp, _ = renderer.project_keypoints_var(proj, kp_ids, cameras)
+        kp, _ = renderer.project_keypoints_var(proj, kp_ids, size)
         l_kp = losses.kp_fit_loss(kp, kp_obs)
         if with_render:
             frags = [renderer.rasterize(faces, proj[0].value[v], proj[1][v], cam)
                      for v, cam in enumerate(cameras)]
             masks = [frag.mask for frag in frags]
-            scored = [np.flatnonzero(mask & target)
-                      for mask, target in zip(masks, sil_targets)]
-            n_pix = renderer.render_normals_var(n_world, faces, cameras, frags, scored)
-            l_norm = losses.normal_fit_loss(n_pix, normal_obs, scored)
+            # the covered target pixels, as positions into each view's pixels
+            pos = [np.flatnonzero(target.reshape(-1)[frag.pixels])
+                   for frag, target in zip(frags, sil_targets)]
+            n_pix = renderer.render_normals_var(n_world, faces, cameras, frags, pos)
+            l_norm = losses.normal_fit_loss(
+                n_pix, normal_obs, [frag.pixels[p] for frag, p in zip(frags, pos)])
             soft, bands = renderer.render_silhouette_soft_var(
                 proj[0], cameras, frags, topo, config.sharpness)
             l_sil = losses.silhouette_l2(soft, bands, masks, sil_targets)

@@ -98,7 +98,7 @@ def _check_render_normals(rng, h):
     v0 = _base_triangle(rng)
     faces = np.array([[0, 2, 1]])
     frags = renderer.rasterize_views(geometry.Mesh(v0, faces), cams)
-    scored = [np.flatnonzero(frag.mask) for frag in frags]
+    scored = [np.arange(len(frag.pixels)) for frag in frags]
     w = rng.normal(size=(sum(len(s) for s in scored), 3))
 
     def fn(verts):
@@ -155,7 +155,8 @@ def _check_project_keypoints(rng, h):
 
     def fn(verts):
         proj = renderer.project_vertices_var(verts, cams)
-        kp, _ = renderer.project_keypoints_var(proj, np.array([0, 2]), cams)
+        kp, _ = renderer.project_keypoints_var(proj, np.array([0, 2]),
+                                              renderer.image_size(cams))
         return (kp * w).sum()
 
     return ad.grad_check(fn, [v0], h=h)

@@ -1,13 +1,16 @@
 """Differentiable rasterization: normal maps, soft silhouettes, keypoints.
 
-The rasterizer produces a :class:`FragmentBuffer`: a hard pixel→face
-assignment with perspective-correct barycentric weights, its coverage
-mask, and the camera-facing faces.  It keeps no depth image; a pixel's
-depth or world height is the barycentric mix of its face's corners.  The
-assignment is treated as a constant during backward (straight-through
-visibility): gradients reach the mesh vertices only through interpolated
-normal values, projected keypoints, and the soft silhouette's edge
-distances.
+The rasterizer produces a :class:`FragmentBuffer`: per-pixel fragment
+lists in the manner of Carpenter's A-buffer rather than full-frame
+images.  It holds the covered pixels as ascending flat indices, each
+one's face and perspective-correct barycentric weights in the same order,
+the coverage mask and the camera-facing faces; it keeps no face, weight
+or depth image.  A pixel's depth or world height is the barycentric mix
+of its face's corners.  Dense images are filled only for files a user
+reads (:func:`render_normals`, :func:`pixel_heights`).  The assignment is
+treated as a constant during backward (straight-through visibility):
+gradients reach the mesh vertices only through interpolated normal
+values, projected keypoints, and the soft silhouette's edge distances.
 
 Pixel centers sit at (column + 0.5, row + 0.5).  Coverage is the
 inclusive half-plane edge-function test.  Back-face culling is on:
@@ -33,7 +36,7 @@ edge sigmoid.  The op-by-op chains they replace are test references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +48,32 @@ from .geometry import Mesh
 __all__ = [
     "FragmentBuffer", "rasterize", "rasterize_views", "render_normals",
     "render_normals_var", "render_silhouette_soft_var", "project_keypoints_var",
-    "project_vertices_var", "vertex_normals_var", "pixel_heights",
+    "project_vertices_var", "vertex_normals_var", "image_size", "pixel_heights",
     "cutoff_fraction", "ContourTopology",
 ]
 
 
 @dataclass
 class FragmentBuffer:
-    face: np.ndarray      # (H,W) int64, -1 where empty
-    bary: np.ndarray      # (H,W,3) perspective-correct weights
+    """The covered pixels of one view and the fragment that wins each.
+    ``face`` and ``bary`` run in the order of ``pixels``; a position into
+    ``pixels`` indexes all three."""
+    pixels: np.ndarray    # (P,) int64 flat indices i·W + j, strictly ascending
+    face: np.ndarray      # (P,) int64 face id
+    bary: np.ndarray      # (P,3) perspective-correct weights
+    mask: np.ndarray      # (H,W) bool coverage: True exactly at ``pixels``
     front_faces: np.ndarray   # bool per face: z-valid and camera-facing
-    mask: np.ndarray = field(init=False)   # (H,W) bool coverage, face >= 0
 
-    def __post_init__(self):
-        self.mask = self.face >= 0
+    @classmethod
+    def build(cls, shape, pixels, face, bary, front_faces):
+        mask = np.zeros(shape, dtype=bool)
+        mask.reshape(-1)[pixels] = True
+        return cls(pixels, face, bary, mask, front_faces)
+
+    @classmethod
+    def empty(cls, shape, front_faces):
+        return cls.build(shape, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         np.zeros((0, 3)), front_faces)
 
 
 def rasterize(faces, pix, z, camera) -> FragmentBuffer:
@@ -77,12 +92,11 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     column each side, which absorbs their rounding, and clipped to the
     box; the edge test then decides every column exactly.  Candidates run
     face by face, row by row, column by column.  Only pixels that more than
-    one face covers are sorted by (depth, face) to pick the winner; the
-    rest are written directly.
+    one face covers are sorted by (depth, face) to pick the winner, and
+    only their depth is computed; the winners are then ordered by flat
+    index.  No (H,W) face or (H,W,3) weight image is built.
     """
     H, W = camera.height, camera.width
-    face_buf = np.full((H, W), -1, dtype=np.int64)
-    bary_buf = np.zeros((H, W, 3))
     corners = faces.T
     # (3, F): x, y and depth of corner k of every face
     x, y, zc = pix[:, 0][corners], pix[:, 1][corners], z[corners]
@@ -90,7 +104,7 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     front = ((zc[0] > Z_NEAR) & (zc[1] > Z_NEAR) & (zc[2] > Z_NEAR)
              & (area2 < -1e-14))     # camera-facing under y-down pixel coords
     if not np.any(front):
-        return FragmentBuffer(face_buf, bary_buf, front)
+        return FragmentBuffer.empty((H, W), front)
 
     fids = np.nonzero(front)[0]
     x, y, zc = (np.take(c, fids, axis=1) for c in (x, y, zc))
@@ -131,28 +145,25 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     w0, w1, w2 = (run[row] - rise[row] * (px_c - ax[row]) for run, rise, ax in edges)
     inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)   # same sign as the negative area
     if not np.any(inside):
-        return FragmentBuffer(face_buf, bary_buf, front)
+        return FragmentBuffer.empty((H, W), front)
     row, jj = row[inside], jj[inside]
     cand = row_face[row]
     lam = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / a2[cand][:, None]
 
     inv_z = lam / zc.T[cand]
     inv_sum = inv_z.sum(axis=1)
-    depth = 1.0 / inv_sum
     bary = inv_z / inv_sum[:, None]
 
     flat = ii[row] * W + jj
     global_face = fids[cand]
     shared = np.bincount(flat)[flat] > 1
     dup = np.nonzero(shared)[0]
-    order = dup[np.lexsort((global_face[dup], depth[dup], flat[dup]))]
+    order = dup[np.lexsort((global_face[dup], 1.0 / inv_sum[dup], flat[dup]))]
     first = np.ones(len(order), dtype=bool)
     first[1:] = flat[order[1:]] != flat[order[:-1]]
     sel = np.concatenate([np.nonzero(~shared)[0], order[first]])
-
-    face_buf.reshape(-1)[flat[sel]] = global_face[sel]
-    bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
-    return FragmentBuffer(face_buf, bary_buf, front)
+    sel = sel[np.argsort(flat[sel])]
+    return FragmentBuffer.build((H, W), flat[sel], global_face[sel], bary[sel], front)
 
 
 def rasterize_views(mesh: Mesh, cameras):
@@ -217,20 +228,20 @@ def vertex_normals_var(verts: ad.Var, faces) -> ad.Var:
 
 
 def render_normals_var(n_world: ad.Var, faces, cameras, frags, scored):
-    """Unit camera-frame normals (P,3) at the ``scored`` pixels (ascending
-    flat indices inside coverage, one array per view) of every view, as one
-    Var whose rows run view by view.  ``n_world`` is
-    :func:`vertex_normals_var` of the mesh rasterized into ``frags``.  One
-    node rotates the normals into all cameras, takes each pixel's three
-    corners, interpolates them with the perspective-correct barycentrics
-    and normalises, over the pixels of all views at once."""
+    """Unit camera-frame normals (P,3) at the ``scored`` pixels of every
+    view, as one Var whose rows run view by view.  ``scored[v]`` holds
+    ascending positions into ``frags[v].pixels``, not flat pixel indices.
+    ``n_world`` is :func:`vertex_normals_var` of the mesh rasterized into
+    ``frags``.  One node rotates the normals into all cameras, takes each
+    pixel's three corners, interpolates them with the perspective-correct
+    barycentrics and normalises, over the pixels of all views at once."""
     n_verts = n_world.shape[0]
     face_corners = np.ascontiguousarray(faces.T)
     corners, bary = [], []
-    for view, (frag, flat) in enumerate(zip(frags, scored)):
-        corners.append(np.take(face_corners, np.take(frag.face, flat), axis=1)
+    for view, (frag, pos) in enumerate(zip(frags, scored)):
+        corners.append(np.take(face_corners, np.take(frag.face, pos), axis=1)
                        + view * n_verts)
-        bary.append(np.take(frag.bary.reshape(-1, 3), flat, axis=0))
+        bary.append(np.take(frag.bary, pos, axis=0))
     # (3,P): corner k of every pixel, and its weight
     corners = np.concatenate(corners, axis=1)
     bary = np.ascontiguousarray(np.concatenate(bary).T)
@@ -258,8 +269,8 @@ def render_normals(mesh: Mesh, camera, frag: FragmentBuffer):
     :func:`render_normals_var`."""
     n_world = vertex_normals_var(ad.Tape().const(mesh.vertices), mesh.faces)
     img = np.zeros((camera.height, camera.width, 3))
-    img[frag.mask] = render_normals_var(n_world, mesh.faces, [camera], [frag],
-                                        [np.flatnonzero(frag.mask)]).value
+    img.reshape(-1, 3)[frag.pixels] = render_normals_var(
+        n_world, mesh.faces, [camera], [frag], [np.arange(len(frag.pixels))]).value
     return img
 
 
@@ -500,35 +511,46 @@ def render_silhouette_soft_var(proj: ad.Var, cameras, frags, topo: ContourTopolo
     return _edge_sigmoid(proj, ends[:, 0], ends[:, 1], pc, scale), bands
 
 
-def project_keypoints_var(proj, kp_vertex_ids, cameras):
+def image_size(cameras):
+    """(N,1,2) ``[width, height]`` of each of the N ``cameras``: the
+    divisor of :func:`project_keypoints_var`."""
+    return np.array([[[cam.width, cam.height]] for cam in cameras], dtype=np.float64)
+
+
+def project_keypoints_var(proj, kp_vertex_ids, size):
     """Normalized positions (N,K,2) as a Var and 0/1 visibility (N,K) of
     distinct keypoint vertices, read from ``proj``, the result of
-    :func:`project_vertices_var` for the N cameras.  A keypoint is visible
-    when it lands in [0, W) × [0, H) pixel bounds at depth above ``Z_NEAR``."""
-    pix_var, z = proj
-    kp_ids = np.asarray(kp_vertex_ids)
-    if len(np.unique(kp_ids)) != len(kp_ids):
-        raise ValueError("keypoint vertex ids must be distinct")
-    size = np.array([[[cam.width, cam.height]] for cam in cameras], dtype=np.float64)
-    kp_pix = pix_var[:, kp_ids]
+    :func:`project_vertices_var` for N cameras whose :func:`image_size` is
+    ``size``.  ``kp_vertex_ids`` None reads every row of ``proj`` in order
+    and records no index node.  A keypoint is visible when it lands in
+    [0, W) × [0, H) pixel bounds at depth above ``Z_NEAR``."""
+    kp_pix, z = proj
+    if kp_vertex_ids is not None:
+        kp_ids = np.asarray(kp_vertex_ids)
+        if len(np.unique(kp_ids)) != len(kp_ids):
+            raise ValueError("keypoint vertex ids must be distinct")
+        kp_pix, z = kp_pix[:, kp_ids], z[:, kp_ids]
     p = kp_pix.value
-    visible = (z[:, kp_ids] > Z_NEAR) & np.all((p >= 0) & (p < size), axis=2)
+    visible = (z > Z_NEAR) & np.all((p >= 0) & (p < size), axis=2)
     return kp_pix / size, visible.astype(np.float64)
+
+
+def _heights(mesh: Mesh, frag: FragmentBuffer):
+    """World z (P,) of the surface point under each of ``frag.pixels``."""
+    return np.sum(frag.bary * mesh.vertices[mesh.faces[frag.face], 2], axis=1)
 
 
 def pixel_heights(mesh: Mesh, frag: FragmentBuffer):
     """World z (H,W) of the surface point under each covered pixel of
     ``mesh`` rasterized into ``frag``, NaN off coverage."""
-    z = np.full(frag.face.shape, np.nan)
-    sel = frag.mask
-    z[sel] = np.sum(frag.bary[sel] * mesh.vertices[mesh.faces[frag.face[sel]], 2], axis=1)
+    z = np.full(frag.mask.shape, np.nan)
+    z.reshape(-1)[frag.pixels] = _heights(mesh, frag)
     return z
 
 
 def cutoff_fraction(mesh: Mesh, cutoff_height, frag: FragmentBuffer) -> float:
     """Fraction of covered pixels whose surface point lies above the
     horizontal plane z = cutoff_height.  Empty coverage gives 0."""
-    mask = frag.mask
-    if not mask.any():
+    if len(frag.pixels) == 0:
         return 0.0
-    return float(np.mean(pixel_heights(mesh, frag)[mask] > cutoff_height))
+    return float(np.mean(_heights(mesh, frag) > cutoff_height))

@@ -148,7 +148,7 @@ def render_view(gt_mesh, kp_ids, camera, sigma_deg, kp_sigma, rng,
     gt_normals = renderer.render_normals(gt_mesh, camera, frag)
     mask = frag.mask
     mu, kappa = synthesize_kappa(gt_normals, mask, sigma_deg, rng)
-    kp, vis = renderer.project_keypoints_var(proj, kp_ids, [camera])
+    kp, vis = renderer.project_keypoints_var(proj, kp_ids, renderer.image_size([camera]))
     sigma = np.full((len(kp_ids), 2), float(kp_sigma))
     obs = losses.Observation(
         losses.NormalObservation(mu, kappa),

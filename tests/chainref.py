@@ -5,6 +5,10 @@ one fused node of the package computes in a single step.  The tests
 compare the fused nodes against them, values and gradients.
 :func:`rasterize_mesh` and :func:`project_keypoints` are the numpy
 rasterization and keypoint labels of a mesh that the tests share.
+:func:`dense_fragments` turns a sparse fragment buffer back into the
+full-frame face and barycentric images, and :func:`render_normals_dense`,
+:func:`pixel_heights_dense` and :func:`cutoff_fraction_dense` are the
+dense-image paths the sparse buffer replaced.
 The element-wise ops (:func:`neg`, :func:`sqrt`, :func:`sin`,
 :func:`cos`, :func:`tanh`, :func:`clamp`, :func:`sigmoid`), the row
 gather :func:`take`, :func:`matmul`, :func:`transpose` and
@@ -27,8 +31,56 @@ def project_keypoints(verts, kp_ids, cameras):
     """Normalized keypoints (N,K,2) and visibility (N,K) of the vertices
     ``verts`` as the fit and the scene labels project them."""
     proj = renderer.project_vertices_var(ad.Tape().const(verts), cameras)
-    kp, vis = renderer.project_keypoints_var(proj, kp_ids, cameras)
+    kp, vis = renderer.project_keypoints_var(proj, kp_ids, renderer.image_size(cameras))
     return kp.value, vis
+
+
+def dense_fragments(frag):
+    """Full-frame images of the sparse ``frag``: the face (H,W) int64, -1
+    off coverage, and the barycentric weights (H,W,3), zero off coverage."""
+    face = np.full(frag.mask.shape, -1, dtype=np.int64)
+    bary = np.zeros((*frag.mask.shape, 3))
+    face.reshape(-1)[frag.pixels] = frag.face
+    bary.reshape(-1, 3)[frag.pixels] = frag.bary
+    return face, bary
+
+
+def render_normals_dense(mesh, camera, frag):
+    """Camera-frame normal map (H,W,3), zero off coverage, gathered from
+    the dense images of ``frag`` at the covered flat indices with the
+    arithmetic of :func:`footfit.renderer.render_normals_var`."""
+    face, bary = dense_fragments(frag)
+    covered = face >= 0
+    flat = np.flatnonzero(covered)
+    n_world = renderer.vertex_normals_var(ad.Tape().const(mesh.vertices), mesh.faces)
+    n_cam = (n_world.value @ camera.R.T).T.copy()
+    corners = np.take(np.ascontiguousarray(mesh.faces.T), np.take(face, flat), axis=1)
+    weights = np.ascontiguousarray(np.take(bary.reshape(-1, 3), flat, axis=0).T)
+    n_pix = np.take(n_cam, corners[0], axis=1) * weights[0]
+    n_pix += np.take(n_cam, corners[1], axis=1) * weights[1]
+    n_pix += np.take(n_cam, corners[2], axis=1) * weights[2]
+    norm = np.sqrt(n_pix[0] * n_pix[0] + n_pix[1] * n_pix[1] + n_pix[2] * n_pix[2])
+    img = np.zeros((camera.height, camera.width, 3))
+    img[covered] = (n_pix / norm).T
+    return img
+
+
+def pixel_heights_dense(mesh, frag):
+    """World z (H,W) under each covered pixel, NaN off coverage, from the
+    dense images of ``frag``."""
+    face, bary = dense_fragments(frag)
+    sel = face >= 0
+    z = np.full(face.shape, np.nan)
+    z[sel] = np.sum(bary[sel] * mesh.vertices[mesh.faces[face[sel]], 2], axis=1)
+    return z
+
+
+def cutoff_fraction_dense(mesh, cutoff_height, frag):
+    """Fraction of covered pixels above z = cutoff_height from the dense
+    height image; 0 for empty coverage."""
+    if not frag.mask.any():
+        return 0.0
+    return float(np.mean(pixel_heights_dense(mesh, frag)[frag.mask] > cutoff_height))
 
 
 def neg(a):
@@ -132,14 +184,14 @@ def vertex_normals_var(verts, faces):
 
 
 def render_normals_var(n_world, faces, cameras, frags, scored):
-    """Unit camera-frame normals (P,3) at the scored pixels of every view,
-    as the rotation node, three takes, the interpolation and a norm that
-    :func:`footfit.renderer.render_normals_var` replaces."""
+    """Unit camera-frame normals (P,3) at the scored positions into each
+    view's pixels, as the rotation node, three takes, the interpolation and
+    a norm that :func:`footfit.renderer.render_normals_var` replaces."""
     n_verts = n_world.shape[0]
     corners, bary = [], []
-    for view, (frag, flat) in enumerate(zip(frags, scored)):
-        corners.append(faces[frag.face.reshape(-1)[flat]] + view * n_verts)
-        bary.append(frag.bary.reshape(-1, 3)[flat])
+    for view, (frag, pos) in enumerate(zip(frags, scored)):
+        corners.append(faces[frag.face[pos]] + view * n_verts)
+        bary.append(frag.bary[pos])
     corners, bary = np.concatenate(corners), np.concatenate(bary)
     rots = [cam.R for cam in cameras]
 

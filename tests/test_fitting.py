@@ -203,7 +203,8 @@ def _stage1_full_mesh(model, observations, cameras, config):
         pv = fm.lift_params(tape, params, train=free)
         verts = fm.forward(asset, field, pv)
         proj = renderer.project_vertices_var(verts, cameras)
-        kps, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids, cameras)
+        kps, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids,
+                                                renderer.image_size(cameras))
         l_kp = losses.kp_fit_loss(kps, kp_obs)
         total = l_kp * config.w_kp
         rows.append((epoch, float(l_kp.value), 0.0, 0.0, float(total.value)))
@@ -402,11 +403,10 @@ def _image_normals(n_world, faces, cam, frag):
     tape = n_world.tape
     H, W = cam.height, cam.width
     n_cam = chainref.matmul(n_world, tape.const(cam.R.T))
-    flat = np.nonzero(frag.face.reshape(-1) >= 0)[0]
+    flat = frag.pixels
     if flat.size == 0:
         return tape.const(np.zeros((H, W, 3)))
-    fsel = frag.face.reshape(-1)[flat]
-    bary = frag.bary.reshape(-1, 3)[flat]
+    fsel, bary = frag.face, frag.bary
     n0 = chainref.take(n_cam, faces[fsel, 0])
     n1 = chainref.take(n_cam, faces[fsel, 1])
     n2 = chainref.take(n_cam, faces[fsel, 2])
@@ -464,7 +464,8 @@ def _image_stage2_epoch(model, observations, cameras, config, params):
     mesh_now = asset.mesh.copy_with(verts.value)
     n_world = chainref.vertex_normals_var(verts, faces)
     proj = renderer.project_vertices_var(verts, cameras)
-    kp, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids, cameras)
+    kp, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids,
+                                           renderer.image_size(cameras))
     l_kp = losses.kp_fit_loss(kp, [o.keypoints for o in observations])
     l_sil = l_norm = tape.const(0.0)
     for view, cam in enumerate(cameras):

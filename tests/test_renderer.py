@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 import chainref
-from chainref import project_keypoints, rasterize_mesh, scatter_into
+from chainref import dense_fragments, project_keypoints, rasterize_mesh, scatter_into
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import footmodel as fm
@@ -111,8 +111,9 @@ def pixel_depths(mesh, cam, frag):
     """Camera depth (H,W) of each covered pixel's surface point, 0 off
     coverage: sum over k of bary_k · z_k of its face's corners."""
     z = cam_mod.project([cam], mesh.vertices)[1][0, :, 2]
-    depth = np.sum(frag.bary * z[mesh.faces[frag.face]], axis=2)
-    return np.where(frag.mask, depth, 0.0)
+    depth = np.zeros(frag.mask.shape)
+    depth.reshape(-1)[frag.pixels] = np.sum(frag.bary * z[mesh.faces[frag.face]], axis=1)
+    return depth
 
 
 def render_silhouette_soft(mesh, camera, sharpness=40.0):
@@ -130,7 +131,8 @@ def render_silhouette_soft(mesh, camera, sharpness=40.0):
 def bbox_rasterize(mesh, camera):
     """Reference rasterizer: every pixel centre in each front face's
     bounding box takes the edge test, and every inside candidate is
-    sorted by (pixel, depth, face)."""
+    sorted by (pixel, depth, face).  Returns the face image (H,W), -1 off
+    coverage, the barycentric image (H,W,3) and the front-face flags."""
     H, W = camera.height, camera.width
     face_buf = np.full((H, W), -1, dtype=np.int64)
     bary_buf = np.zeros((H, W, 3))
@@ -143,9 +145,9 @@ def bbox_rasterize(mesh, camera):
     area2 = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
              - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
     front &= area2 < -1e-14
-    frag = rd.FragmentBuffer(face_buf, bary_buf, front)
+    empty = face_buf, bary_buf, front
     if not np.any(front):
-        return frag
+        return empty
 
     fids = np.nonzero(front)[0]
     q0, q1, q2 = p0[fids], p1[fids], p2[fids]
@@ -158,7 +160,7 @@ def bbox_rasterize(mesh, camera):
     i1 = np.minimum(np.floor(ys.max(axis=1) - 0.5), H - 1).astype(np.int64)
     keep = (j1 >= j0) & (i1 >= i0)
     if not np.any(keep):
-        return frag
+        return empty
     fids, q0, q1, q2, a2 = fids[keep], q0[keep], q1[keep], q2[keep], a2[keep]
     j0, j1, i0, i1 = j0[keep], j1[keep], i0[keep], i1[keep]
 
@@ -180,7 +182,7 @@ def bbox_rasterize(mesh, camera):
     w2 = (c1[:, 0] - c0[:, 0]) * (py_c - c0[:, 1]) - (c1[:, 1] - c0[:, 1]) * (px_c - c0[:, 0])
     inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)
     if not np.any(inside):
-        return frag
+        return empty
     cand, jj, ii = cand[inside], jj[inside], ii[inside]
     lam = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / a2[cand][:, None]
 
@@ -200,13 +202,28 @@ def bbox_rasterize(mesh, camera):
 
     face_buf.reshape(-1)[flat[sel]] = global_face[sel]
     bary_buf.reshape(-1, 3)[flat[sel]] = bary[sel]
-    return rd.FragmentBuffer(face_buf, bary_buf, front)
+    return face_buf, bary_buf, front
+
+
+def assert_sparse_form(frag):
+    """``pixels`` strictly ascending, one face and weight row per pixel,
+    and the mask true exactly at ``pixels``."""
+    assert frag.pixels.dtype == frag.face.dtype == np.int64
+    assert np.all(np.diff(frag.pixels) > 0)
+    assert len(frag.pixels) == len(frag.face) == len(frag.bary) == frag.mask.sum()
+    assert frag.bary.shape[1:] == (3,)
+    assert frag.mask.reshape(-1)[frag.pixels].all()
 
 
 def assert_same_fragments(mesh, cam):
-    got, ref = rasterize_mesh(mesh, cam), bbox_rasterize(mesh, cam)
-    for name in ("face", "bary", "front_faces", "mask"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+    got = rasterize_mesh(mesh, cam)
+    assert_sparse_form(got)
+    face, bary = dense_fragments(got)
+    ref_face, ref_bary, ref_front = bbox_rasterize(mesh, cam)
+    for name, a, b in (("face", face, ref_face), ("bary", bary, ref_bary),
+                       ("front_faces", got.front_faces, ref_front),
+                       ("mask", got.mask, ref_face >= 0)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
     return got
 
 
@@ -260,7 +277,7 @@ class TestRasterize:
         mesh, cams = ac05_views
         frag = rasterize_mesh(mesh, cams[0])
         assert frag.mask is frag.mask
-        assert np.array_equal(frag.mask, frag.face >= 0) and frag.mask.any()
+        assert np.array_equal(frag.mask, dense_fragments(frag)[0] >= 0) and frag.mask.any()
 
     def test_matches_bounding_box_reference_near_plane_and_soups(self):
         # a sphere pulled onto a camera's near plane: its near pole and
@@ -296,7 +313,7 @@ class TestRasterize:
             mesh = random_soup(np.random.default_rng(seed))
             frag = rasterize_mesh(mesh, cam)
             face_bf, depth_bf = brute_force_raster(mesh, cam)
-            ok = frag.face == face_bf
+            ok = dense_fragments(frag)[0] == face_bf
             # pixels whose two candidate depths differ by <1e-9 may resolve
             # either way; none occur in these seeds but guard the diff report
             assert ok.all(), f"seed {seed}: {np.count_nonzero(~ok)} pixels differ"
@@ -331,7 +348,7 @@ class TestRasterize:
         both = Mesh(np.vstack([far.vertices, near.vertices]),
                     np.vstack([far.faces, near.faces + 4]))
         frag = rasterize_mesh(both, cam)
-        center = frag.face[cam.height // 2, cam.width // 2]
+        center = dense_fragments(frag)[0][cam.height // 2, cam.width // 2]
         assert center >= 2  # one of the near quad's faces
         depth = pixel_depths(both, cam, frag)
         assert depth[cam.height // 2, cam.width // 2] == pytest.approx(0.4)
@@ -345,6 +362,7 @@ class TestRasterize:
         mesh = random_soup(np.random.default_rng(9))
         a = rasterize_mesh(mesh, cam)
         b = rasterize_mesh(mesh, cam)
+        assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.face, b.face)
         assert np.array_equal(a.bary, b.bary)
         assert np.array_equal(pixel_depths(mesh, cam, a), pixel_depths(mesh, cam, b))
@@ -353,9 +371,66 @@ class TestRasterize:
         cam = front_cam()
         mesh = random_soup(np.random.default_rng(2))
         frag = rasterize_mesh(mesh, cam)
-        s = frag.bary[frag.mask].sum(axis=1)
-        np.testing.assert_allclose(s, 1.0, atol=1e-12)
-        assert (frag.bary[frag.mask] >= -1e-12).all()
+        assert len(frag.pixels) > 0
+        np.testing.assert_allclose(frag.bary.sum(axis=1), 1.0, atol=1e-12)
+        assert (frag.bary >= -1e-12).all()
+
+    def test_sparse_form(self, ac05_views, hires_views):
+        # scenes, soups, a culled and an off-image mesh
+        mesh, cams = ac05_views
+        frags = [rasterize_mesh(mesh, cam) for cam in cams]
+        hires_mesh, hires = hires_views
+        frags += [rasterize_mesh(hires_mesh, cam) for cam in hires]
+        cam = front_cam(width=40, height=30, f=50.0)
+        frags += [rasterize_mesh(random_soup(np.random.default_rng(s)), cam)
+                  for s in range(4)]
+        quad = quad_mesh()
+        frags += [rasterize_mesh(Mesh(quad.vertices, quad.faces[:, ::-1]), cam),
+                  rasterize_mesh(quad_mesh(cx=9.0), cam)]
+        for frag in frags:
+            assert_sparse_form(frag)
+        assert len(frags[-1].pixels) == len(frags[-2].pixels) == 0
+
+    def test_no_full_frame_weight_image(self, hires_views):
+        # a 480×640 view: only the (H,W) mask is image-sized
+        mesh, cams = hires_views
+        frag = rasterize_mesh(mesh, cams[0])
+        H, W = cams[0].height, cams[0].width
+        assert (H, W) == (640, 480) and frag.mask.shape == (H, W)
+        arrays = {name: a for name, a in vars(frag).items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {"pixels", "face", "bary", "mask", "front_faces"}
+        assert all(a.size != H * W * 3 for a in arrays.values())
+        assert [name for name, a in arrays.items() if a.size >= H * W] == ["mask"]
+
+
+class TestDenseOutputs:
+    """The dense images a user reads equal the full-frame reference."""
+
+    @pytest.mark.parametrize("views", ["ac05", "hires"])
+    def test_equal_to_dense_reference(self, ac05_views, hires_views, views):
+        mesh, cams = hires_views if views == "hires" else ac05_views
+        z = mesh.vertices[:, 2]
+        cutoffs = [z.min() - 1.0, *np.quantile(z, [0.25, 0.5, 0.9]), z.max() + 1.0]
+        for cam in cams:
+            frag = rasterize_mesh(mesh, cam)
+            assert frag.mask.any()
+            assert np.array_equal(rd.render_normals(mesh, cam, frag),
+                                  chainref.render_normals_dense(mesh, cam, frag))
+            assert np.array_equal(rd.pixel_heights(mesh, frag),
+                                  chainref.pixel_heights_dense(mesh, frag), equal_nan=True)
+            for cutoff in cutoffs:
+                assert (rd.cutoff_fraction(mesh, cutoff, frag)
+                        == chainref.cutoff_fraction_dense(mesh, cutoff, frag))
+
+    def test_empty_coverage(self):
+        cam = front_cam()
+        mesh = quad_mesh(cx=9.0)
+        frag = rasterize_mesh(mesh, cam)
+        assert np.array_equal(rd.render_normals(mesh, cam, frag),
+                              chainref.render_normals_dense(mesh, cam, frag))
+        assert np.array_equal(rd.pixel_heights(mesh, frag),
+                              chainref.pixel_heights_dense(mesh, frag), equal_nan=True)
+        assert rd.cutoff_fraction(mesh, 0.2, frag) == 0.0
 
 
 class TestRenderNormals:
@@ -412,7 +487,7 @@ class TestRenderNormals:
         def loss(verts):
             n_world = rd.vertex_normals_var(verts, faces)
             rows = rd.render_normals_var(n_world, faces, [cam], [frag],
-                                         [np.flatnonzero(frag.mask)])
+                                         [np.arange(len(frag.pixels))])
             return (rows * w[frag.mask]).sum()
 
         assert ad.grad_check(loss, [v]) < 1e-4
@@ -735,8 +810,10 @@ class TestFusedNormals:
             cams.append(replace(cams[0], t=cams[0].t + np.array([5.0, 0.0, 0.0])))
         frags = [rasterize_mesh(mesh, cam) for cam in cams]
         rng = np.random.default_rng(4)
-        scored = [np.flatnonzero(f.mask & (rng.uniform(size=f.mask.shape) < 0.8))
-                  for f in frags]
+        keep = [f.mask & (rng.uniform(size=f.mask.shape) < 0.8) for f in frags]
+        # positions into each view's pixels for the render, flat indices for the loss
+        pos = [np.flatnonzero(k.reshape(-1)[f.pixels]) for f, k in zip(frags, keep)]
+        scored = [f.pixels[p] for f, p in zip(frags, pos)]
         obs = []
         for cam, frag in zip(cams, frags):
             mu = rd.render_normals(mesh, cam, frag) + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
@@ -749,7 +826,7 @@ class TestFusedNormals:
             tape = ad.Tape()
             verts = tape.leaf(mesh.vertices)
             n_world = vertex_normals(verts, mesh.faces)
-            rows = render(n_world, mesh.faces, cams, frags, scored)
+            rows = render(n_world, mesh.faces, cams, frags, pos)
             out = loss(rows, obs, scored)
             return n_world.value, rows.value, out.value, tape.backward(out)[verts]
 
@@ -812,7 +889,7 @@ class TestFusedSilhouette:
                 proj, [cam], [frag], rd.ContourTopology.build(mesh), sharpness=40.0)
             n_world = rd.vertex_normals_var(verts, mesh.faces)
             n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag],
-                                          [np.flatnonzero(frag.mask)])
+                                          [np.arange(len(frag.pixels))])
             tape.backward((soft * soft).sum() + n_pix.sum())
             del tape, verts, proj, soft, n_world, n_pix
             assert ref() is None
@@ -868,7 +945,7 @@ class TestKeypoints:
 
         def loss(verts):
             proj = rd.project_vertices_var(verts, [cam])
-            norm, _ = rd.project_keypoints_var(proj, [0, 1, 2, 3], [cam])
+            norm, _ = rd.project_keypoints_var(proj, [0, 1, 2, 3], rd.image_size([cam]))
             return (norm[0] * w).sum()
 
         assert ad.grad_check(loss, [v]) < 1e-4
@@ -877,7 +954,7 @@ class TestKeypoints:
         cam = front_cam()
         proj = rd.project_vertices_var(ad.Tape().leaf(quad_mesh().vertices), [cam])
         with pytest.raises(ValueError, match="distinct"):
-            rd.project_keypoints_var(proj, [0, 1, 0], [cam])
+            rd.project_keypoints_var(proj, [0, 1, 0], rd.image_size([cam]))
 
 
 class TestCutoffFraction:
