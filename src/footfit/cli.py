@@ -15,6 +15,7 @@ import argparse
 import ctypes
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -179,20 +180,33 @@ def _fit_config(cfg):
     return fitting.FitConfig(**{f.name: cfg[f.name] for f in fields(fitting.FitConfig)})
 
 
-# glibc's mallopt parameter for the freed heap top that malloc keeps
+# glibc's mallopt parameters (malloc.h) and the values _keep_heap_top sets;
+# 32 MiB is the largest mmap threshold glibc accepts on 64-bit hosts
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 64 << 20
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 def _keep_heap_top():
-    """Let glibc keep up to ``_TOP_PAD_BYTES`` of freed heap top.
+    """Let glibc reuse freed arrays instead of handing their pages back.
 
-    A fit builds one tape per epoch and frees it when the epoch ends, and
-    the field calibration of make-model its layer outputs per probe code.
-    By default glibc hands the freed heap top back to the kernel at once,
-    and the next one faults the same pages in again: a 1,000-epoch
-    stage-1 fit spent about a fifth of its time there.  Returns whether
-    the setting took; False on other C libraries.
+    A fit builds one tape per epoch and frees it before the next epoch
+    builds its own, and the field calibration of make-model frees its
+    layer outputs per probe code.  Two settings keep those pages mapped:
+
+    * ``M_TOP_PAD`` lets glibc keep up to ``_TOP_PAD_BYTES`` of freed heap
+      top.  By default glibc hands it back to the kernel at once, and the
+      next epoch faults the same pages in again: a 1,000-epoch stage-1 fit
+      spent about a fifth of its time there.
+    * ``M_MMAP_THRESHOLD`` at ``_MMAP_THRESHOLD_BYTES`` puts every array up
+      to 32 MiB on the heap.  Setting ``M_TOP_PAD`` turns off glibc's
+      dynamic mmap threshold (mallopt(3)), so with the top pad alone every
+      array of 128 KiB or more is mapped on its own and unmapped when it is
+      freed: after this module's imports, each 1 MB allocation faulted all
+      its 257 pages in again.
+
+    Returns whether both settings took; False on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -202,7 +216,8 @@ def _keep_heap_top():
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return mallopt(_M_TOP_PAD, _TOP_PAD_BYTES) == 1
+    return (mallopt(_M_TOP_PAD, _TOP_PAD_BYTES) == 1
+            and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1)
 
 
 def cmd_fit(cfg):
@@ -263,7 +278,9 @@ def cmd_fit(cfg):
     totals = [row[4] for row in rows1 + rows2] or [float("nan")]
     return {"command": "fit", "out": cfg["out"], "views": m,
             "downsample": factor, "final_total": float(totals[-1]),
-            "epochs": len(totals), "wall_s": wall_s}
+            "epochs": len(totals), "wall_s": wall_s,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def cmd_eval_normals(cfg):

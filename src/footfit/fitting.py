@@ -18,7 +18,10 @@ sparse fragment lists in numpy, and scores the pixels of all views at
 once: the normal term over every view's covered target pixels (picked as
 positions into the view's covered pixels), the silhouette term over every
 view's contour band, each a mean over views of per-view means.  No
-image-sized face or barycentric buffer is built.
+image-sized face or barycentric buffer is built.  Only an epoch's loss row
+and parameter gradients outlive it: its tape, fragments and every other
+array are freed before the next epoch builds its tape, so a fit holds one
+epoch at a time.
 """
 
 from __future__ import annotations
@@ -146,8 +149,9 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
                              kp_ids).value
         kp_ids = None
 
-    rows = []
-    for epoch in range(epochs):
+    def run_epoch(params):
+        """One epoch's (kp, sil, norm, total) losses and the gradient of each
+        free parameter.  The tape and every array on it die on return."""
         tape = ad.Tape()
         pv = fm.lift_params(tape, params, train=free)
         verts = fm.forward(asset, field, pv, deformed=deformed)
@@ -175,11 +179,16 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         else:
             total = l_kp * config.w_kp
             terms = 0.0, 0.0
-        rows.append((epoch, float(l_kp.value), *terms, float(total.value)))
+        row = float(l_kp.value), *terms, float(total.value)
         grads = tape.backward(total)
+        return row, {n: grads[getattr(pv, n)] for n in free}
+
+    rows = []
+    for epoch in range(epochs):
+        row, grads = run_epoch(params)
+        rows.append((epoch, *row))
         params = replace(params, **adam_step(
-            state, {n: getattr(params, n) for n in free},
-            {n: grads[getattr(pv, n)] for n in free}, config.lr))
+            state, {n: getattr(params, n) for n in free}, grads, config.lr))
     return params.validate(), rows
 
 

@@ -216,13 +216,36 @@ class TestSynth:
         assert rc == 3
 
 
+def _has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
 class TestFit:
     def test_heap_top_kept_under_glibc(self):
-        try:
-            glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
-        except (ValueError, OSError):
-            glibc = False
-        assert cli._keep_heap_top() == glibc
+        assert cli._keep_heap_top() == _has_glibc()
+
+    @pytest.mark.skipif(not _has_glibc(), reason="mallopt is glibc's")
+    def test_freed_arrays_come_back_without_faults(self):
+        # a 4 MB array freed and allocated again reuses the heap's pages; with
+        # the top pad alone glibc maps and unmaps each one, about 514 faults
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import resource\nimport numpy as np\nfrom footfit import cli\n"
+                "assert cli._keep_heap_top()\n"
+                "n = (4 << 20) // 8\nnp.ones(n)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(20):\n    np.ones(n)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,"
+                " (4 << 20) // resource.getpagesize())")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults, pages = map(int, proc.stdout.split())
+        assert faults < 20 * pages / 8
 
     def test_artifacts(self, fit_dir):
         assert (fit_dir / "fitted.obj").exists()
@@ -249,6 +272,7 @@ class TestFit:
         assert summary["epochs"] == 7
         assert np.isfinite(summary["final_total"])
         assert summary["wall_s"] > 0.0
+        assert summary["peak_rss_mb"] > 0.0
 
     def test_corrupt_model_header_exits_3(self, tmp_path, model_bin,
                                           scene_dir, capsys):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -392,6 +394,35 @@ class TestStage2:
         assert rows == []
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(fitted, name), getattr(start, name))
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_each_epoch_tape_dies_before_the_next(model, stage1_setup, stage2_setup,
+                                              stage, monkeypatch):
+    # an epoch's tape holds every array of that epoch: a fit that keeps the
+    # previous one alive while it builds the next peaks with two epochs live
+    made, alive = [], []
+
+    class RecordedTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            alive.append(sum(ref() is not None for ref in made))
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fitting.ad, "Tape", RecordedTape)
+    config = fitting.FitConfig(stage1_epochs=3, stage2_epochs=3)
+    gc.disable()
+    try:
+        if stage == 1:
+            _, cams, obs = stage1_setup
+            fitting.fit_stage1(model, obs, cams, config)
+        else:
+            _, cams, obs = stage2_setup
+            fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
+    finally:
+        gc.enable()
+    assert len(made) >= 3
+    assert alive == [0] * len(made)
 
 
 # ---------------------------------------------------------------------------
