@@ -6,13 +6,14 @@ and pose codes as well (``PARAM_ORDER``) and adds soft-silhouette and
 normal-map terms.  Each stage returns the fitted parameters and one
 ``(epoch, kp, sil, norm, total)`` loss row per epoch.  Both stages run
 full-batch Adam with a fixed epoch count; each epoch builds one tape,
-registers the deformed template once and projects into all views in one
-tape node.  The cameras' image sizes are built once per stage.  Stage 1
-always frees r, t and s only, so its deformed template is a constant: it
-runs the deformation field once per stage, off the epoch tapes and only
-on the keypoint rows, the only rows its loss reads, and each epoch
-registers and projects those rows and reads the keypoints as every row
-of that projection, with no index node.  Stage 2 evaluates the field over
+registers the deformed template once, projects into all views in one tape
+node and sums its weighted loss terms in one more, whose cotangent to each
+term is that term's weight.  The cameras' image sizes are built once per
+stage.  Stage 1 always frees r, t and s only, so its deformed template is
+a constant: it runs the deformation field once per stage, off the epoch
+tapes and only on the keypoint rows, the only rows its loss reads, and
+each epoch registers and projects those rows and reads the keypoints as
+every row of that projection.  Stage 2 evaluates the field over
 the whole mesh every epoch, rasterizes its projection into each view's
 sparse fragment lists in numpy, and scores the pixels of all views at
 once: the normal term over every view's covered target pixels (picked as
@@ -120,6 +121,17 @@ def select_views(cameras, m):
     return [int(order[r]) for r in ranks]
 
 
+def _weighted_total(terms, weights):
+    """``terms[0]·weights[0] + terms[1]·weights[1] + ...`` of 0-d Vars, added
+    left to right, as one tape node; each term's cotangent is g times its
+    weight."""
+    weights = [np.float64(w) for w in weights]
+    value = terms[0].value * weights[0]
+    for term, w in zip(terms[1:], weights[1:]):
+        value = value + term.value * w
+    return ad.custom(terms, value, lambda g: tuple(g * w for w in weights))
+
+
 def _run_stage(asset, field, observations, cameras, config, params, epochs,
                with_render):
     if len(observations) != len(cameras):
@@ -173,11 +185,11 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
             soft, bands = renderer.render_silhouette_soft_var(
                 proj[0], cameras, frags, topo, config.sharpness)
             l_sil = losses.silhouette_l2(soft, bands, masks, sil_targets)
-            total = (l_kp * config.w_kp + l_sil * config.w_sil
-                     + l_norm * config.w_norm)
+            total = _weighted_total((l_kp, l_sil, l_norm),
+                                    (config.w_kp, config.w_sil, config.w_norm))
             terms = float(l_sil.value), float(l_norm.value)
         else:
-            total = l_kp * config.w_kp
+            total = _weighted_total((l_kp,), (config.w_kp,))
             terms = 0.0, 0.0
         row = float(l_kp.value), *terms, float(total.value)
         grads = tape.backward(total)

@@ -35,9 +35,14 @@ class Mesh:
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be (F, 3) triangles")
 
-    def validate(self):
+    def check_indices(self):
+        """Every face index names a vertex."""
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
+        return self
+
+    def validate(self):
+        self.check_indices()
         if np.any(self.face_areas() <= 0.0):
             raise MeshError("degenerate (zero-area) face")
         return self
@@ -168,23 +173,30 @@ def save_obj(path, mesh: Mesh):
 
 
 def load_obj(path) -> Mesh:
+    """The ``v`` and ``f`` lines of an OBJ file.  A vertex with fewer than
+    three coordinates, a number that does not parse, a face that is not a
+    triangle and a face index outside the vertex list raise MeshError."""
     verts, faces = [], []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                if len(idx) != 3:
-                    raise MeshError("only triangular faces are supported")
-                faces.append(idx)
+            if parts[0] == "v" and len(parts) < 4:
+                raise MeshError(f"{path}:{n}: a vertex needs three coordinates")
+            if parts[0] == "f" and len(parts) != 4:
+                raise MeshError("only triangular faces are supported")
+            try:
+                if parts[0] == "v":
+                    verts.append([float(x) for x in parts[1:4]])
+                elif parts[0] == "f":
+                    faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
+            except ValueError as exc:
+                raise MeshError(f"{path}:{n}: {exc}") from exc
     if not verts:
         raise MeshError("OBJ contains no vertices")
     return Mesh(np.array(verts, dtype=np.float64),
-                np.array(faces, dtype=np.int64).reshape(-1, 3))
+                np.array(faces, dtype=np.int64).reshape(-1, 3)).check_indices()
 
 
 _PLY_HEADER = """ply
@@ -199,17 +211,17 @@ end_header
 """
 
 
+_PLY_FACE = np.dtype([("n", "u1"), ("v", "<i4", (3,))])    # 13 bytes, unpadded
+
+
 def save_ply(path, mesh: Mesh):
     with open(path, "wb") as fh:
         fh.write(_PLY_HEADER.format(nv=len(mesh.vertices), nf=len(mesh.faces)).encode("ascii"))
         fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-        if len(mesh.faces):
-            counts = np.full((len(mesh.faces), 1), 3, dtype=np.uint8)
-            idx = np.ascontiguousarray(mesh.faces, dtype="<i4")
-            rec = np.zeros(len(mesh.faces), dtype=[("n", "u1"), ("v", "<i4", (3,))])
-            rec["n"] = counts[:, 0]
-            rec["v"] = idx
-            fh.write(rec.tobytes())
+        rec = np.zeros(len(mesh.faces), dtype=_PLY_FACE)
+        rec["n"] = 3
+        rec["v"] = mesh.faces
+        fh.write(rec.tobytes())
 
 
 def load_ply(path) -> Mesh:
@@ -221,21 +233,21 @@ def load_ply(path) -> Mesh:
     header = data[:end].decode("ascii").splitlines()
     if "format binary_little_endian 1.0" not in header:
         raise MeshError("only binary little-endian PLY is supported")
-    nv = nf = 0
+    counts = {"vertex": 0, "face": 0}
     for line in header:
         parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
-            nv = int(parts[2])
-        elif parts[:2] == ["element", "face"]:
-            nf = int(parts[2])
+        if parts[:1] == ["element"] and len(parts) == 3 and parts[1] in counts:
+            if not parts[2].isdigit():
+                raise MeshError(f"bad {parts[1]} count {parts[2]!r}")
+            counts[parts[1]] = int(parts[2])
+    nv, nf = counts["vertex"], counts["face"]
     body = data[end + len(b"end_header\n"):]
+    need = nv * 24 + nf * _PLY_FACE.itemsize
+    if len(body) < need:
+        raise MeshError(f"truncated PLY: {nv} vertices and {nf} triangles need "
+                        f"{need} bytes after the header, the file has {len(body)}")
     verts = np.frombuffer(body, dtype="<f8", count=nv * 3).reshape(nv, 3).astype(np.float64)
-    offset = nv * 24
-    faces = np.zeros((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        count = body[offset]
-        if count != 3:
-            raise MeshError("only triangular faces are supported")
-        faces[i] = np.frombuffer(body, dtype="<i4", count=3, offset=offset + 1)
-        offset += 1 + 12
-    return Mesh(verts, faces)
+    rec = np.frombuffer(body, dtype=_PLY_FACE, count=nf, offset=nv * 24)
+    if np.any(rec["n"] != 3):
+        raise MeshError("only triangular faces are supported")
+    return Mesh(verts, rec["v"])

@@ -24,6 +24,18 @@ def _unit_rows(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _unit(raw):
+    """Rows of the (N,3) Var ``raw`` scaled to unit length, as one node."""
+    out, norm = renderer._unit_cols(raw.value.T)
+    return ad.custom((raw,), out.T, lambda g: (renderer._unit_cols_vjp(g.T, out, norm).T,))
+
+
+def _weighted_sum(x, w, scale=1.0):
+    """``sum(x · w) · scale`` of the Var ``x`` and the array ``w``, as one
+    node: the scalar objective of a check."""
+    return ad.custom((x,), (x.value * w).sum() * scale, lambda g: ((g * scale) * w,))
+
+
 def _suite_camera():
     return cam_mod.Camera(40.0, 40.0, 16.0, 12.0, 32, 24, np.eye(3),
                           np.zeros(3))
@@ -35,8 +47,7 @@ def _check_angmf(rng, h):
     k0 = rng.uniform(0.3, 3.0, size=6)
 
     def fn(mu_raw, kappa):
-        unit = mu_raw / ad.norm2(mu_raw, axis=1, keepdims=True)
-        return losses.angmf_nll(unit, kappa, labels)
+        return losses.angmf_nll(_unit(mu_raw), kappa, labels)
 
     return ad.grad_check(fn, [mu0, k0], h=h)
 
@@ -46,10 +57,9 @@ def _check_kp_fit(rng, h):
         rng.uniform(0.2, 0.8, size=(3, 2)),
         rng.uniform(0.05, 0.2, size=(3, 2)),
         np.array([1.0, 1.0, 0.0])) for _ in range(2)]
-    p0 = [o.k + rng.normal(size=o.k.shape) * 0.05 for o in obs]
+    p0 = np.stack([o.k + rng.normal(size=o.k.shape) * 0.05 for o in obs])
     stacked = losses.KeypointObservation.stack(obs)
-    return ad.grad_check(lambda a, b: losses.kp_fit_loss(ad.stack([a, b]), stacked),
-                         p0, h=h)
+    return ad.grad_check(lambda p: losses.kp_fit_loss(p, stacked), [p0], h=h)
 
 
 def _check_normal_fit(rng, h):
@@ -59,8 +69,7 @@ def _check_normal_fit(rng, h):
     scored = [np.array([0, 2, 3]), np.array([1])]
 
     def fn(raw):
-        unit = raw / ad.norm2(raw, axis=1, keepdims=True)
-        return losses.normal_fit_loss(unit, [obs, obs], scored)
+        return losses.normal_fit_loss(_unit(raw), [obs, obs], scored)
 
     return ad.grad_check(fn, [_unit_rows(rng, 4)], h=h)
 
@@ -103,7 +112,7 @@ def _check_render_normals(rng, h):
 
     def fn(verts):
         n_world = renderer.vertex_normals_var(verts, faces)
-        return (renderer.render_normals_var(n_world, faces, cams, frags, scored) * w).sum()
+        return _weighted_sum(renderer.render_normals_var(n_world, faces, cams, frags, scored), w)
 
     return ad.grad_check(fn, [v0], h=h)
 
@@ -143,7 +152,7 @@ def _check_soft_silhouette(rng, h):
         soft, bands = renderer.render_silhouette_soft_var(proj, cams, frags, topo,
                                                           sharpness=8.0)
         w_band = np.concatenate([wv[band] for wv, band in zip(w, bands)])
-        return (soft * w_band).sum() * (1.0 / n_pixels)
+        return _weighted_sum(soft, w_band, 1.0 / n_pixels)
 
     return ad.grad_check(fn, [v0], h=h)
 
@@ -157,7 +166,7 @@ def _check_project_keypoints(rng, h):
         proj = renderer.project_vertices_var(verts, cams)
         kp, _ = renderer.project_keypoints_var(proj, np.array([0, 2]),
                                               renderer.image_size(cams))
-        return (kp * w).sum()
+        return _weighted_sum(kp, w)
 
     return ad.grad_check(fn, [v0], h=h)
 
@@ -185,7 +194,7 @@ def _check_model_forward(rng, h, seed):
 
     def fn(r, t, s, z_s, z_p):
         pv = fm.ParamVars(r, t, s, z_s, z_p)
-        return (fm.forward(asset, field, pv) * w).sum()
+        return _weighted_sum(fm.forward(asset, field, pv), w)
 
     return ad.grad_check(fn, [r0, t0, s0, zs0, zp0], h=h)
 

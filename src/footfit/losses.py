@@ -13,10 +13,9 @@ density, in closed form:
 
 which does not overflow for large kappa.  Kappa above 100 clamps to 100.
 
-Loss functions return 0-d tape variables.  ``angmf_nll`` also takes plain
-arrays, for a detached evaluation: read ``.value`` of its result.
-``normal_fit_loss`` is one tape node with a hand-written VJP, from the
-rendered normals to the mean over views.
+Loss functions take tape variables and return 0-d ones.  Each is one
+tape node whose hand-written VJP repeats the arithmetic of the op chain it
+replaces.
 """
 
 from __future__ import annotations
@@ -95,19 +94,6 @@ class Observation:
     mask: np.ndarray     # (H,W) bool pseudo-GT silhouette
 
 
-def _lift(tape, x):
-    if isinstance(x, ad.Var):
-        return x
-    return tape.const(np.asarray(x, dtype=np.float64))
-
-
-def _shared_tape(*xs):
-    for x in xs:
-        if isinstance(x, ad.Var):
-            return x.tape
-    return ad.Tape()
-
-
 def _check_unit(name, vecs):
     norms = np.linalg.norm(vecs, axis=-1)
     if np.abs(norms - 1.0).max() > 1e-6:
@@ -116,26 +102,35 @@ def _check_unit(name, vecs):
 
 
 def angmf_nll(mu, kappa, n_gt):
-    """Mean negative log likelihood of ``n_gt`` under (mu, kappa) maps.
-
-    Differentiable in mu and kappa.  Shapes: mu and n_gt (...,3) with
-    matching leading dims, kappa (...).
-    """
-    tape = _shared_tape(mu, kappa)
-    mu = _lift(tape, mu)
-    kappa = _lift(tape, kappa)
+    """Mean negative log likelihood of ``n_gt`` under the (mu, kappa) Vars,
+    one tape node.  Shapes: mu and n_gt (...,3) with matching leading dims,
+    kappa (...).  The arccos has the zero-gradient cut of
+    :func:`autodiff.acos_safe_slope`."""
     n_gt = np.asarray(n_gt, dtype=np.float64)
     _check_unit("mu", mu.value)
     _check_unit("n_gt", n_gt)
-    if np.any(kappa.value < 0):
+    k = kappa.value.reshape(-1)
+    if np.any(k < 0):
         raise ValueError("kappa must be non-negative")
-    P = int(np.prod(mu.shape[:-1]))
-    mu_f = mu.reshape((P, 3))
-    k_f = kappa.reshape((P,))
-    dot = (mu_f * n_gt.reshape(P, 3)).sum(axis=1)
-    theta = ad.acos_safe(dot)
-    log_norm = ad.log(ad.exp(k_f * (-np.pi)) + 1.0) - ad.log(k_f * k_f + 1.0)
-    return (k_f * theta + log_norm).sum() * (1.0 / P)
+    P = k.size
+    n = n_gt.reshape(P, 3)
+    dot = (mu.value.reshape(P, 3) * n).sum(axis=1)
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    e = np.exp(k * -np.pi)
+    kk1 = k * k + 1.0
+    shapes = mu.shape, kappa.shape
+
+    def vjp(g):
+        # the order of the op chain it replaces: k·theta's share first, then
+        # twice k·k's, then exp(-pi·k)'s
+        g_q = np.broadcast_to(g * (1.0 / P), (P,))
+        g_kk = -g_q / kk1 * k
+        g_k = g_q * theta + g_kk + g_kk + g_q / (e + 1.0) * e * -np.pi
+        g_mu = (g_q * k * ad.acos_safe_slope(dot))[:, None] * n
+        return g_mu.reshape(shapes[0]), g_k.reshape(shapes[1])
+
+    value = (k * theta + (np.log(e + 1.0) - np.log(kk1))).sum() * (1.0 / P)
+    return ad.custom((mu, kappa), value, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +211,10 @@ def silhouette_from_uncertainty(kappa_map, threshold_deg):
 
 def kp_fit_loss(projected, observations):
     """Fitting loss over views: (1/(N*K)) sum of v-gated squared
-    sigma-normalized reprojection errors.  ``projected`` is an (N,K,2) Var
-    or a list of N (K,2) Vars; ``observations`` is the N views'
-    :meth:`KeypointObservation.stack`, or a list of their observations,
-    which is then stacked and validated on each call.  One tape node;
-    gradient reaches only the projections, observations are fixed."""
-    if not isinstance(projected, ad.Var):
-        projected = ad.stack(projected)
-    if not isinstance(observations, KeypointObservation):
-        observations = KeypointObservation.stack(observations)
+    sigma-normalized reprojection errors.  ``projected`` is an (N,K,2) Var;
+    ``observations`` is the N views' :meth:`KeypointObservation.stack`.  One
+    tape node; gradient reaches only the projections, observations are
+    fixed."""
     k, sigma, v = observations.k, observations.sigma, observations.v
     if projected.shape[0] != len(k):
         raise ValueError("views mismatch between projections and observations")
@@ -248,8 +238,8 @@ def normal_fit_loss(rendered, observations, scored):
     with no scored pixel adds 0.  ``rendered`` holds the (P,3) normals at
     the scored pixels of every view, as :func:`renderer.render_normals_var`
     returns them.  One tape node takes the dot with mu, the arccos (with the
-    zero-gradient cut of :func:`autodiff.acos_safe`), the kappa weight and
-    the per-view means.  Gradient flows to the rendered normals only."""
+    zero-gradient cut of :func:`autodiff.acos_safe_slope`), the kappa weight
+    and the per-view means.  Gradient flows to the rendered normals only."""
     n = len(observations)
     counts = np.array([len(f) for f in scored])
     if len(scored) != n or rendered.shape != (counts.sum(), 3):
@@ -276,7 +266,9 @@ def silhouette_l2(soft, bands, masks, targets):
     """Mean over views of the mean squared difference between a view's soft
     silhouette and its binary target.  ``soft`` and ``bands`` come from
     :func:`renderer.render_silhouette_soft_var`; off its band a view's soft
-    silhouette is its hard mask ``masks[v]``: a constant count of mask ≠ target."""
+    silhouette is its hard mask ``masks[v]``: a constant count of mask ≠ target.
+    One tape node: the difference, its square, the sum per view, the
+    off-band count, the area weight and the mean over views."""
     n = len(targets)
     band_target, off, inv_area = [], np.zeros(n), np.zeros(n)
     for v, (band, mask, target) in enumerate(zip(bands, masks, targets)):
@@ -286,9 +278,17 @@ def silhouette_l2(soft, bands, masks, targets):
         off[v] = np.count_nonzero(wrong) - np.count_nonzero(wrong[band])
         band_target.append(target.reshape(-1)[band])
         inv_area[v] = 1.0 / target.size
-    d = soft - np.concatenate(band_target)
+    d = soft.value - np.concatenate(band_target)
     views = np.repeat(np.arange(n), [len(b) for b in bands])
-    return ((ad.segment_sum(d * d, views, n) + off) * inv_area).sum() * (1.0 / n)
+
+    def vjp(g):
+        # the arithmetic of the op chain it replaces: the sums broadcast
+        # their cotangent back, and mul(d, d) sends g·d twice
+        g_dd = (np.broadcast_to(g * (1.0 / n), (n,)) * inv_area)[views] * d
+        return (g_dd + g_dd,)
+
+    per_view = np.bincount(views, d * d, minlength=n)
+    return ad.custom((soft,), ((per_view + off) * inv_area).sum() * (1.0 / n), vjp)
 
 
 # ---------------------------------------------------------------------------

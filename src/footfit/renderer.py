@@ -30,8 +30,9 @@ distance transforms.
 Each differentiable step is one tape node with a hand-written VJP: the
 projection of the vertices into all cameras, the area-weighted vertex
 normals, the pixel normals of all views (rotation, corner gather,
-interpolation and normalisation in one pass) and the soft silhouette's
-edge sigmoid.  The op-by-op chains they replace are test references.
+interpolation and normalisation in one pass), the soft silhouette's edge
+sigmoid and the keypoints (row gather and division by the image size).
+The op-by-op chains they replace are test references.
 """
 
 from __future__ import annotations
@@ -521,18 +522,27 @@ def project_keypoints_var(proj, kp_vertex_ids, size):
     """Normalized positions (N,K,2) as a Var and 0/1 visibility (N,K) of
     distinct keypoint vertices, read from ``proj``, the result of
     :func:`project_vertices_var` for N cameras whose :func:`image_size` is
-    ``size``.  ``kp_vertex_ids`` None reads every row of ``proj`` in order
-    and records no index node.  A keypoint is visible when it lands in
-    [0, W) × [0, H) pixel bounds at depth above ``Z_NEAR``."""
-    kp_pix, z = proj
+    ``size``.  ``kp_vertex_ids`` None reads every row of ``proj`` in order.
+    One tape node reads the rows and divides by the image size.  A keypoint
+    is visible when it lands in [0, W) × [0, H) pixel bounds at depth above
+    ``Z_NEAR``."""
+    pix_var, z = proj
+    p = pix_var.value
+    rows = slice(None)
     if kp_vertex_ids is not None:
-        kp_ids = np.asarray(kp_vertex_ids)
-        if len(np.unique(kp_ids)) != len(kp_ids):
+        rows = np.asarray(kp_vertex_ids)
+        if len(np.unique(rows)) != len(rows):
             raise ValueError("keypoint vertex ids must be distinct")
-        kp_pix, z = kp_pix[:, kp_ids], z[:, kp_ids]
-    p = kp_pix.value
+        p, z = p[:, rows], z[:, rows]
     visible = (z > Z_NEAR) & np.all((p >= 0) & (p < size), axis=2)
-    return kp_pix / size, visible.astype(np.float64)
+    shape = pix_var.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[:, rows] = g / size
+        return (out,)
+
+    return ad.custom((pix_var,), p / size, vjp), visible.astype(np.float64)
 
 
 def _heights(mesh: Mesh, frag: FragmentBuffer):

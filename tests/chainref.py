@@ -1,19 +1,27 @@
 """Op-by-op references for the fused tape nodes of ``footfit``.
 
-Each function here builds, from small :mod:`footfit.autodiff` ops, what
-one fused node of the package computes in a single step.  The tests
-compare the fused nodes against them, values and gradients.
-:func:`rasterize_mesh` and :func:`project_keypoints` are the numpy
-rasterization and keypoint labels of a mesh that the tests share.
-:func:`dense_fragments` turns a sparse fragment buffer back into the
-full-frame face and barycentric images, and :func:`render_normals_dense`,
-:func:`pixel_heights_dense` and :func:`cutoff_fraction_dense` are the
-dense-image paths the sparse buffer replaced.
-The element-wise ops (:func:`neg`, :func:`sqrt`, :func:`sin`,
-:func:`cos`, :func:`tanh`, :func:`clamp`, :func:`sigmoid`), the row
-gather :func:`take`, :func:`matmul`, :func:`transpose` and
-:func:`concat` are tape ops that only these references and the tests
-use; each is one :func:`footfit.autodiff.custom` node.
+Each function here builds, from small tape ops, what one fused node of the
+package computes in a single step.  The tests compare the fused nodes
+against them, values and gradients.  :func:`rasterize_mesh` and
+:func:`project_keypoints` are the numpy rasterization and keypoint labels
+of a mesh that the tests share.  :func:`dense_fragments` turns a sparse
+fragment buffer back into the full-frame face and barycentric images, and
+:func:`render_normals_dense`, :func:`pixel_heights_dense` and
+:func:`cutoff_fraction_dense` are the dense-image paths the sparse buffer
+replaced.
+
+The tape ops are each one :func:`footfit.autodiff.custom` node, and only
+these references and the tests use them: the broadcasting arithmetic
+:func:`add`, :func:`sub`, :func:`mul` and :func:`div` (a plain array
+operand becomes a constant on the tape, and a constant parent gets no
+cotangent), the reductions :func:`vsum`, :func:`mean`, :func:`norm2` and
+:func:`segment_sum`, the element-wise :func:`exp`, :func:`log`,
+:func:`acos_safe`, :func:`neg`, :func:`sqrt`, :func:`sin`, :func:`cos`,
+:func:`tanh`, :func:`clamp` and :func:`sigmoid`, the row gather
+:func:`take`, :func:`matmul`, :func:`transpose`, the shape ops
+:func:`stack`, :func:`concat`, :func:`reshape`, :func:`index` and its
+column form :func:`col`, and the image scatter :func:`scatter_into`.  Cotangents of a broadcast operand are
+summed back down to its shape.
 """
 
 import numpy as np
@@ -81,6 +89,150 @@ def cutoff_fraction_dense(mesh, cutoff_height, frag):
     if not frag.mask.any():
         return 0.0
     return float(np.mean(pixel_heights_dense(mesh, frag)[frag.mask] > cutoff_height))
+
+
+def _unbroadcast(g, shape):
+    """Sum cotangent ``g`` down to ``shape`` (inverse of numpy broadcast)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return np.asarray(g).reshape(shape)
+
+
+def _lift(tape, x):
+    """``x`` if it is a Var, else ``x`` as a constant on ``tape``."""
+    if isinstance(x, ad.Var):
+        return x
+    return tape.const(np.asarray(x, dtype=np.float64))
+
+
+def _binary(a, b):
+    """Both operands as Vars on one tape, their values, and which require
+    grad."""
+    tape = (a if isinstance(a, ad.Var) else b).tape
+    a, b = _lift(tape, a), _lift(tape, b)
+    return a, b, a.value, b.value, a.requires_grad, b.requires_grad
+
+
+def add(a, b):
+    a, b, av, bv, ga, gb = _binary(a, b)
+    return ad.custom((a, b), av + bv, lambda g: (
+        _unbroadcast(g, av.shape) if ga else None,
+        _unbroadcast(g, bv.shape) if gb else None))
+
+
+def sub(a, b):
+    a, b, av, bv, ga, gb = _binary(a, b)
+    return ad.custom((a, b), av - bv, lambda g: (
+        _unbroadcast(g, av.shape) if ga else None,
+        _unbroadcast(-g, bv.shape) if gb else None))
+
+
+def mul(a, b):
+    a, b, av, bv, ga, gb = _binary(a, b)
+    return ad.custom((a, b), av * bv, lambda g: (
+        _unbroadcast(g * bv, av.shape) if ga else None,
+        _unbroadcast(g * av, bv.shape) if gb else None))
+
+
+def div(a, b):
+    a, b, av, bv, ga, gb = _binary(a, b)
+    return ad.custom((a, b), av / bv, lambda g: (
+        _unbroadcast(g / bv, av.shape) if ga else None,
+        _unbroadcast(-g * av / (bv * bv), bv.shape) if gb else None))
+
+
+def vsum(a, axis=None, keepdims=False):
+    av = a.value
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, av.shape).copy(),)
+
+    return ad.custom((a,), av.sum(axis=axis, keepdims=keepdims), vjp)
+
+
+def mean(a, axis=None):
+    n = a.value.size if axis is None else a.shape[axis]
+    return mul(vsum(a, axis=axis), 1.0 / n)
+
+
+def exp(a):
+    out = np.exp(a.value)
+    return ad.custom((a,), out, lambda g: (g * out,))
+
+
+def log(a):
+    av = a.value
+    if np.any(av <= 0.0):
+        raise ad.DomainError("log of non-positive value")
+    return ad.custom((a,), np.log(av), lambda g: (g / av,))
+
+
+def acos_safe(a):
+    """arccos with exact values on [-1, 1] and the bounded gradient of
+    :func:`footfit.autodiff.acos_safe_slope`."""
+    av = a.value
+    return ad.custom((a,), np.arccos(np.clip(av, -1.0, 1.0)),
+                     lambda g: (g * ad.acos_safe_slope(av),))
+
+
+def norm2(a, axis=None, keepdims=False):
+    """Euclidean norm.  Gradient is x/|x|; keep inputs away from zero."""
+    av = a.value
+    nk = np.sqrt(np.sum(av * av, axis=axis, keepdims=True))
+    out = nk if keepdims else nk.squeeze() if axis is None else np.squeeze(nk, axis)
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (g * av / nk,)
+
+    return ad.custom((a,), out, vjp)
+
+
+def segment_sum(a, idx, num):
+    """out[i] = sum of rows a[j] with idx[j] == i, for i in range(num)."""
+    idx = np.asarray(idx)
+    av = a.value
+    return ad.custom((a,), ad.scatter_rows(av, idx, (num,) + av.shape[1:]),
+                     lambda g: (g[idx],))
+
+
+def stack(vars_, axis=0):
+    tape = next(v.tape for v in vars_ if isinstance(v, ad.Var))
+    vars_ = [_lift(tape, v) for v in vars_]
+    n = len(vars_)   # the closure must not hold the Vars: Var -> tape -> closure
+    return ad.custom(tuple(vars_), np.stack([v.value for v in vars_], axis=axis),
+                     lambda g: tuple(np.take(g, k, axis=axis) for k in range(n)))
+
+
+def reshape(a, shape):
+    shape_in = a.shape
+    return ad.custom((a,), a.value.reshape(shape), lambda g: (g.reshape(shape_in),))
+
+
+def index(a, key):
+    """``a[key]`` for a basic (slice and integer) index ``key``."""
+    av = a.value
+
+    def vjp(g):
+        z = np.zeros_like(av)
+        z[key] = g
+        return (z,)
+
+    return ad.custom((a,), av[key], vjp)
+
+
+def col(a, j):
+    """Column ``j`` of the 2-d ``a``."""
+    return index(a, (slice(None), j))
 
 
 def neg(a):
@@ -172,15 +324,15 @@ def vertex_normals_var(verts, faces):
     a = take(verts, faces[:, 0])
     b = take(verts, faces[:, 1])
     c = take(verts, faces[:, 2])
-    e1 = b - a
-    e2 = c - a
-    cx = e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1]
-    cy = e1[:, 2] * e2[:, 0] - e1[:, 0] * e2[:, 2]
-    cz = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    cross = ad.stack([cx, cy, cz], axis=1)
+    e1 = sub(b, a)
+    e2 = sub(c, a)
+    cx = sub(mul(col(e1, 1), col(e2, 2)), mul(col(e1, 2), col(e2, 1)))
+    cy = sub(mul(col(e1, 2), col(e2, 0)), mul(col(e1, 0), col(e2, 2)))
+    cz = sub(mul(col(e1, 0), col(e2, 1)), mul(col(e1, 1), col(e2, 0)))
+    cross = stack([cx, cy, cz], axis=1)
     idx = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])
-    acc = ad.segment_sum(concat([cross, cross, cross], axis=0), idx, verts.shape[0])
-    return acc / ad.norm2(acc, axis=1, keepdims=True)
+    acc = segment_sum(concat([cross, cross, cross], axis=0), idx, verts.shape[0])
+    return div(acc, norm2(acc, axis=1, keepdims=True))
 
 
 def render_normals_var(n_world, faces, cameras, frags, scored):
@@ -203,8 +355,8 @@ def render_normals_var(n_world, faces, cameras, frags, scored):
     n0 = take(n_cam, corners[:, 0])
     n1 = take(n_cam, corners[:, 1])
     n2 = take(n_cam, corners[:, 2])
-    n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
-    return n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
+    n_pix = add(add(mul(n0, bary[:, 0:1]), mul(n1, bary[:, 1:2])), mul(n2, bary[:, 2:3]))
+    return div(n_pix, norm2(n_pix, axis=1, keepdims=True))
 
 
 def normal_fit_loss(rendered, observations, scored):
@@ -215,10 +367,10 @@ def normal_fit_loss(rendered, observations, scored):
     counts = np.array([len(f) for f in scored])
     mu = np.concatenate([o.mu.reshape(-1, 3)[f] for o, f in zip(observations, scored)])
     kappa = np.concatenate([o.kappa.reshape(-1)[f] for o, f in zip(observations, scored)])
-    theta = ad.acos_safe((rendered * mu).sum(axis=1))
-    per_view = ad.segment_sum(theta * kappa, np.repeat(np.arange(n), counts), n)
+    theta = acos_safe(vsum(mul(rendered, mu), axis=1))
+    per_view = segment_sum(mul(theta, kappa), np.repeat(np.arange(n), counts), n)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    return (per_view * weight).sum() * (1.0 / n)
+    return mul(vsum(mul(per_view, weight)), 1.0 / n)
 
 
 def field(mlp, X, z_s, z_p):
@@ -229,20 +381,20 @@ def field(mlp, X, z_s, z_p):
     tape = z_s.tape
     X = tape.const(X)
     ones = tape.const(np.ones((X.shape[0], 1)))
-    h = concat([X, matmul(ones, z_s.reshape((1, mlp.d_s))),
-                matmul(ones, z_p.reshape((1, mlp.d_p)))], axis=1)
+    h = concat([X, matmul(ones, reshape(z_s, (1, mlp.d_s))),
+                matmul(ones, reshape(z_p, (1, mlp.d_p)))], axis=1)
     for i, (W, b) in enumerate(mlp.weights):
-        h = matmul(h, tape.const(W)) + tape.const(b)
+        h = add(matmul(h, tape.const(W)), tape.const(b))
         if i < len(mlp.weights) - 1:
             h = tanh(h)
-    return X + h
+    return add(X, h)
 
 
 def register(u, R, s, t):
     """``(u @ R^T) * s + t`` as the transpose, matmul, mul and add ops
     that the registration node of :func:`footfit.footmodel.forward`
     replaces."""
-    return matmul(u, transpose(R)) * s + t
+    return add(mul(matmul(u, transpose(R)), s), t)
 
 
 def kp_fit_loss(projected, observations):
@@ -251,5 +403,49 @@ def kp_fit_loss(projected, observations):
     that :func:`footfit.losses.kp_fit_loss` replaces.  ``projected`` is an
     (N,K,2) Var; ``observations`` the stacked observation."""
     k, sigma, v = observations.k, observations.sigma, observations.v
-    d = (projected - k) / sigma
-    return ((d * d).sum(axis=2) * v).sum() * (1.0 / v.size)
+    d = div(sub(projected, k), sigma)
+    return mul(vsum(mul(vsum(mul(d, d), axis=2), v)), 1.0 / v.size)
+
+
+def silhouette_l2(soft, bands, masks, targets):
+    """Mean over views of each view's mean squared soft-silhouette error,
+    as the difference, square, segment sum, off-band count, area weight and
+    view mean that :func:`footfit.losses.silhouette_l2` replaces."""
+    n = len(targets)
+    off = np.array([np.count_nonzero(m != t) - np.count_nonzero((m != t).reshape(-1)[b])
+                    for b, m, t in zip(bands, masks, targets)], dtype=np.float64)
+    inv_area = np.array([1.0 / t.size for t in targets])
+    d = sub(soft, np.concatenate([t.reshape(-1)[b] for b, t in zip(bands, targets)]))
+    views = np.repeat(np.arange(n), [len(b) for b in bands])
+    return mul(vsum(mul(add(segment_sum(mul(d, d), views, n), off), inv_area)), 1.0 / n)
+
+
+def project_keypoints_var(proj, kp_vertex_ids, size):
+    """Normalized keypoints (N,K,2) as the row index and the division by
+    the image size that :func:`footfit.renderer.project_keypoints_var`
+    replaces; ``kp_vertex_ids`` None reads every row."""
+    kp_pix = proj[0]
+    if kp_vertex_ids is not None:
+        kp_pix = index(kp_pix, (slice(None), np.asarray(kp_vertex_ids)))
+    return div(kp_pix, size)
+
+
+def weighted_total(terms, weights):
+    """``terms[0]·weights[0] + ...`` as the products and sums that the total
+    node of :func:`footfit.fitting._run_stage` replaces."""
+    total = mul(terms[0], weights[0])
+    for term, w in zip(terms[1:], weights[1:]):
+        total = add(total, mul(term, w))
+    return total
+
+
+def angmf_nll(mu, kappa, n_gt):
+    """Mean negative log likelihood of ``n_gt`` under (mu, kappa), as the
+    reshapes, the dot product, ``acos_safe`` and the log normalizer that
+    :func:`footfit.losses.angmf_nll` replaces."""
+    P = int(np.prod(mu.shape[:-1]))
+    mu_f = reshape(mu, (P, 3))
+    k_f = reshape(kappa, (P,))
+    theta = acos_safe(vsum(mul(mu_f, np.reshape(n_gt, (P, 3))), axis=1))
+    log_norm = sub(log(add(exp(mul(k_f, -np.pi)), 1.0)), log(add(mul(k_f, k_f), 1.0)))
+    return mul(vsum(add(mul(k_f, theta), log_norm)), 1.0 / P)

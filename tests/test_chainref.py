@@ -1,5 +1,5 @@
 """Tests of ``scatter_into``, the op-by-op references' image scatter.
-The other tape ops of ``chainref`` are tested beside the autodiff ops in
+The other tape ops of ``chainref`` are tested beside the tape in
 ``test_autodiff.py``."""
 
 import gc
@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 
-from chainref import scatter_into, sigmoid
+from chainref import mul, scatter_into, sigmoid, vsum
 from footfit import autodiff as ad
 
 
@@ -21,7 +21,7 @@ class TestScatterInto:
 
         def f(v):
             img = scatter_into(base, idx, sigmoid(v))
-            return (img * v.tape.const(weights)).sum()
+            return vsum(mul(img, v.tape.const(weights)))
 
         assert ad.grad_check(f, [vals], h=1e-5) < 1e-6
 
@@ -29,7 +29,7 @@ class TestScatterInto:
         def run():
             tape = ad.Tape()
             x = tape.leaf(np.array([0.3, -0.7, 1.1]))
-            tape.backward(scatter_into(np.zeros(5), np.array([0, 2, 4]), x).sum())
+            tape.backward(vsum(scatter_into(np.zeros(5), np.array([0, 2, 4]), x)))
             return weakref.ref(tape)
 
         gc.disable()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from footfit import camera as cam_mod
-from footfit import cli, evalign, fitting, images, losses, synth
+from footfit import cli, evalign, fitting, geometry, images, losses, synth
 from footfit import footmodel as fm
 
 
@@ -621,6 +621,49 @@ class TestAlign:
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"io error: {bad}: ")
 
+
+def write_bad_mesh(tmp_path, name):
+    """A malformed mesh file: a PLY cut at a face-record boundary, cut in
+    the middle of a record or with an inflated vertex count, or an OBJ
+    with a face index past its vertex list or a vertex with two
+    coordinates."""
+    path = tmp_path / name
+    if name.endswith(".ply"):
+        faces = np.array([[i, (i + 1) % 20, (i + 2) % 20] for i in range(10)])
+        geometry.save_ply(path, geometry.Mesh(np.random.default_rng(5).normal(size=(20, 3)),
+                                              faces))
+        raw = path.read_bytes()
+        path.write_bytes({"cut_at_face.ply": raw[:-3 * 13], "cut_mid_face.ply": raw[:-20],
+                          "inflated.ply": raw.replace(b"element vertex 20",
+                                                      b"element vertex 21")}[name])
+    else:
+        third = {"past_end.obj": "v 0 1 0\nf 1 2 4\n",
+                 "two_coords.obj": "v 0 1\nf 1 2 3\n"}[name]
+        path.write_text("v 0 0 0\nv 1 0 0\n" + third)
+    return str(path)
+
+
+class TestMalformedMesh:
+    @pytest.mark.parametrize("name", ["cut_at_face.ply", "cut_mid_face.ply", "inflated.ply"])
+    def test_truncated_ply_exits_3(self, tmp_path, capsys, name):
+        _, tgt, _ = make_align_pair(tmp_path)
+        rc = cli.main(["align", "--source", write_bad_mesh(tmp_path, name), "--target", tgt,
+                       "--out", str(tmp_path / "al")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("io error: truncated PLY: ")
+
+    @pytest.mark.parametrize("name", ["past_end.obj", "two_coords.obj"])
+    @pytest.mark.parametrize("command", ["align", "eval3d"])
+    def test_malformed_obj_exits_3(self, tmp_path, capsys, command, name):
+        bad = write_bad_mesh(tmp_path, name)
+        good = tmp_path / "good.obj"
+        good.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n")
+        _, tgt, _ = make_align_pair(tmp_path)
+        args = {"align": ["--source", bad, "--target", tgt],
+                "eval3d": ["--fitted", bad, "--gt", str(good)]}[command]
+        rc = cli.main([command, *args, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("io error: ")
 
 class TestGradcheck:
     def test_passes_and_reports(self, tmp_path, capsys):

@@ -101,5 +101,5 @@ def test_every_tape_op_is_recorded_by_the_pipeline(tmp_path, monkeypatch):
                      "--out", fit, "--stage1-epochs", "2", "--stage2-epochs", "2"]) == 0
     gradient_suite(configs=1)
     ops = _recording_ops()
-    assert {"leaf", "custom", "add", "mul"} <= ops
+    assert {"leaf", "custom"} <= ops
     assert ops - callers == set()

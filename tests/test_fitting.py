@@ -7,7 +7,8 @@ import pytest
 from scipy import ndimage
 
 import chainref
-from chainref import project_keypoints, rasterize_mesh, scatter_into
+from chainref import (add, div, index, mul, project_keypoints, rasterize_mesh, scatter_into,
+                      sub, vsum)
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
 from footfit import fitting
@@ -198,7 +199,7 @@ def _stage1_full_mesh(model, observations, cameras, config):
     asset, field = model
     params = fm.FootParams.identity(field.d_s, field.d_p)
     state = fitting.AdamState.for_params({n: getattr(params, n) for n in free})
-    kp_obs = [o.keypoints for o in observations]
+    kp_obs = losses.KeypointObservation.stack([o.keypoints for o in observations])
     rows = []
     for epoch in range(config.stage1_epochs):
         tape = ad.Tape()
@@ -208,7 +209,7 @@ def _stage1_full_mesh(model, observations, cameras, config):
         kps, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids,
                                                 renderer.image_size(cameras))
         l_kp = losses.kp_fit_loss(kps, kp_obs)
-        total = l_kp * config.w_kp
+        total = mul(l_kp, config.w_kp)
         rows.append((epoch, float(l_kp.value), 0.0, 0.0, float(total.value)))
         grads = tape.backward(total)
         params = replace(params, **fitting.adam_step(
@@ -272,7 +273,7 @@ def test_stage1_tape_nodes_do_not_grow_with_views(model, stage1_setup, monkeypat
     config = fitting.FitConfig(stage1_epochs=1)
     for n in (2, 3):
         fitting.fit_stage1(model, obs[:n], cams[:n], config)
-    assert nodes[0] == nodes[1] <= 15
+    assert nodes[0] == nodes[1] <= 12
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +365,7 @@ class TestStage2:
         config = fitting.FitConfig(stage2_epochs=1)
         for n in (2, 3):
             fitting.fit_stage2(model, obs[:n], cams[:n], fm.FootParams.identity(), config)
-        assert nodes[0] == nodes[1] <= 36
+        assert nodes[0] == nodes[1] <= 17
 
     def test_no_view_covers_the_foot(self, model, stage2_setup):
         # every view scores no pixel: the normal term is 0, not 0/0
@@ -441,10 +442,10 @@ def _image_normals(n_world, faces, cam, frag):
     n0 = chainref.take(n_cam, faces[fsel, 0])
     n1 = chainref.take(n_cam, faces[fsel, 1])
     n2 = chainref.take(n_cam, faces[fsel, 2])
-    n_pix = n0 * bary[:, 0:1] + n1 * bary[:, 1:2] + n2 * bary[:, 2:3]
-    n_pix = n_pix / ad.norm2(n_pix, axis=1, keepdims=True)
+    n_pix = add(add(mul(n0, bary[:, 0:1]), mul(n1, bary[:, 1:2])), mul(n2, bary[:, 2:3]))
+    n_pix = div(n_pix, chainref.norm2(n_pix, axis=1, keepdims=True))
     idx = flat[:, None] * 3 + np.arange(3)[None, :]
-    return scatter_into(np.zeros(H * W * 3), idx, n_pix).reshape((H, W, 3))
+    return chainref.reshape(scatter_into(np.zeros(H * W * 3), idx, n_pix), (H, W, 3))
 
 
 def _image_normal_loss(n_map, obs, mask):
@@ -452,9 +453,10 @@ def _image_normal_loss(n_map, obs, mask):
     if flat.size == 0:
         return n_map.tape.const(0.0)
     H, W = mask.shape
-    n_sel = chainref.take(n_map.reshape((H * W, 3)), flat)
-    dot = (n_sel * obs.mu.reshape(-1, 3)[flat]).sum(axis=1)
-    return (ad.acos_safe(dot) * obs.kappa.reshape(-1)[flat]).sum() * (1.0 / flat.size)
+    n_sel = chainref.take(chainref.reshape(n_map, (H * W, 3)), flat)
+    dot = vsum(mul(n_sel, obs.mu.reshape(-1, 3)[flat]), axis=1)
+    return mul(vsum(mul(chainref.acos_safe(dot), obs.kappa.reshape(-1)[flat])),
+               1.0 / flat.size)
 
 
 def _image_silhouette(pix_var, cam, frag, topo, sharpness):
@@ -477,8 +479,8 @@ def _image_silhouette(pix_var, cam, frag, topo, sharpness):
 
 
 def _image_l2(soft, target):
-    d = soft - target
-    return (d * d).sum() * (1.0 / target.size)
+    d = sub(soft, target)
+    return mul(vsum(mul(d, d)), 1.0 / target.size)
 
 
 def _image_stage2_epoch(model, observations, cameras, config, params):
@@ -497,18 +499,20 @@ def _image_stage2_epoch(model, observations, cameras, config, params):
     proj = renderer.project_vertices_var(verts, cameras)
     kp, _ = renderer.project_keypoints_var(proj, asset.keypoint_ids,
                                            renderer.image_size(cameras))
-    l_kp = losses.kp_fit_loss(kp, [o.keypoints for o in observations])
+    l_kp = losses.kp_fit_loss(kp, losses.KeypointObservation.stack(
+        [o.keypoints for o in observations]))
     l_sil = l_norm = tape.const(0.0)
     for view, cam in enumerate(cameras):
         frag = rasterize_mesh(mesh_now, cam)
         n_map = _image_normals(n_world, faces, cam, frag)
-        l_norm = l_norm + _image_normal_loss(n_map, observations[view].normals,
-                                             frag.mask & targets[view])
-        soft = _image_silhouette(proj[0][view], cam, frag, topo, config.sharpness)
-        l_sil = l_sil + _image_l2(soft, targets[view].astype(np.float64))
-    l_sil = l_sil * (1.0 / len(cameras))
-    l_norm = l_norm * (1.0 / len(cameras))
-    total = l_kp * config.w_kp + l_sil * config.w_sil + l_norm * config.w_norm
+        l_norm = add(l_norm, _image_normal_loss(n_map, observations[view].normals,
+                                                frag.mask & targets[view]))
+        soft = _image_silhouette(index(proj[0], view), cam, frag, topo, config.sharpness)
+        l_sil = add(l_sil, _image_l2(soft, targets[view].astype(np.float64)))
+    l_sil = mul(l_sil, 1.0 / len(cameras))
+    l_norm = mul(l_norm, 1.0 / len(cameras))
+    total = chainref.weighted_total((l_kp, l_sil, l_norm),
+                                    (config.w_kp, config.w_sil, config.w_norm))
     grads = tape.backward(total)
     return ({n: grads[getattr(pv, n)] for n in fitting.PARAM_ORDER},
             float(l_sil.value), float(l_norm.value))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chainref
+from chainref import index, mul, stack, vsum
 from footfit import autodiff as ad
 from footfit import footmodel as fm
 from footfit.geometry import euler_rotation
@@ -105,7 +106,7 @@ class TestForward:
 
         def loss(r, t, s, z_s, z_p):
             pv = fm.ParamVars(r, t, s, z_s, z_p)
-            return (fm.forward(asset, field, pv) * w).sum()
+            return vsum(mul(fm.forward(asset, field, pv), w))
 
         err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
         assert err < 1e-4
@@ -127,7 +128,7 @@ class TestForward:
 
         def loss(r, t, s, z_s, z_p):
             pv = fm.ParamVars(r, t, s, z_s, z_p)
-            return (fm.deform(asset, field, pv, rows) * w).sum()
+            return vsum(mul(fm.deform(asset, field, pv, rows), w))
 
         err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
         assert err < 1e-4
@@ -149,7 +150,7 @@ class TestForward:
             else:
                 verts = fm._register_var(fm.deform(asset, field, pv, rows),
                                          fm._euler_var(pv.r), pv.s, pv.t)
-            grads = tape.backward((verts * w).sum())
+            grads = tape.backward(vsum(mul(verts, w)))
             out.append((verts.value, [grads[getattr(pv, n)] for n in ("r", "t", "s")]))
         (v_field, g_field), (v_held, g_held) = out
         assert np.array_equal(v_field, v_held)
@@ -227,7 +228,7 @@ class TestFieldNode:
             before = len(tape)
             y = build(f, X, *z)
             nodes = len(tape) - before
-            grads = tape.backward((y * w).sum())
+            grads = tape.backward(vsum(mul(y, w)))
             out.append((nodes, y.value, [grads[v] for v in z if v.requires_grad]))
         (n_node, v_node, g_node), (_, v_chain, g_chain) = out
         assert n_node == 1
@@ -242,7 +243,7 @@ class TestFieldNode:
         X = asset.mesh.vertices[asset.keypoint_ids]
         rng = np.random.default_rng(6)
         w = rng.normal(size=X.shape)
-        err = ad.grad_check(lambda z_s, z_p: (fm._field_var(f, X, z_s, z_p) * w).sum(),
+        err = ad.grad_check(lambda z_s, z_p: vsum(mul(fm._field_var(f, X, z_s, z_p), w)),
                             [rng.normal(size=f.d_s), rng.normal(size=f.d_p)])
         assert err < 1e-8
 
@@ -252,18 +253,18 @@ def chain_euler(r):
     tape = r.tape
     one = tape.const(1.0)
     zero = tape.const(0.0)
-    cx, sx = chainref.cos(r[0]), chainref.sin(r[0])
-    cy, sy = chainref.cos(r[1]), chainref.sin(r[1])
-    cz, sz = chainref.cos(r[2]), chainref.sin(r[2])
-    Rx = ad.stack([ad.stack([one, zero, zero]),
-                   ad.stack([zero, cx, chainref.neg(sx)]),
-                   ad.stack([zero, sx, cx])])
-    Ry = ad.stack([ad.stack([cy, zero, sy]),
-                   ad.stack([zero, one, zero]),
-                   ad.stack([chainref.neg(sy), zero, cy])])
-    Rz = ad.stack([ad.stack([cz, chainref.neg(sz), zero]),
-                   ad.stack([sz, cz, zero]),
-                   ad.stack([zero, zero, one])])
+    cx, sx = chainref.cos(index(r, 0)), chainref.sin(index(r, 0))
+    cy, sy = chainref.cos(index(r, 1)), chainref.sin(index(r, 1))
+    cz, sz = chainref.cos(index(r, 2)), chainref.sin(index(r, 2))
+    Rx = stack([stack([one, zero, zero]),
+                stack([zero, cx, chainref.neg(sx)]),
+                stack([zero, sx, cx])])
+    Ry = stack([stack([cy, zero, sy]),
+                stack([zero, one, zero]),
+                stack([chainref.neg(sy), zero, cy])])
+    Rz = stack([stack([cz, chainref.neg(sz), zero]),
+                stack([sz, cz, zero]),
+                stack([zero, zero, one])])
     return chainref.matmul(chainref.matmul(Rz, Ry), Rx)
 
 
@@ -279,7 +280,7 @@ class TestEulerNode:
             tape = ad.Tape()
             rv = tape.leaf(np.array(r))
             R = build(rv)
-            loss = (chainref.matmul(tape.const(x), chainref.transpose(R)) * w).sum()
+            loss = vsum(mul(chainref.matmul(tape.const(x), chainref.transpose(R)), w))
             out.append((R.value, tape.backward(loss)[rv]))
         (v_node, g_node), (v_chain, g_chain) = out
         assert np.array_equal(v_node, v_chain)
@@ -291,7 +292,7 @@ class TestEulerNode:
         fm._euler_var(tape.leaf(np.zeros(3)))
         assert len(tape) == 2
         w = np.random.default_rng(4).normal(size=(3, 3))
-        assert ad.grad_check(lambda r: (fm._euler_var(r) * w).sum(),
+        assert ad.grad_check(lambda r: vsum(mul(fm._euler_var(r), w)),
                              [np.array([0.4, -0.7, 1.1])]) < 1e-6
 
 
@@ -309,7 +310,7 @@ class TestRegistrationNode:
             before = len(tape)
             verts = build(u, fm._euler_var(r), s, t)
             nodes = len(tape) - before
-            grads = tape.backward((verts * w).sum())
+            grads = tape.backward(vsum(mul(verts, w)))
             out.append((nodes, verts.value,
                         [grads[v] for v in ((u, r, t, s) if u_grad else (r, t, s))]))
         (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = out
@@ -324,7 +325,7 @@ class TestRegistrationNode:
         inputs = [u0, rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)]
         for build in (fm._register_var, chainref.register):
             def loss(u, r, t, s):
-                return (build(u, fm._euler_var(r), s, t) * w).sum()
+                return vsum(mul(build(u, fm._euler_var(r), s, t), w))
 
             assert ad.grad_check(loss, inputs) < 1e-6
 

@@ -1,15 +1,18 @@
 import gc
 import weakref
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 import chainref
-from chainref import dense_fragments, project_keypoints, rasterize_mesh, scatter_into
+from chainref import (add, col, dense_fragments, div, index, mul, project_keypoints,
+                      rasterize_mesh, scatter_into, sub, vsum)
 from footfit import autodiff as ad
 from footfit import camera as cam_mod
+from footfit import fitting
 from footfit import footmodel as fm
 from footfit import losses
 from footfit import renderer as rd
@@ -488,7 +491,7 @@ class TestRenderNormals:
             n_world = rd.vertex_normals_var(verts, faces)
             rows = rd.render_normals_var(n_world, faces, [cam], [frag],
                                          [np.arange(len(frag.pixels))])
-            return (rows * w[frag.mask]).sum()
+            return vsum(mul(rows, w[frag.mask]))
 
         assert ad.grad_check(loss, [v]) < 1e-4
 
@@ -552,7 +555,7 @@ class TestSoftSilhouette:
             proj, _ = rd.project_vertices_var(verts, [cam])
             soft, (band,) = rd.render_silhouette_soft_var(proj, [cam], [frag], topo,
                                                           sharpness=8.0)
-            return (soft * w.reshape(-1)[band]).sum()
+            return vsum(mul(soft, w.reshape(-1)[band]))
 
         assert ad.grad_check(loss, [mesh.vertices]) < 1e-4
 
@@ -565,7 +568,7 @@ class TestSoftSilhouette:
         soft, _ = rd.render_silhouette_soft_var(
             proj, [cam], [rasterize_mesh(mesh, cam)], rd.ContourTopology.build(mesh),
             sharpness=40.0)
-        grads = tape.backward(soft.sum())
+        grads = tape.backward(vsum(soft))
         g = grads[verts]
         # outward motion of each corner increases total coverage
         outward = mesh.vertices[:, :2] - mesh.vertices[:, :2].mean(axis=0)
@@ -585,10 +588,10 @@ def chain_project(verts, cam):
     """One camera's projection as a chain of small tape ops: pixels (V,2)
     as a Var, like one view of ``project_vertices_var``."""
     tape = verts.tape
-    cam_pts = chainref.matmul(verts, tape.const(cam.R.T)) + tape.const(cam.t)
-    z_safe = chainref.clamp(cam_pts[:, 2:3], cam_mod.Z_NEAR, 1e12)
-    px = cam_pts[:, 0:1] * cam.fx / z_safe + cam.cx
-    py = cam_pts[:, 1:2] * cam.fy / z_safe + cam.cy
+    cam_pts = add(chainref.matmul(verts, tape.const(cam.R.T)), tape.const(cam.t))
+    z_safe = chainref.clamp(col(cam_pts, slice(2, 3)), cam_mod.Z_NEAR, 1e12)
+    px = add(div(mul(col(cam_pts, slice(0, 1)), cam.fx), z_safe), cam.cx)
+    py = add(div(mul(col(cam_pts, slice(1, 2)), cam.fy), z_safe), cam.cy)
     return chainref.concat([px, py], axis=1)
 
 
@@ -644,18 +647,18 @@ def chain_silhouette(verts, faces, cam, sharpness, frag, topo):
     nearest = dense_nearest(pc, pix[contour[:, 0]], pix[contour[:, 1]])
     va = chainref.take(pix_var, contour[nearest, 0])
     vb = chainref.take(pix_var, contour[nearest, 1])
-    pa = tape.const(pc) - va
-    ab_v = vb - va
-    tt = chainref.clamp((pa * ab_v).sum(axis=1, keepdims=True)
-                        / chainref.clamp((ab_v * ab_v).sum(axis=1, keepdims=True),
-                                         1e-30, 1e30),
+    pa = sub(tape.const(pc), va)
+    ab_v = sub(vb, va)
+    tt = chainref.clamp(div(vsum(mul(pa, ab_v), axis=1, keepdims=True),
+                            chainref.clamp(vsum(mul(ab_v, ab_v), axis=1, keepdims=True),
+                                           1e-30, 1e30)),
                         0.0, 1.0)
-    res = pa - tt * ab_v
-    dist = chainref.sqrt(chainref.clamp((res * res).sum(axis=1), 1e-24, 1e60))
+    res = sub(pa, mul(tt, ab_v))
+    dist = chainref.sqrt(chainref.clamp(vsum(mul(res, res), axis=1), 1e-24, 1e60))
     sign = np.where(mask.reshape(-1)[flat], 1.0, -1.0)
-    vals = chainref.sigmoid(dist * (sign * sharpness))
+    vals = chainref.sigmoid(mul(dist, sign * sharpness))
     img = scatter_into(mask.astype(np.float64).reshape(-1), flat, vals)
-    return img.reshape((H, W)), frag
+    return chainref.reshape(img, (H, W)), frag
 
 
 @pytest.fixture(scope="module")
@@ -688,11 +691,12 @@ class TestFusedProjection:
         tape = ad.Tape()
         verts = tape.leaf(mesh.vertices)
         pix, z = rd.project_vertices_var(verts, cams)
-        g_fused = tape.backward((pix * w).sum())[verts]
+        g_fused = tape.backward(vsum(mul(pix, w)))[verts]
         tape = ad.Tape()
         verts = tape.leaf(mesh.vertices)
         chain = [chain_project(verts, cam) for cam in cams]
-        g_chain = tape.backward(sum((c * w[v]).sum() for v, c in enumerate(chain)))[verts]
+        g_chain = tape.backward(reduce(add, [vsum(mul(c, w[v]))
+                                             for v, c in enumerate(chain)]))[verts]
         for view, cam in enumerate(cams):
             np.testing.assert_array_equal(pix.value[view], chain[view].value)
             np.testing.assert_array_equal(z[view], (mesh.vertices @ cam.R.T + cam.t)[:, 2])
@@ -857,7 +861,7 @@ class TestFusedSilhouette:
         proj, _ = rd.project_vertices_var(verts, cams)
         soft, bands = rd.render_silhouette_soft_var(proj, cams, frags, topo, sharpness)
         w_band = np.concatenate([w[v].reshape(-1)[b] for v, b in enumerate(bands)])
-        g_fused = tape.backward((soft * w_band).sum())[verts]
+        g_fused = tape.backward(vsum(mul(soft, w_band)))[verts]
         v_fused = np.stack([f.mask.astype(np.float64) for f in frags])
         rows = np.split(soft.value, np.cumsum([len(b) for b in bands])[:-1])
         for img, band, vals in zip(v_fused, bands, rows):
@@ -867,7 +871,8 @@ class TestFusedSilhouette:
         verts = tape.leaf(mesh.vertices)
         chain = [chain_silhouette(verts, mesh.faces, cam, sharpness, frag, topo)[0]
                  for cam, frag in zip(cams, frags)]
-        g_chain = tape.backward(sum((img * w[v]).sum() for v, img in enumerate(chain)))[verts]
+        g_chain = tape.backward(reduce(add, [vsum(mul(img, w[v]))
+                                             for v, img in enumerate(chain)]))[verts]
         v_chain = np.stack([img.value for img in chain])
         # same expressions up to the order of a few float64 operations
         np.testing.assert_allclose(v_fused, v_chain, rtol=1e-12, atol=1e-15)
@@ -890,12 +895,152 @@ class TestFusedSilhouette:
             n_world = rd.vertex_normals_var(verts, mesh.faces)
             n_pix = rd.render_normals_var(n_world, mesh.faces, [cam], [frag],
                                           [np.arange(len(frag.pixels))])
-            tape.backward((soft * soft).sum() + n_pix.sum())
+            tape.backward(add(vsum(mul(soft, soft)), vsum(n_pix)))
             del tape, verts, proj, soft, n_world, n_pix
             assert ref() is None
         finally:
             gc.enable()
 
+
+
+def _fused_and_chain(build, leaves):
+    """For the fused node and for its op chain, the node count, the value
+    and the gradients of ``leaves`` of ``build(fused, tape, *leaf_vars)``,
+    which returns a scalar Var and a node count.  The scalar is scored with
+    a weight of 0.37, so the incoming cotangent is not 1."""
+    out = []
+    for fused in (True, False):
+        tape = ad.Tape()
+        vars_ = [tape.leaf(x) for x in leaves]
+        value, nodes = build(fused, tape, *vars_)
+        grads = tape.backward(mul(value, 0.37))
+        out.append((nodes, value.value, [grads[v] for v in vars_]))
+    return out
+
+
+class TestFusedLossNodes:
+    """The keypoint, silhouette-loss, stage-total and angular-NLL nodes
+    against the op chains they replace, on AC-05's and the 480×640 views."""
+
+    @pytest.fixture(params=["ac05", "hires"])
+    def views(self, request, ac05_views, hires_views):
+        return hires_views if request.param == "hires" else ac05_views
+
+    @pytest.mark.parametrize("ids", ["given", "none"])
+    def test_keypoints(self, views, ids):
+        mesh, cams = views
+        rng = np.random.default_rng(12)
+        kp_ids = rng.choice(len(mesh.vertices), 12, replace=False) if ids == "given" else None
+        w = rng.normal(size=(len(cams), 12 if kp_ids is not None else len(mesh.vertices), 2))
+        size = rd.image_size(cams)
+
+        def build(fused, tape, verts):
+            proj = rd.project_vertices_var(verts, cams)
+            before = len(tape)
+            kp = (rd.project_keypoints_var(proj, kp_ids, size)[0] if fused
+                  else chainref.project_keypoints_var(proj, kp_ids, size))
+            nodes = len(tape) - before
+            return vsum(mul(kp, w)), nodes
+
+        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = _fused_and_chain(
+            build, [mesh.vertices])
+        assert n_node == 1 and n_chain == (3 if kp_ids is not None else 2)
+        assert v_node == v_chain
+        assert np.array_equal(g_node[0], g_chain[0])
+
+    def test_silhouette_l2(self, views):
+        mesh, cams = views
+        frags = [rasterize_mesh(mesh, cam) for cam in cams]
+        topo = rd.ContourTopology.build(mesh)
+        rng = np.random.default_rng(13)
+        # the hard mask with a few pixels flipped, so target and mask differ
+        # on and off the band
+        targets = [f.mask ^ (rng.uniform(size=f.mask.shape) < 0.05) for f in frags]
+        masks = [f.mask for f in frags]
+
+        def build(fused, tape, verts):
+            proj, _ = rd.project_vertices_var(verts, cams)
+            soft, bands = rd.render_silhouette_soft_var(proj, cams, frags, topo, 40.0)
+            loss = losses.silhouette_l2 if fused else chainref.silhouette_l2
+            before = len(tape)
+            return loss(soft, bands, masks, targets), len(tape) - before
+
+        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = _fused_and_chain(
+            build, [mesh.vertices])
+        assert n_node == 1 and n_chain == 11
+        assert 0 < v_node == v_chain
+        assert np.array_equal(g_node[0], g_chain[0])
+
+    def test_stage_total(self, views):
+        mesh, cams = views
+        weights = (0.7, 1.3, 0.5)
+        rng = np.random.default_rng(14)
+        terms = rng.uniform(0.1, 2.0, size=3)
+
+        def build(fused, tape, *terms):
+            before = len(tape)
+            total = (fitting._weighted_total(terms, weights) if fused
+                     else chainref.weighted_total(terms, weights))
+            return total, len(tape) - before
+
+        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = _fused_and_chain(
+            build, list(terms))
+        assert n_node == 1 and n_chain == 8     # three weights, three products, two sums
+        assert v_node == v_chain
+        for a, b in zip(g_node, g_chain):
+            assert np.array_equal(a, b)
+        # one epoch's terms on the views: the same cotangent reaches the
+        # vertices through the keypoint, silhouette and normal nodes
+        frags = [rasterize_mesh(mesh, cam) for cam in cams]
+        topo = rd.ContourTopology.build(mesh)
+        targets = [f.mask ^ (rng.uniform(size=f.mask.shape) < 0.05) for f in frags]
+        obs = [losses.NormalObservation(rd.render_normals(mesh, cam, frag),
+                                        rng.uniform(0.5, 20.0, size=frag.mask.shape))
+               for cam, frag in zip(cams, frags)]
+        kp_obs = losses.KeypointObservation.stack([losses.KeypointObservation(
+            rng.uniform(0.2, 0.8, size=(12, 2)), np.full((12, 2), 0.05), np.ones(12))
+            for _ in cams])
+        kp_ids = rng.choice(len(mesh.vertices), 12, replace=False)
+
+        def epoch(fused, tape, verts):
+            n_world = rd.vertex_normals_var(verts, mesh.faces)
+            proj = rd.project_vertices_var(verts, cams)
+            kp, _ = rd.project_keypoints_var(proj, kp_ids, rd.image_size(cams))
+            pos = [np.flatnonzero(t.reshape(-1)[f.pixels]) for f, t in zip(frags, targets)]
+            n_pix = rd.render_normals_var(n_world, mesh.faces, cams, frags, pos)
+            l_norm = losses.normal_fit_loss(n_pix, obs, [f.pixels[p] for f, p in zip(frags, pos)])
+            soft, bands = rd.render_silhouette_soft_var(proj[0], cams, frags, topo, 40.0)
+            terms = (losses.kp_fit_loss(kp, kp_obs),
+                     losses.silhouette_l2(soft, bands, [f.mask for f in frags], targets),
+                     l_norm)
+            total = (fitting._weighted_total(terms, weights) if fused
+                     else chainref.weighted_total(terms, weights))
+            return total, None
+
+        (_, v_node, g_node), (_, v_chain, g_chain) = _fused_and_chain(epoch, [mesh.vertices])
+        assert v_node == v_chain
+        assert np.array_equal(g_node[0], g_chain[0])
+
+    def test_angmf_nll(self, views):
+        mesh, cams = views
+        rng = np.random.default_rng(15)
+        mu = np.concatenate([rd.render_normals(mesh, cam, frag)[frag.mask]
+                             for cam, frag in zip(cams, rd.rasterize_views(mesh, cams))])
+        n_gt = mu + rng.normal(size=mu.shape) * 0.2
+        n_gt /= np.linalg.norm(n_gt, axis=1, keepdims=True)
+        kappa = rng.uniform(0.0, 30.0, size=len(mu))
+
+        def build(fused, tape, mu, kappa):
+            loss = losses.angmf_nll if fused else chainref.angmf_nll
+            before = len(tape)
+            return loss(mu, kappa, n_gt), len(tape) - before
+
+        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = _fused_and_chain(
+            build, [mu, kappa])
+        assert n_node == 1 and n_chain > 10
+        assert v_node == v_chain
+        for a, b in zip(g_node, g_chain):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 class TestContours:
     def test_face_on_quad_has_four_contour_edges(self):
@@ -946,7 +1091,7 @@ class TestKeypoints:
         def loss(verts):
             proj = rd.project_vertices_var(verts, [cam])
             norm, _ = rd.project_keypoints_var(proj, [0, 1, 2, 3], rd.image_size([cam]))
-            return (norm[0] * w).sum()
+            return vsum(mul(index(norm, 0), w))
 
         assert ad.grad_check(loss, [v]) < 1e-4
 
