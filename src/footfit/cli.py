@@ -227,34 +227,36 @@ def cmd_fit(cfg):
         fit_cfg = _fit_config(cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _, cams, obs = synth.load_scene(cfg["scene"])
+    _, cams = synth.load_scene_meta(cfg["scene"])
     m = cfg["views"] or len(cams)
     try:
         picked = fitting.select_views(cams, m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cams = [cams[i] for i in picked]
-    obs = [obs[i] for i in picked]
 
     factor = cfg["downsample"]
     if factor < 0:
         raise ConfigError("downsample must be non-negative")
     if factor == 0:
         factor = max(1, round(min(cams[0].width, cams[0].height) / 120))
-    if factor > 1:
-        try:
-            cams = [cam_mod.scale_camera(c, factor) for c in cams]
-            obs = [losses.downsample_observation(o, factor) for o in obs]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        cams = [cam_mod.scale_camera(c, factor) for c in cams]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # only the picked views are read, one at a time: each is downsampled
+    # and cut to its table before the next one loads
+    data = fitting.FitInput.build(
+        cams, (losses.downsample_observation(synth.load_view(cfg["scene"], i), factor)
+               for i in picked), fit_cfg)
 
     _echo(cfg, "fit", cfg["out"])
     _progress(f"fitting {m} views at 1/{factor} scale")
     start = time.perf_counter()
-    params1, rows1 = fitting.fit_stage1(model, obs, cams, fit_cfg)
+    params1, rows1 = fitting.fit_stage1(model, data, fit_cfg)
     _progress(f"stage 1 done: kp loss {rows1[-1][1]:.6g}"
               if rows1 else "stage 1 skipped")
-    params2, rows2 = fitting.fit_stage2(model, obs, cams, params1, fit_cfg)
+    params2, rows2 = fitting.fit_stage2(model, data, params1, fit_cfg)
     wall_s = time.perf_counter() - start
     _progress(f"stage 2 done: total {rows2[-1][4]:.6g}"
               if rows2 else "stage 2 skipped")
@@ -328,7 +330,7 @@ def _gt_mesh_from(cfg):
         return geometry.load_obj(cfg["gt"])
     if cfg["scene"] and cfg["model"]:
         asset, field = fm.load_model(cfg["model"])
-        meta, _, _ = synth.load_scene(cfg["scene"])
+        meta, _ = synth.load_scene_meta(cfg["scene"])
         return fm.forward_mesh(asset, field, synth.scene_gt_params(meta))
     raise ConfigError("need --gt or both --scene and --model")
 

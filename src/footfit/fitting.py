@@ -4,20 +4,29 @@ Stage 1 registers the template rigidly (rotation, translation, per-axis
 scale; ``STAGE1_FREE``) against keypoints only.  Stage 2 frees the shape
 and pose codes as well (``PARAM_ORDER``) and adds soft-silhouette and
 normal-map terms.  Each stage returns the fitted parameters and one
-``(epoch, kp, sil, norm, total)`` loss row per epoch.  Both stages run
-full-batch Adam with a fixed epoch count; each epoch builds one tape,
-registers the deformed template once, projects into all views in one tape
-node and sums its weighted loss terms in one more, whose cotangent to each
-term is that term's weight.  The cameras' image sizes are built once per
-stage.  Stage 1 always frees r, t and s only, so its deformed template is
-a constant: it runs the deformation field once per stage, off the epoch
-tapes and only on the keypoint rows, the only rows its loss reads, and
-each epoch registers and projects those rows and reads the keypoints as
-every row of that projection.  Stage 2 evaluates the field over
-the whole mesh every epoch, rasterizes its projection into each view's
-sparse fragment lists in numpy, and scores the pixels of all views at
-once: the normal term over every view's covered target pixels (picked as
-positions into the view's covered pixels), the silhouette term over every
+``(epoch, kp, sil, norm, total)`` loss row per epoch.
+
+Both stages read one :class:`FitInput`, built once per fit from the
+picked views: the cameras and their image sizes, the views' stacked
+keypoints, and per view a :class:`losses.ViewTable`, the bool silhouette
+target with ``mu`` (3,T) and ``kappa`` (T,) kept only at its T target
+pixels, beside their ascending flat indices.  The build reads the views
+one at a time and cuts each to its table before the next is read, so no
+full ``mu`` or ``kappa`` image outlives its view's loading.
+
+Both stages run full-batch Adam with a fixed epoch count; each epoch
+builds one tape, registers the deformed template once, projects into all
+views in one tape node and sums its weighted loss terms in one more,
+whose cotangent to each term is that term's weight.  Stage 1 always frees
+r, t and s only, so its deformed template is a constant: it runs the
+deformation field once per stage, off the epoch tapes and only on the
+keypoint rows, the only rows its loss reads, and each epoch registers and
+projects those rows and reads the keypoints as every row of that
+projection.  Stage 2 evaluates the field over the whole mesh every epoch,
+rasterizes its projection into each view's sparse fragment lists in
+numpy, and scores the pixels of all views at once: the normal term over
+every view's covered target pixels (picked as positions into the view's
+covered pixels and as rows of its table), the silhouette term over every
 view's contour band, each a mean over views of per-view means.  No
 image-sized face or barycentric buffer is built.  Only an epoch's loss row
 and parameter gradients outlive it: its tape, fragments and every other
@@ -37,7 +46,7 @@ from . import losses
 from . import renderer
 
 __all__ = [
-    "FitConfig", "AdamState", "select_views", "adam_step",
+    "FitConfig", "FitInput", "AdamState", "select_views", "adam_step",
     "fit_stage1", "fit_stage2",
 ]
 
@@ -132,11 +141,36 @@ def _weighted_total(terms, weights):
     return ad.custom(terms, value, lambda g: tuple(g * w for w in weights))
 
 
-def _run_stage(asset, field, observations, cameras, config, params, epochs,
-               with_render):
-    if len(observations) != len(cameras):
-        raise ValueError("one observation bundle per camera required")
-    kp_obs = losses.KeypointObservation.stack([o.keypoints for o in observations])
+@dataclass
+class FitInput:
+    """What both stages of a fit read of its views, built once per fit by
+    :meth:`build`."""
+    cameras: list
+    keypoints: losses.KeypointObservation   # the views' stack, (N,K,2)
+    views: list          # one losses.ViewTable per camera
+    size: np.ndarray     # renderer.image_size(cameras)
+
+    @classmethod
+    def build(cls, cameras, observations, config):
+        """The fit input of ``cameras`` and their ``observations``: any
+        iterable of one :class:`losses.Observation` per camera, read once
+        in order.  Each is cut to its keypoints and its
+        :class:`losses.ViewTable` at ``config.sil_threshold_deg`` before
+        the next is read, so a generator that loads views one at a time
+        keeps one view's images alive at a time."""
+        keypoints, views = [], []
+        for obs in observations:
+            keypoints.append(obs.keypoints)
+            views.append(losses.ViewTable.of(obs.normals, config.sil_threshold_deg))
+            del obs     # the view's images die before the next view loads
+        if len(views) != len(cameras):
+            raise ValueError("one observation bundle per camera required")
+        return cls(list(cameras), losses.KeypointObservation.stack(keypoints), views,
+                   renderer.image_size(cameras))
+
+
+def _run_stage(asset, field, data, config, params, epochs, with_render):
+    cameras, kp_obs, views = data.cameras, data.keypoints, data.views
     visible = int((kp_obs.v > 0.5).sum())
     if visible < 2:
         raise UnderConstrainedError(
@@ -145,17 +179,14 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     state = AdamState.for_params({n: getattr(params, n) for n in free})
     faces = asset.mesh.faces
     if with_render and epochs > 0:
-        normal_obs = [o.normals for o in observations]
         topo = renderer.ContourTopology.build(asset.mesh)
-        sil_targets = [losses.silhouette_from_uncertainty(
-            o.normals.kappa, config.sil_threshold_deg) for o in observations]
+        targets = [view.target for view in views]
 
     # stage 1 holds the codes fixed and its loss reads only the keypoint
     # rows, so their deformed template is the same in every epoch: evaluate
     # the field on those rows once, off the epoch tapes, and read every row
     # of their projection
     kp_ids, deformed = asset.keypoint_ids, None
-    size = renderer.image_size(cameras)
     if not with_render:
         deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), params),
                              kp_ids).value
@@ -170,21 +201,18 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
         if with_render:
             n_world = renderer.vertex_normals_var(verts, faces)
         proj = renderer.project_vertices_var(verts, cameras)
-        kp, _ = renderer.project_keypoints_var(proj, kp_ids, size)
+        kp, _ = renderer.project_keypoints_var(proj, kp_ids, data.size)
         l_kp = losses.kp_fit_loss(kp, kp_obs)
         if with_render:
             frags = [renderer.rasterize(faces, proj[0].value[v], proj[1][v], cam)
                      for v, cam in enumerate(cameras)]
             masks = [frag.mask for frag in frags]
-            # the covered target pixels, as positions into each view's pixels
-            pos = [np.flatnonzero(target.reshape(-1)[frag.pixels])
-                   for frag, target in zip(frags, sil_targets)]
+            pos, table_rows = zip(*(view.scored(frag) for view, frag in zip(views, frags)))
             n_pix = renderer.render_normals_var(n_world, faces, cameras, frags, pos)
-            l_norm = losses.normal_fit_loss(
-                n_pix, normal_obs, [frag.pixels[p] for frag, p in zip(frags, pos)])
+            l_norm = losses.normal_fit_loss(n_pix, views, table_rows)
             soft, bands = renderer.render_silhouette_soft_var(
                 proj[0], cameras, frags, topo, config.sharpness)
-            l_sil = losses.silhouette_l2(soft, bands, masks, sil_targets)
+            l_sil = losses.silhouette_l2(soft, bands, masks, targets)
             total = _weighted_total((l_kp, l_sil, l_norm),
                                     (config.w_kp, config.w_sil, config.w_norm))
             terms = float(l_sil.value), float(l_norm.value)
@@ -204,22 +232,23 @@ def _run_stage(asset, field, observations, cameras, config, params, epochs,
     return params.validate(), rows
 
 
-def fit_stage1(model, observations, cameras, config=None):
-    """Keypoint-only registration from the identity initialization.  Only
-    r, t and s are free, so the deformed template is a constant: the field
-    runs once, over the keypoint rows, and each epoch registers and
-    projects only those rows."""
+def fit_stage1(model, data, config=None):
+    """Keypoint-only registration from the identity initialization, on the
+    :class:`FitInput` ``data``.  Only r, t and s are free, so the deformed
+    template is a constant: the field runs once, over the keypoint rows,
+    and each epoch registers and projects only those rows."""
     asset, field = model
     config = (config or FitConfig()).validate()
-    return _run_stage(asset, field, observations, cameras, config,
+    return _run_stage(asset, field, data, config,
                       fm.FootParams.identity(field.d_s, field.d_p),
                       config.stage1_epochs, with_render=False)
 
 
-def fit_stage2(model, observations, cameras, params, config=None):
+def fit_stage2(model, data, params, config=None):
     """Joint refinement over registration and deformation codes with
-    keypoint, silhouette and normal terms."""
+    keypoint, silhouette and normal terms, on the :class:`FitInput`
+    ``data``, whose targets ``config.sil_threshold_deg`` does not change."""
     asset, field = model
     config = (config or FitConfig()).validate()
-    return _run_stage(asset, field, observations, cameras, config, params,
+    return _run_stage(asset, field, data, config, params,
                       config.stage2_epochs, with_render=True)

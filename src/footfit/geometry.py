@@ -212,6 +212,9 @@ end_header
 
 
 _PLY_FACE = np.dtype([("n", "u1"), ("v", "<i4", (3,))])    # 13 bytes, unpadded
+# the header lines load_ply accepts, element lines without their counts
+_PLY_LAYOUT = [" ".join(line.split())
+               for line in _PLY_HEADER.format(nv="", nf="").splitlines()[:-1]]
 
 
 def save_ply(path, mesh: Mesh):
@@ -225,21 +228,35 @@ def save_ply(path, mesh: Mesh):
 
 
 def load_ply(path) -> Mesh:
+    """A binary little-endian PLY in the layout :func:`save_ply` writes:
+    vertices of ``double x``, ``y``, ``z``, then faces of ``list uchar int
+    vertex_indices`` (the face element may be missing).  Comment lines are
+    skipped; any other header raises :class:`MeshError` naming the layout."""
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.find(b"end_header\n")
     if not data.startswith(b"ply") or end < 0:
         raise MeshError("not a PLY file")
-    header = data[:end].decode("ascii").splitlines()
+    # a non-ASCII byte becomes U+FFFD, which no accepted header line holds
+    header = data[:end].decode("ascii", errors="replace").splitlines()
     if "format binary_little_endian 1.0" not in header:
         raise MeshError("only binary little-endian PLY is supported")
     counts = {"vertex": 0, "face": 0}
+    layout = []
     for line in header:
         parts = line.split()
+        if parts[:1] == ["comment"]:
+            continue
         if parts[:1] == ["element"] and len(parts) == 3 and parts[1] in counts:
             if not parts[2].isdigit():
                 raise MeshError(f"bad {parts[1]} count {parts[2]!r}")
             counts[parts[1]] = int(parts[2])
+            del parts[2]
+        layout.append(" ".join(parts))
+    if layout not in (_PLY_LAYOUT, _PLY_LAYOUT[:-2]):
+        raise MeshError(f"{path}: unsupported PLY layout; only 'element vertex' with "
+                        "'property double x', 'y', 'z', then 'element face' with "
+                        "'property list uchar int vertex_indices' is read")
     nv, nf = counts["vertex"], counts["face"]
     body = data[end + len(b"end_header\n"):]
     need = nv * 24 + nf * _PLY_FACE.itemsize

@@ -63,13 +63,14 @@ def _check_kp_fit(rng, h):
 
 
 def _check_normal_fit(rng, h):
-    # two views of one observation, scoring 3 and 1 of its pixels
+    # two views of one four-pixel table, scoring 3 and 1 of its rows
     obs = losses.NormalObservation(_unit_rows(rng, 4).reshape(2, 2, 3),
                                    rng.uniform(0.5, 3.0, size=(2, 2)))
+    table = losses.ViewTable.of(obs, 180.0)
     scored = [np.array([0, 2, 3]), np.array([1])]
 
     def fn(raw):
-        return losses.normal_fit_loss(_unit(raw), [obs, obs], scored)
+        return losses.normal_fit_loss(_unit(raw), [table, table], scored)
 
     return ad.grad_check(fn, [_unit_rows(rng, 4)], h=h)
 

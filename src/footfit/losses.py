@@ -16,6 +16,11 @@ which does not overflow for large kappa.  Kappa above 100 clamps to 100.
 Loss functions take tape variables and return 0-d ones.  Each is one
 tape node whose hand-written VJP repeats the arithmetic of the op chain it
 replaces.
+
+A fit reads a view's normal observation through its :class:`ViewTable`:
+the silhouette target and, at the target pixels only, ``mu`` and
+``kappa``.  ``normal_fit_loss`` gathers from those tables by row and reads
+no image.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from . import autodiff as ad
 from . import images
 
 __all__ = [
-    "NormalObservation", "KeypointObservation", "Observation",
+    "NormalObservation", "KeypointObservation", "Observation", "ViewTable",
     "MissingObservation", "angmf_nll",
     "expected_angular_error", "expected_angular_error_quad",
     "kappa_for_expected_error",
@@ -92,6 +97,32 @@ class Observation:
     normals: NormalObservation
     keypoints: KeypointObservation
     mask: np.ndarray     # (H,W) bool pseudo-GT silhouette
+
+
+@dataclass
+class ViewTable:
+    """What a fit reads of one view's normal observation: its silhouette
+    target and, at the target pixels only, the mean directions and
+    concentrations, with the pixels' flat indices beside them."""
+    target: np.ndarray   # (H,W) bool silhouette target
+    pixels: np.ndarray   # (T,) ascending flat indices of the target pixels
+    mu: np.ndarray       # (3,T) component-major mean directions there
+    kappa: np.ndarray    # (T,) concentrations there
+
+    @classmethod
+    def of(cls, normals: NormalObservation, threshold_deg):
+        """``normals`` at its :func:`silhouette_from_uncertainty` target."""
+        target = silhouette_from_uncertainty(normals.kappa, threshold_deg)
+        pixels = np.flatnonzero(target)
+        mu = np.ascontiguousarray(np.take(normals.mu.reshape(-1, 3), pixels, axis=0).T)
+        return cls(target, pixels, mu, np.take(normals.kappa, pixels))
+
+    def scored(self, frag):
+        """The target pixels that ``frag`` covers: their positions into
+        ``frag.pixels`` and their rows in this table.  Both lists run in
+        flat-index order, so the k-th entries name the same pixel."""
+        return (np.flatnonzero(self.target.reshape(-1)[frag.pixels]),
+                np.flatnonzero(frag.mask.reshape(-1)[self.pixels]))
 
 
 def _check_unit(name, vecs):
@@ -232,22 +263,24 @@ def kp_fit_loss(projected, observations):
     return ad.custom((projected,), ((d * d).sum(axis=2) * v).sum() * inv_n, vjp)
 
 
-def normal_fit_loss(rendered, observations, scored):
-    """Mean over views of each view's mean, over its pixels ``scored[v]``
-    (ascending flat indices), of kappa × angle(mu, rendered normal); a view
-    with no scored pixel adds 0.  ``rendered`` holds the (P,3) normals at
-    the scored pixels of every view, as :func:`renderer.render_normals_var`
-    returns them.  One tape node takes the dot with mu, the arccos (with the
-    zero-gradient cut of :func:`autodiff.acos_safe_slope`), the kappa weight
-    and the per-view means.  Gradient flows to the rendered normals only."""
-    n = len(observations)
-    counts = np.array([len(f) for f in scored])
+def normal_fit_loss(rendered, tables, scored):
+    """Mean over views of each view's mean, over its scored pixels, of
+    kappa × angle(mu, rendered normal); a view with no scored pixel adds 0.
+    ``scored[v]`` holds the ascending rows of ``tables[v]``
+    (:class:`ViewTable`) to score, as :meth:`ViewTable.scored` gives them,
+    and ``rendered`` the (P,3) normals at the scored pixels of every view,
+    as :func:`renderer.render_normals_var` returns them.  Only the tables'
+    ``mu`` and ``kappa`` at those rows are read.  One tape node takes the
+    dot with mu, the arccos (with the zero-gradient cut of
+    :func:`autodiff.acos_safe_slope`), the kappa weight and the per-view
+    means.  Gradient flows to the rendered normals only."""
+    n = len(tables)
+    counts = np.array([len(r) for r in scored])
     if len(scored) != n or rendered.shape != (counts.sum(), 3):
         raise ValueError("one rendered normal per scored pixel required")
     # (3,P), component-major: numpy's inner loops run over the P pixels
-    mu = np.ascontiguousarray(np.concatenate(
-        [np.take(o.mu.reshape(-1, 3), f, axis=0) for o, f in zip(observations, scored)]).T)
-    kappa = np.concatenate([np.take(o.kappa, f) for o, f in zip(observations, scored)])
+    mu = np.concatenate([np.take(t.mu, r, axis=1) for t, r in zip(tables, scored)], axis=1)
+    kappa = np.concatenate([np.take(t.kappa, r) for t, r in zip(tables, scored)])
     views = np.repeat(np.arange(n), counts)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     r = rendered.value

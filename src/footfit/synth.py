@@ -39,7 +39,8 @@ from . import renderer
 
 __all__ = [
     "SceneSpec", "ViewBundle", "synthesize_kappa", "render_view",
-    "generate_scene", "load_scene", "scene_gt_params", "random_scene_params",
+    "generate_scene", "load_scene_meta", "load_view", "load_scene",
+    "scene_gt_params", "random_scene_params",
 ]
 
 CALIBRATION = np.sqrt(2.0 / np.pi)   # mean of |N(0,1)|
@@ -217,8 +218,8 @@ def generate_scene(spec: SceneSpec, model, out_dir):
     return out_dir
 
 
-def load_scene(scene_dir):
-    """(meta dict, cameras, observations) for a scene directory."""
+def load_scene_meta(scene_dir):
+    """(meta dict, cameras) of a scene directory; reads no view."""
     meta_path = os.path.join(scene_dir, "scene.json")
     if not os.path.exists(meta_path):
         raise losses.MissingObservation(f"{scene_dir}: missing scene.json")
@@ -231,9 +232,18 @@ def load_scene(scene_dir):
     if len(cams) != meta["n_views"]:
         raise cam_mod.SceneFormatError(
             f"{cam_path}: {len(cams)} cameras for {meta['n_views']} views")
-    obs = [losses.load_observation(os.path.join(scene_dir, f"view_{i:03d}"))
-           for i in range(meta["n_views"])]
-    return meta, cams, obs
+    return meta, cams
+
+
+def load_view(scene_dir, view) -> losses.Observation:
+    """The observation bundle of view ``view`` of a scene directory."""
+    return losses.load_observation(os.path.join(scene_dir, f"view_{view:03d}"))
+
+
+def load_scene(scene_dir):
+    """(meta dict, cameras, observations) for a scene directory."""
+    meta, cams = load_scene_meta(scene_dir)
+    return meta, cams, [load_view(scene_dir, i) for i in range(meta["n_views"])]
 
 
 def scene_gt_params(meta) -> fm.FootParams:

@@ -8,7 +8,9 @@ of a mesh that the tests share.  :func:`dense_fragments` turns a sparse
 fragment buffer back into the full-frame face and barycentric images, and
 :func:`render_normals_dense`, :func:`pixel_heights_dense` and
 :func:`cutoff_fraction_dense` are the dense-image paths the sparse buffer
-replaced.
+replaced, and :func:`image_normal_fit_loss` the normal-loss node that read
+full observation images before the fit kept them only at its target
+pixels.
 
 The tape ops are each one :func:`footfit.autodiff.custom` node, and only
 these references and the tests use them: the broadcasting arithmetic
@@ -371,6 +373,30 @@ def normal_fit_loss(rendered, observations, scored):
     per_view = segment_sum(mul(theta, kappa), np.repeat(np.arange(n), counts), n)
     weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
     return mul(vsum(mul(per_view, weight)), 1.0 / n)
+
+
+def image_normal_fit_loss(rendered, observations, scored):
+    """:func:`footfit.losses.normal_fit_loss` as one node that gathers
+    ``mu`` and ``kappa`` from each view's full (H,W,3) and (H,W) images at
+    the flat indices ``scored[v]``: the node that reading the compact
+    :class:`footfit.losses.ViewTable` replaced."""
+    n = len(observations)
+    counts = np.array([len(f) for f in scored])
+    mu = np.ascontiguousarray(np.concatenate(
+        [np.take(o.mu.reshape(-1, 3), f, axis=0) for o, f in zip(observations, scored)]).T)
+    kappa = np.concatenate([np.take(o.kappa, f) for o, f in zip(observations, scored)])
+    views = np.repeat(np.arange(n), counts)
+    weight = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
+    r = rendered.value
+    dot = r[:, 0] * mu[0] + r[:, 1] * mu[1] + r[:, 2] * mu[2]
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    per_view = np.bincount(views, weights=theta * kappa, minlength=n)
+
+    def vjp(g):
+        g_theta = (g * (1.0 / n) * weight)[views] * kappa
+        return ((mu * (g_theta * ad.acos_safe_slope(dot))).T,)
+
+    return ad.custom((rendered,), (per_view * weight).sum() * (1.0 / n), vjp)
 
 
 def field(mlp, X, z_s, z_p):

@@ -38,8 +38,9 @@ def _make_scene(model, out_dir, gt, n_views, sigma, seed):
 
 
 def _fit(model, obs, cams, cfg):
-    p1, _ = fitting.fit_stage1(model, obs, cams, cfg)
-    p2, _ = fitting.fit_stage2(model, obs, cams, p1, cfg)
+    data = fitting.FitInput.build(cams, obs, cfg)
+    p1, _ = fitting.fit_stage1(model, data, cfg)
+    p2, _ = fitting.fit_stage2(model, data, p1, cfg)
     return p2
 
 
@@ -111,8 +112,8 @@ def test_ac04_registration_round_trip(model, tmp_path):
                        z_s=np.zeros(field.d_s), z_p=np.zeros(field.d_p))
     _, cams, obs = _make_scene(model, tmp_path / "scene", gt,
                                n_views=8, sigma=0.0, seed=5)
-    params, _ = fitting.fit_stage1(model, obs, cams,
-                                   fitting.FitConfig(stage1_epochs=1000))
+    cfg = fitting.FitConfig(stage1_epochs=1000)
+    params, _ = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, cfg), cfg)
     Rg = geometry.euler_rotation(gt.r)
     Rf = geometry.euler_rotation(params.r)
     rot = np.degrees(np.arccos(np.clip((np.trace(Rf @ Rg.T) - 1) / 2,

@@ -374,6 +374,23 @@ class TestFit:
         assert rc == 0
         assert json.loads(out)["views"] == 2
 
+    def test_unpicked_views_are_not_read(self, tmp_path, model_bin, scene_dir):
+        # --views 1 picks one of the three views; the others lose mu.pfm
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        _, cams = synth.load_scene_meta(str(scene))
+        picked = fitting.select_views(cams, 1)
+        for view in set(range(len(cams))) - set(picked):
+            os.remove(scene / f"view_{view:03d}" / "mu.pfm")
+        outs = []
+        for name, source in (("intact", scene_dir), ("torn", scene)):
+            outs.append(tmp_path / name)
+            assert cli.main(["fit", "--scene", str(source), "--model", model_bin,
+                             "--out", str(outs[-1]), "--views", "1",
+                             "--stage1-epochs", "10", "--stage2-epochs", "3"]) == 0
+        for f in ("fitted.obj", "params.json", "trace.csv"):
+            assert filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False), f
+
     def test_too_many_views_exits_2(self, tmp_path, model_bin, scene_dir):
         rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
                        "--out", str(tmp_path / "f2"), "--views", "9"])
@@ -530,6 +547,21 @@ class TestEval3d:
             tmp_path, "eval3d", "--fitted", str(fit_dir / "fitted.obj"),
             "--scene", str(scene_dir), "--model", model_bin, "--csv")
 
+    def test_reads_no_view(self, tmp_path, model_bin, scene_dir, fit_dir):
+        # the ground truth comes from scene.json: a scene without its view
+        # directories gives the same report
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        for view in scene.glob("view_*"):
+            shutil.rmtree(view)
+        outs = []
+        for name, source in (("intact", scene_dir), ("bare", scene)):
+            outs.append(tmp_path / name)
+            assert cli.main(["eval3d", "--fitted", str(fit_dir / "fitted.obj"),
+                             "--scene", str(source), "--model", model_bin,
+                             "--out", str(outs[-1]), "--n", "1000"]) == 0
+        assert filecmp.cmp(outs[0] / "report.json", outs[1] / "report.json", shallow=False)
+
     def test_needs_a_ground_truth(self, tmp_path, fit_dir):
         rc = cli.main(["eval3d", "--fitted", str(fit_dir / "fitted.obj"),
                        "--out", str(tmp_path / "e3x")])
@@ -651,6 +683,24 @@ class TestMalformedMesh:
                        "--out", str(tmp_path / "al")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("io error: truncated PLY: ")
+
+    @pytest.mark.parametrize("props", ["x y z", "x y z nx ny nz"])
+    def test_float32_ply_exits_3(self, tmp_path, capsys, props):
+        # 40 float32 vertices; with normals a vertex is 24 bytes, as many as
+        # three doubles, so a reader that skips the properties reads garbage
+        names = props.split()
+        values = np.random.default_rng(6).normal(size=(40, len(names))).astype("<f4")
+        header = "".join(f"property float {n}\n" for n in names)
+        path = tmp_path / "float32.ply"
+        path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 40\n"
+                          f"{header}end_header\n").encode() + values.tobytes())
+        _, tgt, _ = make_align_pair(tmp_path)
+        rc = cli.main(["align", "--source", str(path), "--target", tgt,
+                       "--out", str(tmp_path / "al")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: {path}: unsupported PLY layout")
+        assert "'property double x'" in err
 
     @pytest.mark.parametrize("name", ["past_end.obj", "two_coords.obj"])
     @pytest.mark.parametrize("command", ["align", "eval3d"])

@@ -139,7 +139,8 @@ class TestStage1:
     def test_recovers_registration(self, model, stage1_setup):
         gt, cams, obs = stage1_setup
         config = fitting.FitConfig(stage1_epochs=500)
-        fitted, rows = fitting.fit_stage1(model, obs, cams, config)
+        fitted, rows = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config),
+                                          config)
         assert np.abs(fitted.r - gt.r).max() < 0.01
         assert np.abs(fitted.t - gt.t).max() < 0.001
         assert np.abs(fitted.s / gt.s - 1.0).max() < 0.005
@@ -148,21 +149,22 @@ class TestStage1:
     def test_trace_shape_and_codes_frozen(self, model, stage1_setup):
         _, cams, obs = stage1_setup
         config = fitting.FitConfig(stage1_epochs=40)
-        fitted, rows = fitting.fit_stage1(model, obs, cams, config)
+        data = fitting.FitInput.build(cams, obs, config)
+        fitted, rows = fitting.fit_stage1(model, data, config)
         assert len(rows) == 40
         # silhouette/normal columns stay zero without rendering
         assert all(r[2] == 0.0 and r[3] == 0.0 for r in rows)
         assert np.all(fitted.z_s == 0.0)
         assert np.all(fitted.z_p == 0.0)
         # with no epochs the stage returns its start, the identity
-        start, _ = fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=0))
+        start, _ = fitting.fit_stage1(model, data, fitting.FitConfig(stage1_epochs=0))
         assert np.all(start.r == 0.0) and np.all(start.s == 1.0)
 
     def test_deterministic(self, model, stage1_setup):
         _, cams, obs = stage1_setup
         config = fitting.FitConfig(stage1_epochs=25)
-        a, _ = fitting.fit_stage1(model, obs, cams, config)
-        b, _ = fitting.fit_stage1(model, obs, cams, config)
+        a, _ = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
+        b, _ = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -173,13 +175,14 @@ class TestStage1:
             losses.KeypointObservation(o.keypoints.k, o.keypoints.sigma,
                                        np.zeros_like(o.keypoints.v)),
             o.mask) for o in obs]
+        data = fitting.FitInput.build(cams, blind, fitting.FitConfig())
         with pytest.raises(ValueError, match="under-constrained"):
-            fitting.fit_stage1(model, blind, cams)
+            fitting.fit_stage1(model, data)
 
     def test_length_mismatch(self, model, stage1_setup):
         _, cams, obs = stage1_setup
         with pytest.raises(ValueError, match="per camera"):
-            fitting.fit_stage1(model, obs[:-1], cams)
+            fitting.FitInput.build(cams, obs[:-1], fitting.FitConfig())
 
     def test_keypoints_validated_once_per_stage(self, model, stage1_setup,
                                                 monkeypatch):
@@ -188,7 +191,8 @@ class TestStage1:
         validate = losses.KeypointObservation.validate
         monkeypatch.setattr(losses.KeypointObservation, "validate",
                             lambda self: calls.append(self.k.shape) or validate(self))
-        fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=5))
+        config = fitting.FitConfig(stage1_epochs=5)
+        fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
         assert calls == [(len(cams), len(model[0].keypoint_ids), 2)]
 
 
@@ -222,7 +226,8 @@ class TestStage1KeypointRows:
     def test_matches_full_mesh_reference(self, model, stage1_setup):
         _, cams, obs = stage1_setup
         config = fitting.FitConfig(stage1_epochs=50)
-        fitted, rows = fitting.fit_stage1(model, obs, cams, config)
+        fitted, rows = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config),
+                                          config)
         ref, ref_rows = _stage1_full_mesh(model, obs, cams, config)
         for name in fitting.PARAM_ORDER:
             assert np.abs(getattr(fitted, name) - getattr(ref, name)).max() < 1e-12, name
@@ -254,7 +259,8 @@ class TestStage1KeypointRows:
             "forward", fm.forward, lambda a, out: out.shape))
         monkeypatch.setattr(renderer, "project_vertices_var", recording(
             "project", renderer.project_vertices_var, lambda a, out: (a[0].shape, list(a[1]))))
-        fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=3))
+        config = fitting.FitConfig(stage1_epochs=3)
+        fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
         assert seen["field"] == [((k, 3), False)]
         assert seen["forward"] == [(k, 3)] * 3
         assert seen["project"] == [((k, 3), cams)] * 3
@@ -272,7 +278,7 @@ def test_stage1_tape_nodes_do_not_grow_with_views(model, stage1_setup, monkeypat
     monkeypatch.setattr(ad.Tape, "backward", counting)
     config = fitting.FitConfig(stage1_epochs=1)
     for n in (2, 3):
-        fitting.fit_stage1(model, obs[:n], cams[:n], config)
+        fitting.fit_stage1(model, fitting.FitInput.build(cams[:n], obs[:n], config), config)
     assert nodes[0] == nodes[1] <= 12
 
 
@@ -302,8 +308,9 @@ class TestStage2:
     def test_descends_and_traces(self, model, stage2_setup):
         gt, cams, obs = stage2_setup
         config = fitting.FitConfig(stage1_epochs=150, stage2_epochs=30)
-        start, _ = fitting.fit_stage1(model, obs, cams, config)
-        fitted, rows = fitting.fit_stage2(model, obs, cams, start, config)
+        data = fitting.FitInput.build(cams, obs, config)
+        start, _ = fitting.fit_stage1(model, data, config)
+        fitted, rows = fitting.fit_stage2(model, data, start, config)
         assert len(rows) == 30
         assert rows[-1][4] < rows[0][4]
         # silhouette and normal terms are live in stage 2
@@ -315,8 +322,8 @@ class TestStage2:
         _, cams, obs = stage2_setup
         config = fitting.FitConfig(stage2_epochs=5)
         start = fm.FootParams.identity()
-        a, _ = fitting.fit_stage2(model, obs, cams, start, config)
-        b, _ = fitting.fit_stage2(model, obs, cams, start, config)
+        a, _ = fitting.fit_stage2(model, fitting.FitInput.build(cams, obs, config), start, config)
+        b, _ = fitting.fit_stage2(model, fitting.FitInput.build(cams, obs, config), start, config)
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -348,7 +355,8 @@ class TestStage2:
                 (losses, "silhouette_l2", "sil_l2", 3)):
             monkeypatch.setattr(module, name, counting(key, getattr(module, name), per_view))
         config = fitting.FitConfig(stage2_epochs=3)
-        fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
+        data = fitting.FitInput.build(cams, obs, config)
+        fitting.fit_stage2(model, data, fm.FootParams.identity(), config)
         assert calls == {"normals": 3, "project": 3, "rasterize": 3 * len(cams),
                          "render_normals": 3, "soft": 3, "normal_fit": 3, "sil_l2": 3}
 
@@ -364,7 +372,8 @@ class TestStage2:
         monkeypatch.setattr(ad.Tape, "backward", counting)
         config = fitting.FitConfig(stage2_epochs=1)
         for n in (2, 3):
-            fitting.fit_stage2(model, obs[:n], cams[:n], fm.FootParams.identity(), config)
+            fitting.fit_stage2(model, fitting.FitInput.build(cams[:n], obs[:n], config),
+                               fm.FootParams.identity(), config)
         assert nodes[0] == nodes[1] <= 17
 
     def test_no_view_covers_the_foot(self, model, stage2_setup):
@@ -373,7 +382,8 @@ class TestStage2:
         start = fm.FootParams.identity()
         start.t[0] = 5.0
         config = fitting.FitConfig(stage2_epochs=2)
-        fitted, rows = fitting.fit_stage2(model, obs, cams, start, config)
+        fitted, rows = fitting.fit_stage2(model, fitting.FitInput.build(cams, obs, config),
+                                          start, config)
         targets = [losses.silhouette_from_uncertainty(o.normals.kappa,
                                                       config.sil_threshold_deg)
                    for o in obs]
@@ -387,11 +397,12 @@ class TestStage2:
         def forbidden(*args, **kwargs):
             raise AssertionError("stage 2 with no epochs built render inputs")
 
+        config = fitting.FitConfig(stage2_epochs=0)
+        data = fitting.FitInput.build(cams, obs, config)
         monkeypatch.setattr(renderer.ContourTopology, "build", forbidden)
         monkeypatch.setattr(losses, "silhouette_from_uncertainty", forbidden)
         start = fm.FootParams.identity()
-        fitted, rows = fitting.fit_stage2(model, obs, cams, start,
-                                          fitting.FitConfig(stage2_epochs=0))
+        fitted, rows = fitting.fit_stage2(model, data, start, config)
         assert rows == []
         for name in fitting.PARAM_ORDER:
             assert np.array_equal(getattr(fitted, name), getattr(start, name))
@@ -416,10 +427,11 @@ def test_each_epoch_tape_dies_before_the_next(model, stage1_setup, stage2_setup,
     try:
         if stage == 1:
             _, cams, obs = stage1_setup
-            fitting.fit_stage1(model, obs, cams, config)
+            fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
         else:
             _, cams, obs = stage2_setup
-            fitting.fit_stage2(model, obs, cams, fm.FootParams.identity(), config)
+            fitting.fit_stage2(model, fitting.FitInput.build(cams, obs, config),
+                               fm.FootParams.identity(), config)
     finally:
         gc.enable()
     assert len(made) >= 3
@@ -529,8 +541,50 @@ def ac05_fit_start(model, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("ac05"))
     synth.generate_scene(spec, model, out)
     _, cams, obs = synth.load_scene(out)
-    start, _ = fitting.fit_stage1(model, obs, cams, fitting.FitConfig(stage1_epochs=150))
+    config = fitting.FitConfig(stage1_epochs=150)
+    start, _ = fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
     return fm.forward_mesh(asset, field, gt), cams, obs, start
+
+
+class TestFitInput:
+    def test_views_hold_no_image_sized_float(self, ac05_fit_start):
+        _, cams, obs, _ = ac05_fit_start
+        data = fitting.FitInput.build(cams, obs, fitting.FitConfig())
+        assert len(data.views) == len(cams)
+        for cam, view in zip(cams, data.views):
+            assert view.target.shape == (cam.height, cam.width)
+            assert view.target.dtype == bool
+            assert view.mu.shape == (3, view.target.sum())
+            for name, value in vars(view).items():
+                if value.dtype == np.float64:
+                    assert value.size < cam.height * cam.width, name
+
+    def test_reads_views_one_at_a_time(self, stage2_views):
+        # a generator that loads views: each view's images are gone before
+        # the next view loads
+        _, cams, obs = stage2_views
+        live, loaded = [], []
+
+        def loaded_copy(o):
+            live.append([ref() is not None for ref in loaded])
+            normals = losses.NormalObservation(o.normals.mu.copy(), o.normals.kappa.copy())
+            loaded.append(weakref.ref(normals.mu))
+            return replace(o, normals=normals)
+
+        def load():
+            for o in obs:
+                yield loaded_copy(o)
+
+        gc.disable()
+        try:
+            data = fitting.FitInput.build(cams, load(), fitting.FitConfig())
+        finally:
+            gc.enable()
+        assert live == [[False] * i for i in range(len(cams))]
+        want = fitting.FitInput.build(cams, obs, fitting.FitConfig())
+        for got, ref in zip(data.views, want.views):
+            for name in ("target", "pixels", "mu", "kappa"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def _blind_camera(cam):
@@ -576,7 +630,8 @@ class TestStage2AgainstImageChain:
             return adam_step(state, values, grads, lr)
 
         monkeypatch.setattr(fitting, "adam_step", recording)
-        _, rows = fitting.fit_stage2(model, obs, cams, start, config)
+        _, rows = fitting.fit_stage2(model, fitting.FitInput.build(cams, obs, config),
+                                     start, config)
         want, l_sil, l_norm = _image_stage2_epoch(model, obs, cams, config, start)
         # the fused normal nodes sum in another order than the image chain:
         # gradients agree to 1e-13 of each group's scale (measured 1.4e-14)

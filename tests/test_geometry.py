@@ -260,6 +260,25 @@ class TestMeshIO:
         np.testing.assert_array_equal(back.vertices, mesh.vertices)
         np.testing.assert_array_equal(back.faces, mesh.faces)
 
+    def test_ply_without_faces_reads_points(self, tmp_path):
+        points = np.random.default_rng(3).normal(size=(5, 3))
+        path = tmp_path / "points.ply"
+        path.write_bytes(("ply\nformat binary_little_endian 1.0\ncomment points only\n"
+                          "element vertex 5\nproperty double x\nproperty double y\n"
+                          "property double z\nend_header\n").encode()
+                         + points.astype("<f8").tobytes())
+        back = geo.load_ply(path)
+        np.testing.assert_array_equal(back.vertices, points)
+        assert back.faces.shape == (0, 3)
+
+    def test_ply_non_ascii_header_is_a_mesh_error(self, tmp_path):
+        path = tmp_path / "latin1.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                         b"property double \xe9\nproperty double y\nproperty double z\n"
+                         b"end_header\n" + bytes(24))
+        with pytest.raises(geo.MeshError, match="unsupported PLY layout"):
+            geo.load_ply(path)
+
     def test_ply_rejects_non_triangles(self, tmp_path):
         path = tmp_path / "bad.ply"
         header = ("ply\nformat binary_little_endian 1.0\nelement vertex 4\n"

@@ -13,6 +13,7 @@ from footfit.losses import (
     MissingObservation,
     NormalObservation,
     Observation,
+    ViewTable,
     angmf_nll,
     downsample_observation,
     expected_angular_error,
@@ -24,6 +25,7 @@ from footfit.losses import (
     silhouette_from_uncertainty,
     silhouette_l2,
 )
+from footfit.renderer import FragmentBuffer
 
 
 def unit_rows(rng, n):
@@ -272,6 +274,44 @@ class TestKeypointFitLoss:
             kp_fit_loss(tape.leaf(obs.k[None].copy()), KeypointObservation.stack([obs, obs]))
 
 
+class TestViewTable:
+    def test_keeps_the_target_pixels_only(self):
+        rng = np.random.default_rng(28)
+        mu = unit_rows(rng, 48).reshape(6, 8, 3)
+        kappa = rng.uniform(0.0, 20.0, size=(6, 8))
+        table = ViewTable.of(NormalObservation(mu, kappa), 30.0)
+        target = silhouette_from_uncertainty(kappa, 30.0)
+        assert 0 < target.sum() < target.size
+        assert np.array_equal(table.target, target)
+        assert np.array_equal(table.pixels, np.flatnonzero(target))
+        assert table.mu.shape == (3, target.sum()) and table.mu.flags.c_contiguous
+        assert np.array_equal(table.mu, mu[target].T)
+        assert np.array_equal(table.kappa, kappa[target])
+
+    @pytest.mark.parametrize("case", ["overlap", "no_target", "no_coverage"])
+    def test_scored_pairs_positions_with_rows(self, case):
+        rng = np.random.default_rng(29)
+        shape = (7, 9)
+        kappa = np.where(rng.uniform(size=shape) < 0.5, 50.0, 0.0)
+        if case == "no_target":
+            kappa[:] = 0.0
+        covered = rng.uniform(size=shape) < (0.0 if case == "no_coverage" else 0.6)
+        table = ViewTable.of(NormalObservation(np.zeros((*shape, 3)), kappa), 30.0)
+        pixels = np.flatnonzero(covered)
+        frag = FragmentBuffer.build(shape, pixels, np.zeros(len(pixels), dtype=np.int64),
+                                    np.zeros((len(pixels), 3)), np.zeros(0, dtype=bool))
+        pos, rows = table.scored(frag)
+        want = np.flatnonzero(table.target & covered)
+        assert np.array_equal(pixels[pos], want)
+        assert np.array_equal(table.pixels[rows], want)
+        assert (case == "overlap") == (len(want) > 0)
+
+
+def whole(normals):
+    """The table of every pixel of ``normals``: its rows are flat indices."""
+    return ViewTable.of(normals, 180.0)
+
+
 class TestNormalFitLoss:
     def grid_obs(self, rng, H=6, W=8, kappa=None):
         mu = unit_rows(rng, H * W).reshape(H, W, 3)
@@ -284,7 +324,7 @@ class TestNormalFitLoss:
         obs = NormalObservation(mu, np.full((3, 4), 5.0))
         tape = ad.Tape()
         rendered = tape.leaf(mu.reshape(-1, 3).copy())
-        out = normal_fit_loss(rendered, [obs], [np.arange(12)])
+        out = normal_fit_loss(rendered, [whole(obs)], [np.arange(12)])
         assert out.value == 0.0
 
     def test_ninety_degrees_at_kappa_two_gives_pi(self):
@@ -295,7 +335,7 @@ class TestNormalFitLoss:
         n = np.zeros((H * W, 3))
         n[:, 2] = -1.0
         tape = ad.Tape()
-        out = normal_fit_loss(tape.leaf(n), [obs], [np.arange(H * W)])
+        out = normal_fit_loss(tape.leaf(n), [whole(obs)], [np.arange(H * W)])
         assert abs(out.value - np.pi) < 1e-14
 
     def test_linear_in_kappa(self):
@@ -304,9 +344,9 @@ class TestNormalFitLoss:
         flat = np.flatnonzero(rng.uniform(size=(6, 8)) > 0.4)
         n = unit_rows(rng, len(flat))
         tape = ad.Tape()
-        a = normal_fit_loss(tape.leaf(n), [obs], [flat]).value
+        a = normal_fit_loss(tape.leaf(n), [whole(obs)], [flat]).value
         half = NormalObservation(obs.mu, obs.kappa / 2)
-        b = normal_fit_loss(tape.leaf(n.copy()), [half], [flat]).value
+        b = normal_fit_loss(tape.leaf(n.copy()), [whole(half)], [flat]).value
         assert np.isclose(b, a / 2, rtol=1e-12)
 
     def test_mask_selects_pixels(self):
@@ -316,7 +356,7 @@ class TestNormalFitLoss:
         mask = np.zeros((6, 8), bool)
         mask[2, 3] = mask[5, 1] = True
         tape = ad.Tape()
-        out = normal_fit_loss(tape.leaf(n[mask]), [obs], [np.flatnonzero(mask)]).value
+        out = normal_fit_loss(tape.leaf(n[mask]), [whole(obs)], [np.flatnonzero(mask)]).value
         manual = np.mean([
             obs.kappa[i, j] * np.arccos(np.clip(n[i, j] @ obs.mu[i, j], -1, 1))
             for i, j in [(2, 3), (5, 1)]])
@@ -329,8 +369,9 @@ class TestNormalFitLoss:
         flats[2] = flats[2][:0]             # an empty view adds 0
         n = [unit_rows(rng, len(f)) for f in flats]
         tape = ad.Tape()
-        out = normal_fit_loss(tape.leaf(np.concatenate(n)), obs, flats).value
-        alone = [normal_fit_loss(tape.leaf(nv), [o], [f]).value
+        out = normal_fit_loss(tape.leaf(np.concatenate(n)), [whole(o) for o in obs],
+                              flats).value
+        alone = [normal_fit_loss(tape.leaf(nv), [whole(o)], [f]).value
                  for nv, o, f in zip(n[:2], obs[:2], flats[:2])]
         assert np.isclose(out, sum(alone) / 3, rtol=1e-14)
 
@@ -339,14 +380,14 @@ class TestNormalFitLoss:
         obs = self.grid_obs(rng)
         tape = ad.Tape()
         with pytest.raises(ValueError, match="per scored pixel"):
-            normal_fit_loss(tape.leaf(unit_rows(rng, 3)), [obs], [np.arange(48)])
+            normal_fit_loss(tape.leaf(unit_rows(rng, 3)), [whole(obs)], [np.arange(48)])
 
     def test_empty_mask_is_zero(self):
         rng = np.random.default_rng(21)
         obs = self.grid_obs(rng)
         tape = ad.Tape()
         n = tape.leaf(np.zeros((0, 3)))
-        out = normal_fit_loss(n, [obs], [np.zeros(0, dtype=np.int64)])
+        out = normal_fit_loss(n, [whole(obs)], [np.zeros(0, dtype=np.int64)])
         assert out.value == 0.0
         assert tape.backward(out)[n].shape == (0, 3)
 
@@ -364,10 +405,11 @@ class TestNormalFitLoss:
         obs[0].mu[i, j] = n[0]
         flats = [np.flatnonzero(m) for m in masks]
         results = []
-        for loss in (normal_fit_loss, chainref.normal_fit_loss):
+        for loss, inputs in ((normal_fit_loss, [whole(o) for o in obs]),
+                             (chainref.normal_fit_loss, obs)):
             tape = ad.Tape()
             rendered = tape.leaf(n)
-            out = loss(rendered, obs, flats)
+            out = loss(rendered, inputs, flats)
             results.append((out.value, tape.backward(out)[rendered]))
         (v_fused, g_fused), (v_chain, g_chain) = results
         assert abs(n[0] @ obs[0].mu[i, j]) > 1.0 - 1e-7
@@ -384,7 +426,7 @@ class TestNormalFitLoss:
 
         def fn(raw):
             unit = div(raw, norm2(raw, axis=1, keepdims=True))
-            return normal_fit_loss(unit, [obs], [np.arange(9)])
+            return normal_fit_loss(unit, [whole(obs)], [np.arange(9)])
 
         assert ad.grad_check(fn, [n0]) < 1e-4
 

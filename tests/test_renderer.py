@@ -814,29 +814,32 @@ class TestFusedNormals:
             cams.append(replace(cams[0], t=cams[0].t + np.array([5.0, 0.0, 0.0])))
         frags = [rasterize_mesh(mesh, cam) for cam in cams]
         rng = np.random.default_rng(4)
-        keep = [f.mask & (rng.uniform(size=f.mask.shape) < 0.8) for f in frags]
-        # positions into each view's pixels for the render, flat indices for the loss
-        pos = [np.flatnonzero(k.reshape(-1)[f.pixels]) for f, k in zip(frags, keep)]
-        scored = [f.pixels[p] for f, p in zip(frags, pos)]
         obs = []
         for cam, frag in zip(cams, frags):
             mu = rd.render_normals(mesh, cam, frag) + rng.normal(size=(*frag.mask.shape, 3)) * 0.3
             obs.append(losses.NormalObservation(
                 mu / np.linalg.norm(mu, axis=2, keepdims=True),
                 rng.uniform(0.5, 20.0, size=frag.mask.shape)))
+        tables = [losses.ViewTable.of(o, 30.0) for o in obs]
+        # positions into each view's pixels for the render, table rows for
+        # the loss, flat indices for the chain
+        pos, rows = zip(*(t.scored(f) for t, f in zip(tables, frags)))
+        scored = [f.pixels[p] for f, p in zip(frags, pos)]
+        assert all(np.array_equal(t.pixels[r], f) for t, r, f in zip(tables, rows, scored))
         assert views != "blind" or scored[-1].size == 0
 
         def run(vertex_normals, render, loss):
             tape = ad.Tape()
             verts = tape.leaf(mesh.vertices)
             n_world = vertex_normals(verts, mesh.faces)
-            rows = render(n_world, mesh.faces, cams, frags, pos)
-            out = loss(rows, obs, scored)
-            return n_world.value, rows.value, out.value, tape.backward(out)[verts]
+            n_pix = render(n_world, mesh.faces, cams, frags, pos)
+            out = loss(n_pix)
+            return n_world.value, n_pix.value, out.value, tape.backward(out)[verts]
 
-        fused = run(rd.vertex_normals_var, rd.render_normals_var, losses.normal_fit_loss)
+        fused = run(rd.vertex_normals_var, rd.render_normals_var,
+                    lambda n_pix: losses.normal_fit_loss(n_pix, tables, rows))
         chain = run(chainref.vertex_normals_var, chainref.render_normals_var,
-                    chainref.normal_fit_loss)
+                    lambda n_pix: chainref.normal_fit_loss(n_pix, obs, scored))
         # the forward runs the same float operations in the same order
         for got, want in zip(fused[:3], chain[:3]):
             assert np.array_equal(got, want)
@@ -844,6 +847,37 @@ class TestFusedNormals:
         scale = np.abs(chain[3]).max()
         assert scale > 0
         np.testing.assert_allclose(fused[3], chain[3], rtol=0, atol=1e-13 * scale)
+
+
+    @pytest.mark.parametrize("views", ["ac05", "hires"])
+    def test_tables_match_image_node(self, ac05_views, hires_views, views):
+        # the node reading the compact tables against the node it replaced,
+        # which read the full images: the same numbers in the same order, so
+        # the same value and gradient to the last bit
+        mesh, cams = hires_views if views == "hires" else ac05_views
+        rng = np.random.default_rng(6)
+        obs = [synth.render_view(mesh, np.arange(12), cam, 5.0, 0.01, rng).obs.normals
+               for cam in cams]
+        # a fit's mesh covers pixels off the target and misses some on it
+        moved = mesh.copy_with(mesh.vertices + np.array([0.004, 0.003, 0.002]))
+        frags = [rasterize_mesh(moved, cam) for cam in cams]
+        tables = [losses.ViewTable.of(o, 30.0) for o in obs]
+        pos, rows = zip(*(t.scored(f) for t, f in zip(tables, frags)))
+        scored = [f.pixels[p] for f, p in zip(frags, pos)]
+        assert all(0 < len(f) < len(t.pixels) for f, t in zip(scored, tables))
+        assert any(len(f) < len(frag.pixels) for f, frag in zip(scored, frags))
+        n = rng.normal(size=(sum(len(f) for f in scored), 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        got = []
+        for loss, inputs, at in ((losses.normal_fit_loss, tables, rows),
+                                 (chainref.image_normal_fit_loss, obs, scored)):
+            tape = ad.Tape()
+            rendered = tape.leaf(n)
+            out = loss(rendered, inputs, at)
+            got.append((out.value, tape.backward(out)[rendered]))
+        (v_table, g_table), (v_image, g_image) = got
+        assert v_table == v_image
+        assert np.array_equal(g_table, g_image)
 
 
 class TestFusedSilhouette:
@@ -994,9 +1028,9 @@ class TestFusedLossNodes:
         frags = [rasterize_mesh(mesh, cam) for cam in cams]
         topo = rd.ContourTopology.build(mesh)
         targets = [f.mask ^ (rng.uniform(size=f.mask.shape) < 0.05) for f in frags]
-        obs = [losses.NormalObservation(rd.render_normals(mesh, cam, frag),
-                                        rng.uniform(0.5, 20.0, size=frag.mask.shape))
-               for cam, frag in zip(cams, frags)]
+        tables = [losses.ViewTable.of(losses.NormalObservation(
+            rd.render_normals(mesh, cam, frag), rng.uniform(0.5, 20.0, size=frag.mask.shape)),
+            180.0) for cam, frag in zip(cams, frags)]
         kp_obs = losses.KeypointObservation.stack([losses.KeypointObservation(
             rng.uniform(0.2, 0.8, size=(12, 2)), np.full((12, 2), 0.05), np.ones(12))
             for _ in cams])
@@ -1008,7 +1042,9 @@ class TestFusedLossNodes:
             kp, _ = rd.project_keypoints_var(proj, kp_ids, rd.image_size(cams))
             pos = [np.flatnonzero(t.reshape(-1)[f.pixels]) for f, t in zip(frags, targets)]
             n_pix = rd.render_normals_var(n_world, mesh.faces, cams, frags, pos)
-            l_norm = losses.normal_fit_loss(n_pix, obs, [f.pixels[p] for f, p in zip(frags, pos)])
+            # every pixel is in its view's table, so a row is a flat index
+            l_norm = losses.normal_fit_loss(n_pix, tables,
+                                            [f.pixels[p] for f, p in zip(frags, pos)])
             soft, bands = rd.render_silhouette_soft_var(proj[0], cams, frags, topo, 40.0)
             terms = (losses.kp_fit_loss(kp, kp_obs),
                      losses.silhouette_l2(soft, bands, [f.mask for f in frags], targets),
