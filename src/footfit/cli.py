@@ -239,7 +239,13 @@ def cmd_fit(cfg):
     if factor < 0:
         raise ConfigError("downsample must be non-negative")
     if factor == 0:
-        factor = max(1, round(min(cams[0].width, cams[0].height) / 120))
+        # round(min(W,H)/120), or if that does not divide the image, the
+        # common divisor of W and H nearest to min(W,H)/120
+        w, h = cams[0].width, cams[0].height
+        factor = max(1, round(min(w, h) / 120))
+        if w % factor or h % factor:
+            factor = min((d for d in range(1, np.gcd(w, h) + 1) if w % d == h % d == 0),
+                         key=lambda d: abs(d - min(w, h) / 120))
     try:
         cams = [cam_mod.scale_camera(c, factor) for c in cams]
     except ValueError as exc:
@@ -402,6 +408,8 @@ def cmd_align(cfg):
 
 
 def cmd_gradcheck(cfg):
+    if cfg["configs"] < 1 or not 0 < cfg["h"] < np.inf:
+        raise ConfigError("configs must be at least 1 and h positive and finite")
     _echo(cfg, "gradcheck", cfg["out"])
     rows = gradient_suite(configs=cfg["configs"], h=cfg["h"],
                           seed=cfg["seed"])

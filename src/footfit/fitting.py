@@ -15,23 +15,26 @@ one at a time and cuts each to its table before the next is read, so no
 full ``mu`` or ``kappa`` image outlives its view's loading.
 
 Both stages run full-batch Adam with a fixed epoch count; each epoch
-builds one tape, registers the deformed template once, projects into all
-views in one tape node and sums its weighted loss terms in one more,
-whose cotangent to each term is that term's weight.  Stage 1 always frees
-r, t and s only, so its deformed template is a constant: it runs the
-deformation field once per stage, off the epoch tapes and only on the
-keypoint rows, the only rows its loss reads, and each epoch registers and
-projects those rows and reads the keypoints as every row of that
-projection.  Stage 2 evaluates the field over the whole mesh every epoch,
-rasterizes its projection into each view's sparse fragment lists in
-numpy, and scores the pixels of all views at once: the normal term over
-every view's covered target pixels (picked as positions into the view's
-covered pixels and as rows of its table), the silhouette term over every
-view's contour band, each a mean over views of per-view means.  No
-image-sized face or barycentric buffer is built.  Only an epoch's loss row
-and parameter gradients outlive it: its tape, fragments and every other
-array are freed before the next epoch builds its tape, so a fit holds one
-epoch at a time.
+builds one tape, evaluates the foot model once in one tape node (field,
+rotation and registration), projects into all views in one more and sums
+its weighted loss terms in a third, whose cotangent to each term is that
+term's weight.  Stage 1 always frees r, t and s only, so its deformed
+template is a constant: it runs the deformation field once per stage, in
+numpy with no tape and only on the keypoint rows, the only rows its loss
+reads, and each epoch registers and projects those rows and reads the
+keypoints as every row of that projection.  Stage 2 evaluates the field
+over the whole mesh every epoch, inside the model's node, rasterizes its
+projection into each view's sparse fragment lists in numpy, and scores
+the pixels of all views at once: the normal term over every view's
+covered target pixels (picked as positions into the view's covered
+pixels and as rows of its table), the silhouette term over every view's
+contour band, each a mean over views of per-view means.  No image-sized
+face or barycentric buffer is built.  Only an epoch's loss row and
+parameter gradients outlive it: its tape, fragments and every other
+array are freed before the next epoch builds its tape, so a fit holds
+one epoch at a time.  An Adam step that leaves a scale component at zero
+or below ends the fit with a ``FloatingPointError`` naming the stage and
+the epoch.
 """
 
 from __future__ import annotations
@@ -70,12 +73,14 @@ class FitConfig:
     sil_threshold_deg: float = 30.0
 
     def validate(self):
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if not self.sharpness > 0:
-            raise ValueError("sharpness must be positive")
+        for name in ("w_kp", "w_sil", "w_norm"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in ("lr", "sharpness", "sil_threshold_deg"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         return self
 
 
@@ -184,13 +189,10 @@ def _run_stage(asset, field, data, config, params, epochs, with_render):
 
     # stage 1 holds the codes fixed and its loss reads only the keypoint
     # rows, so their deformed template is the same in every epoch: evaluate
-    # the field on those rows once, off the epoch tapes, and read every row
-    # of their projection
-    kp_ids, deformed = asset.keypoint_ids, None
-    if not with_render:
-        deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), params),
-                             kp_ids).value
-        kp_ids = None
+    # the field on those rows once, in numpy and off the epoch tapes, and
+    # read every row of their projection
+    kp_ids = asset.keypoint_ids if with_render else None
+    deformed = None if with_render else fm.deform(asset, field, params, asset.keypoint_ids)
 
     def run_epoch(params):
         """One epoch's (kp, sil, norm, total) losses and the gradient of each
@@ -229,6 +231,9 @@ def _run_stage(asset, field, data, config, params, epochs, with_render):
         rows.append((epoch, *row))
         params = replace(params, **adam_step(
             state, {n: getattr(params, n) for n in free}, grads, config.lr))
+        if not np.all(params.s > 0):
+            raise FloatingPointError(f"stage {1 + with_render} diverged at epoch {epoch}: "
+                                     f"scale {params.s.min():.3g} is not positive")
     return params.validate(), rows
 
 

@@ -11,6 +11,8 @@ vertices are
     v_i = diag(s) · R(r) · (x_i + F(x_i, z_s, z_p)) + t
 
 with R built from Euler angles as in :func:`footfit.geometry.euler_rotation`.
+:func:`forward` records all of it as one tape node; :func:`deform`
+evaluates the deformed template alone, in numpy.
 """
 
 from __future__ import annotations
@@ -329,6 +331,8 @@ def random_field(template_verts, d_s=8, d_p=8, hidden=64, n_hidden=3, seed=0):
 def _field(field, X, z_s, z_p):
     """Numpy outputs of the field's layers at the rows ``X`` for the codes
     ``z_s`` and ``z_p``: each hidden layer's tanh, then the displacement."""
+    if z_s.shape != (field.d_s,) or z_p.shape != (field.d_p,):
+        raise ValueError("code dimensions do not match the field")
     ones = np.ones((len(X), 1))
     h = np.concatenate([X, ones @ z_s.reshape((1, field.d_s)),
                         ones @ z_p.reshape((1, field.d_p))], axis=1)
@@ -341,30 +345,10 @@ def _field(field, X, z_s, z_p):
     return layers
 
 
-def _field_var(field, X, z_s, z_p):
-    """``X + F(X, z_s, z_p)`` at the constant rows ``X`` as one tape node.
-    Its VJP repeats the backward of the op chain it replaces (lifts,
-    concat, matmuls, bias adds, tanh), so values and code gradients are
-    bit-equal to the chain's."""
-    layers = _field(field, X, z_s.value, z_p.value)
-    ones, cut = np.ones((len(X), 1)), 3 + field.d_s
-    need = z_s.requires_grad, z_p.requires_grad
-
-    def vjp(g):
-        for (W, _), h in zip(field.weights[:0:-1], layers[-2::-1]):
-            g = (g @ W.T) * (1.0 - h * h)
-        g = g @ field.weights[0][0].T
-        # the chain's ops each got a contiguous copy of their cotangent, and
-        # the last bits of a product depend on the layout of its operands
-        return ((ones.T @ g[:, 3:cut].copy()).reshape(field.d_s) if need[0] else None,
-                (ones.T @ g[:, cut:].copy()).reshape(field.d_p) if need[1] else None)
-
-    return ad.custom((z_s, z_p), X + layers[-1], vjp)
-
-
-def _euler_var(r):
-    """Rotation Rz(r[2]) @ Ry(r[1]) @ Rx(r[0]) as one tape node."""
-    (cx, cy, cz), (sx, sy, sz) = cos, sin = np.cos(r.value), np.sin(r.value)
+def _rotation(r):
+    """Rotation Rz(r[2]) @ Ry(r[1]) @ Rx(r[0]) of the Euler angles ``r``,
+    and the map from its cotangent to the cotangent of ``r``."""
+    (cx, cy, cz), (sx, sy, sz) = cos, sin = np.cos(r), np.sin(r)
     Rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
     Ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
     Rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
@@ -375,63 +359,63 @@ def _euler_var(r):
         gx, gy, gz = A.T @ g, Rz.T @ gA, gA @ Ry.T
         g_cos = np.array([gx[2, 2] + gx[1, 1], gy[2, 2] + gy[0, 0], gz[1, 1] + gz[0, 0]])
         g_sin = np.array([gx[2, 1] - gx[1, 2], gy[0, 2] - gy[2, 0], gz[1, 0] - gz[0, 1]])
-        return (g_sin * cos - g_cos * sin,)
+        return g_sin * cos - g_cos * sin
 
-    return ad.custom((r,), A @ Rx, vjp)
+    return A @ Rx, vjp
 
 
-def deform(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
-           rows=None) -> ad.Var:
-    """Deformed template ``x_i + F(x_i, z_s, z_p)`` (V,3): one node on the
-    tape of ``pv`` whose parents are the codes ``z_s`` and ``z_p``; the
-    template rows are constants.  ``rows`` evaluates only those template
-    vertices."""
-    if pv.z_s.shape != (field.d_s,) or pv.z_p.shape != (field.d_p,):
-        raise ValueError("code dimensions do not match the field")
+def deform(asset: TemplateAsset, field: DeformationField, params: FootParams,
+           rows=None) -> np.ndarray:
+    """Numpy deformed template ``x_i + F(x_i, z_s, z_p)`` (V,3) at the codes
+    of ``params``.  ``rows`` evaluates only those template vertices."""
     X = asset.mesh.vertices if rows is None else asset.mesh.vertices[rows]
-    return _field_var(field, X, pv.z_s, pv.z_p)
-
-
-def _register_var(u, R, s, t):
-    """``(u @ R^T) * s + t`` as one tape node.  The VJP repeats the
-    arithmetic of the transpose, matmul, mul and add ops it replaces, so
-    values and gradients are bit-equal to theirs."""
-    uv, Rt, sv = u.value, R.value.T.copy(), s.value
-    m = uv @ Rt
-    need = [p.requires_grad for p in (u, R, s, t)]
-
-    def vjp(g):
-        gm = g * sv
-        return (gm @ Rt.T if need[0] else None,
-                (uv.T @ gm).T if need[1] else None,
-                (g * m).sum(axis=(0,)) if need[2] else None,
-                g.sum(axis=(0,)) if need[3] else None)
-
-    return ad.custom((u, R, s, t), m * sv + t.value, vjp)
+    return X + _field(field, X, np.asarray(params.z_s), np.asarray(params.z_p))[-1]
 
 
 def forward(asset: TemplateAsset, field: DeformationField, pv: ParamVars,
             deformed=None) -> ad.Var:
     """Differentiable deformed vertices (V,3); faces stay asset.mesh.faces.
-    The field of :func:`deform`, the rotation and the registration are one
-    tape node each.
+    The field of :func:`deform`, the rotation and the registration
+    ``(u @ R^T) * s + t`` are one tape node with the parents r, t, s, z_s
+    and z_p.  Its VJP repeats the backward of the field, rotation and
+    registration op chains, so values and gradients are bit-equal to theirs.
 
     ``deformed`` is a value of :func:`deform`, held by a caller whose codes
-    stay constant: the field is then not evaluated, and the output has the
-    rows of ``deformed``.  The field and the registration act point by
-    point, so ``deform(..., rows)`` there gives the full output's ``[rows]``.
+    stay constant: the field is then not evaluated, the codes get no
+    cotangent, and the output has the rows of ``deformed``.  The field and
+    the registration act point by point, so ``deform(..., rows)`` there
+    gives the full output's ``[rows]``.
     """
-    if not np.all(pv.s.value > 0):
-        raise ValueError("scale components must be positive")
-    u = (deform(asset, field, pv) if deformed is None
-         else pv.r.tape.const(deformed))
-    return _register_var(u, _euler_var(pv.r), pv.s, pv.t)
+    need_z = [deformed is None and z.requires_grad for z in (pv.z_s, pv.z_p)]
+    u = deformed
+    if u is None:
+        layers = _field(field, asset.mesh.vertices, pv.z_s.value, pv.z_p.value)
+        u = asset.mesh.vertices + layers[-1]
+    R, rotation_vjp = _rotation(pv.r.value)
+    Rt, sv = R.T.copy(), pv.s.value
+    m = u @ Rt
+    ones, cut = np.ones((len(u), 1)), 3 + field.d_s
+
+    def vjp(g):
+        gm = g * sv
+        g_z = [None, None]
+        if any(need_z):
+            gu = gm @ Rt.T
+            for (W, _), h in zip(field.weights[:0:-1], layers[-2::-1]):
+                gu = (gu @ W.T) * (1.0 - h * h)
+            gu = gu @ field.weights[0][0].T
+            # the op chain's nodes each got a contiguous copy of their
+            # cotangent, and the last bits of a product depend on the layout
+            # of its operands
+            g_z = [(ones.T @ gu[:, a:b].copy()).reshape(b - a) if need else None
+                   for need, (a, b) in zip(need_z, ((3, cut), (cut, gu.shape[1])))]
+        return rotation_vjp((u.T @ gm).T), g.sum(axis=(0,)), (g * m).sum(axis=(0,)), *g_z
+
+    return ad.custom((pv.r, pv.t, pv.s, pv.z_s, pv.z_p), m * sv + pv.t.value, vjp)
 
 
 def forward_mesh(asset, field, params: FootParams) -> Mesh:
-    tape = ad.Tape()
-    pv = lift_params(tape, params, train=())
-    return asset.mesh.copy_with(forward(asset, field, pv).value)
+    return asset.mesh.copy_with(forward(asset, field, lift_params(ad.Tape(), params)).value)
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,8 @@ def image_normal_fit_loss(rendered, observations, scored):
 def field(mlp, X, z_s, z_p):
     """``X + F(X, z_s, z_p)`` at the constant (V,3) rows ``X``, as the lift
     of each code to every row, the concat, the matmul and bias add of each
-    layer and the tanh of each hidden layer that the field node of
-    :func:`footfit.footmodel.deform` replaces."""
+    layer and the tanh of each hidden layer that the node of
+    :func:`footfit.footmodel.forward` replaces."""
     tape = z_s.tape
     X = tape.const(X)
     ones = tape.const(np.ones((X.shape[0], 1)))
@@ -418,8 +418,7 @@ def field(mlp, X, z_s, z_p):
 
 def register(u, R, s, t):
     """``(u @ R^T) * s + t`` as the transpose, matmul, mul and add ops
-    that the registration node of :func:`footfit.footmodel.forward`
-    replaces."""
+    that the node of :func:`footfit.footmodel.forward` replaces."""
     return add(mul(matmul(u, transpose(R)), s), t)
 
 

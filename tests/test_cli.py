@@ -396,16 +396,30 @@ class TestFit:
                        "--out", str(tmp_path / "f2"), "--views", "9"])
         assert rc == 2
 
-    def test_zero_sharpness_exits_2_before_stage1(self, tmp_path, model_bin, scene_dir,
-                                                  monkeypatch):
+    @pytest.mark.parametrize("flag, value", [
+        ("--sharpness", "0"), ("--w-kp", "-1"), ("--sil-threshold-deg", "nan"),
+        ("--w-norm", "inf"), ("--lr", "inf"),
+    ])
+    def test_bad_fit_setting_exits_2_before_stage1(self, tmp_path, model_bin, scene_dir,
+                                                   monkeypatch, capsys, flag, value):
         stage1 = []
         monkeypatch.setattr(fitting, "fit_stage1", lambda *args: stage1.append(args))
         out = tmp_path / "f6"
         rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
-                       "--out", str(out), "--sharpness", "0", "--stage1-epochs", "400"])
+                       "--out", str(out), flag, value, "--stage1-epochs", "400"])
         assert rc == 2
         assert stage1 == []
         assert not (out / "trace.csv").exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_diverging_fit_exits_4(self, tmp_path, model_bin, scene_dir, capsys):
+        # Adam at this rate drives a scale component below zero in stage 1
+        rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
+                       "--out", str(tmp_path / "f"), "--lr", "0.5",
+                       "--stage1-epochs", "60", "--stage2-epochs", "5"])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith("numerical error: stage 1 diverged at epoch ")
 
     def test_negative_downsample_exits_2(self, tmp_path, model_bin, scene_dir):
         rc = cli.main(["fit", "--scene", str(scene_dir), "--model", model_bin,
@@ -487,6 +501,25 @@ class TestFit:
                       "--stage1-epochs", "2", "--stage2-epochs", "1")
         assert rc == 0
         assert json.loads(out)["downsample"] == 2
+
+    def test_auto_downsample_divides_the_image(self, tmp_path, model_bin, capsys):
+        # round(375 / 120) = 3 does not divide 500; of the common divisors
+        # 1, 5, 25 and 125, 5 lies nearest to 3.125
+        scene = tmp_path / "odd"
+        rc = cli.main(["synth", "--model", model_bin, "--out", str(scene),
+                       "--views", "1", "--width", "500", "--height", "375",
+                       "--noise", "2"])
+        assert rc == 0
+        capsys.readouterr()
+        rc, out = run(capsys, "fit", "--scene", str(scene),
+                      "--model", model_bin, "--out", str(tmp_path / "f"),
+                      "--stage1-epochs", "2", "--stage2-epochs", "1")
+        assert rc == 0
+        assert json.loads(out)["downsample"] == 5
+        rc = cli.main(["fit", "--scene", str(scene), "--model", model_bin,
+                       "--out", str(tmp_path / "f3"), "--downsample", "3",
+                       "--stage1-epochs", "2", "--stage2-epochs", "1"])
+        assert rc == 2
 
 
 class TestEvalNormals:
@@ -735,6 +768,16 @@ class TestGradcheck:
         rc = cli.main(["gradcheck", "--out", str(tmp_path / "gc2"),
                        "--configs", "1", "--tol", "1e-14"])
         assert rc == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--configs", "0"), ("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"), ("--h", "inf"),
+    ])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["gradcheck", "--out", str(tmp_path / "gc"), "--configs", "1",
+                       f"{flag}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "gc").exists()
 
     def test_byte_identical_across_blas_threads(self, tmp_path):
         for threads in ("1", "2"):

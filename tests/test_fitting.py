@@ -129,6 +129,15 @@ class TestFitConfig:
         {"stage1_epochs": -1},
         {"sharpness": 0.0},
         {"sharpness": -1.0},
+        {"lr": np.inf},
+        {"lr": np.nan},
+        {"w_kp": -1.0},
+        {"w_sil": np.nan},
+        {"w_norm": np.inf},
+        {"sharpness": np.inf},
+        {"sil_threshold_deg": np.nan},
+        {"sil_threshold_deg": 0.0},
+        {"sil_threshold_deg": np.inf},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -253,15 +262,15 @@ class TestStage1KeypointRows:
                 return out
             return wrapped
 
-        monkeypatch.setattr(fm, "_field_var", recording(
-            "field", fm._field_var, lambda a, out: (out.shape, out.requires_grad)))
+        monkeypatch.setattr(fm, "_field", recording(
+            "field", fm._field, lambda a, out: out[-1].shape))
         monkeypatch.setattr(fm, "forward", recording(
             "forward", fm.forward, lambda a, out: out.shape))
         monkeypatch.setattr(renderer, "project_vertices_var", recording(
             "project", renderer.project_vertices_var, lambda a, out: (a[0].shape, list(a[1]))))
         config = fitting.FitConfig(stage1_epochs=3)
         fitting.fit_stage1(model, fitting.FitInput.build(cams, obs, config), config)
-        assert seen["field"] == [((k, 3), False)]
+        assert seen["field"] == [(k, 3)]
         assert seen["forward"] == [(k, 3)] * 3
         assert seen["project"] == [((k, 3), cams)] * 3
 
@@ -279,7 +288,7 @@ def test_stage1_tape_nodes_do_not_grow_with_views(model, stage1_setup, monkeypat
     config = fitting.FitConfig(stage1_epochs=1)
     for n in (2, 3):
         fitting.fit_stage1(model, fitting.FitInput.build(cams[:n], obs[:n], config), config)
-    assert nodes[0] == nodes[1] <= 12
+    assert nodes[0] == nodes[1] == 10
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +383,7 @@ class TestStage2:
         for n in (2, 3):
             fitting.fit_stage2(model, fitting.FitInput.build(cams[:n], obs[:n], config),
                                fm.FootParams.identity(), config)
-        assert nodes[0] == nodes[1] <= 17
+        assert nodes[0] == nodes[1] == 15
 
     def test_no_view_covers_the_foot(self, model, stage2_setup):
         # every view scores no pixel: the normal term is 0, not 0/0

@@ -7,7 +7,7 @@ import chainref
 from chainref import index, mul, stack, vsum
 from footfit import autodiff as ad
 from footfit import footmodel as fm
-from footfit.geometry import euler_rotation
+from footfit.geometry import Mesh, euler_rotation
 
 
 def zero_field(d_s=8, d_p=8, hidden=64, n_hidden=3):
@@ -116,30 +116,29 @@ class TestForward:
         p = fm.FootParams(r=np.array([0.2, -0.1, 0.3]), t=np.array([0.01, 0.02, -0.01]),
                           s=np.array([1.05, 0.97, 1.01]), z_s=np.full(8, 0.3),
                           z_p=np.full(8, -0.2))
-        tape = ad.Tape()
-        pv = fm.lift_params(tape, p)
-        full = fm.forward(asset, field, pv).value
-        part = fm.forward(asset, field, pv,
-                          deformed=fm.deform(asset, field, pv, rows).value).value
+        held = fm.deform(asset, field, p, rows)
+        full = fm.forward(asset, field, fm.lift_params(ad.Tape(), p)).value
+        part = fm.forward(asset, field, fm.lift_params(ad.Tape(), p), deformed=held).value
         assert part.shape == (len(rows), 3)
         assert np.abs(part - full[rows]).max() < 1e-13
 
         w = np.random.default_rng(1).standard_normal((len(rows), 3))
 
-        def loss(r, t, s, z_s, z_p):
-            pv = fm.ParamVars(r, t, s, z_s, z_p)
-            return vsum(mul(fm.deform(asset, field, pv, rows), w))
+        def loss(r, t, s):
+            pv = fm.ParamVars(r, t, s, r.tape.const(p.z_s), r.tape.const(p.z_p))
+            return vsum(mul(fm.forward(asset, field, pv, deformed=held), w))
 
-        err = ad.grad_check(loss, [p.r, p.t, p.s, p.z_s, p.z_p])
+        err = ad.grad_check(loss, [p.r, p.t, p.s])
         assert err < 1e-4
 
     def test_constant_deformed_template_matches(self, asset, field):
-        # the stage-1 form: codes fixed, the field evaluated once outside
+        # the stage-1 form: codes fixed, the field evaluated once outside,
+        # against the field run inside the node on the same rows
         rows = asset.keypoint_ids
         p = fm.FootParams(r=np.array([0.2, -0.1, 0.3]), t=np.array([0.01, 0.02, -0.01]),
                           s=np.array([1.05, 0.97, 1.01]), z_s=np.full(8, 0.3),
                           z_p=np.full(8, -0.2))
-        deformed = fm.deform(asset, field, fm.lift_params(ad.Tape(), p), rows).value
+        deformed = fm.deform(asset, field, p, rows)
         w = np.random.default_rng(2).standard_normal((len(rows), 3))
         out = []
         for held in (False, True):
@@ -148,8 +147,7 @@ class TestForward:
             if held:
                 verts = fm.forward(asset, field, pv, deformed=deformed)
             else:
-                verts = fm._register_var(fm.deform(asset, field, pv, rows),
-                                         fm._euler_var(pv.r), pv.s, pv.t)
+                verts = fm.forward(template_of(asset.mesh.vertices[rows]), field, pv)
             grads = tape.backward(vsum(mul(verts, w)))
             out.append((verts.value, [grads[getattr(pv, n)] for n in ("r", "t", "s")]))
         (v_field, g_field), (v_held, g_held) = out
@@ -211,41 +209,10 @@ def suite_field(asset):
                            n_hidden=1, seed=1)
 
 
-class TestFieldNode:
-    @pytest.mark.parametrize("which", ["default", "suite"])
-    @pytest.mark.parametrize("rows", [False, True], ids=["all_rows", "kp_rows"])
-    @pytest.mark.parametrize("live", [(True, True), (True, False), (False, True)],
-                             ids=["codes_live", "z_p_const", "z_s_const"])
-    def test_equals_chain_bit_for_bit(self, asset, field, suite_field, which, rows, live):
-        f = field if which == "default" else suite_field
-        X = asset.mesh.vertices[asset.keypoint_ids] if rows else asset.mesh.vertices
-        rng = np.random.default_rng(5)
-        z0, w = (rng.normal(size=f.d_s), rng.normal(size=f.d_p)), rng.normal(size=X.shape)
-        out = []
-        for build in (fm._field_var, chainref.field):
-            tape = ad.Tape()
-            z = [tape.leaf(v, requires_grad=g) for v, g in zip(z0, live)]
-            before = len(tape)
-            y = build(f, X, *z)
-            nodes = len(tape) - before
-            grads = tape.backward(vsum(mul(y, w)))
-            out.append((nodes, y.value, [grads[v] for v in z if v.requires_grad]))
-        (n_node, v_node, g_node), (_, v_chain, g_chain) = out
-        assert n_node == 1
-        assert np.array_equal(v_node, v_chain)
-        assert len(g_node) == len(g_chain) == sum(live)
-        for a, b in zip(g_node, g_chain):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("which", ["default", "suite"])
-    def test_gradient_matches_fd(self, asset, field, suite_field, which):
-        f = field if which == "default" else suite_field
-        X = asset.mesh.vertices[asset.keypoint_ids]
-        rng = np.random.default_rng(6)
-        w = rng.normal(size=X.shape)
-        err = ad.grad_check(lambda z_s, z_p: vsum(mul(fm._field_var(f, X, z_s, z_p), w)),
-                            [rng.normal(size=f.d_s), rng.normal(size=f.d_p)])
-        assert err < 1e-8
+def template_of(X):
+    """A template of the rows ``X`` and no faces, which ``forward`` does not
+    read."""
+    return fm.TemplateAsset(Mesh(X, np.zeros((0, 3))), np.arange(0))
 
 
 def chain_euler(r):
@@ -268,64 +235,146 @@ def chain_euler(r):
     return chainref.matmul(chainref.matmul(Rz, Ry), Rx)
 
 
+def chain_forward(f, X, pv, held=None):
+    """Reference: what :func:`fm.forward` computes, as the op chains of the
+    field at the rows ``X``, the rotation and the registration.  A
+    ``held`` template is a constant instead of the field."""
+    u = pv.r.tape.const(held) if held is not None else chainref.field(f, X, pv.z_s, pv.z_p)
+    return chainref.register(u, chain_euler(pv.r), pv.s, pv.t)
+
+
+def node_and_chain(f, X, values, w, live=(True, True), held=None):
+    """(tape nodes, value, gradients) of ``sum(forward · w)`` for the node
+    and then the chain, over an asset of the template rows ``X``.  r, t and
+    s are leaves, and a code is a leaf when its ``live`` entry is set."""
+    out = []
+    for node in (True, False):
+        tape = ad.Tape()
+        pv = fm.ParamVars(*(tape.leaf(v) for v in values[:3]),
+                          *(tape.leaf(v, requires_grad=g) for v, g in zip(values[3:], live)))
+        before = len(tape)
+        if node:
+            y = fm.forward(template_of(X), f, pv, deformed=held)
+        else:
+            y = chain_forward(f, X, pv, held)
+        nodes = len(tape) - before
+        grads = tape.backward(vsum(mul(y, w)))
+        out.append((nodes, y.value, [grads[v] for v in (pv.r, pv.t, pv.s, pv.z_s, pv.z_p)
+                                     if v.requires_grad]))
+    return out
+
+
+def assert_bit_equal(node, chain):
+    (n_node, v_node, g_node), (_, v_chain, g_chain) = node, chain
+    assert n_node == 1
+    assert np.array_equal(v_node, v_chain)
+    assert len(g_node) == len(g_chain)
+    for a, b in zip(g_node, g_chain):
+        assert np.array_equal(a, b)
+
+
+def random_values(rng, f):
+    """r, t, s and the codes of the field ``f``."""
+    return [rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.1, 0.1, 3), rng.uniform(0.9, 1.1, 3),
+            rng.normal(size=f.d_s), rng.normal(size=f.d_p)]
+
+
+class TestFieldNode:
+    """The field runs inside the forward node on the full template or on
+    the keypoint rows, with each set of live codes."""
+
+    @pytest.mark.parametrize("which", ["default", "suite"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["all_rows", "kp_rows"])
+    @pytest.mark.parametrize("live", [(True, True), (True, False), (False, True)],
+                             ids=["codes_live", "z_p_const", "z_s_const"])
+    def test_equals_chain_bit_for_bit(self, asset, field, suite_field, which, rows, live):
+        f = field if which == "default" else suite_field
+        X = asset.mesh.vertices[asset.keypoint_ids] if rows else asset.mesh.vertices
+        rng = np.random.default_rng(5)
+        values, w = random_values(rng, f), rng.normal(size=X.shape)
+        node, chain = node_and_chain(f, X, values, w, live)
+        assert len(node[2]) == 3 + sum(live)
+        assert_bit_equal(node, chain)
+
+    @pytest.mark.parametrize("which", ["default", "suite"])
+    def test_gradient_matches_fd(self, asset, field, suite_field, which):
+        # an identity registration leaves the field's own gradient
+        f = field if which == "default" else suite_field
+        kp_asset = template_of(asset.mesh.vertices[asset.keypoint_ids])
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=kp_asset.mesh.vertices.shape)
+
+        def loss(z_s, z_p):
+            tape = z_s.tape
+            pv = fm.ParamVars(tape.const(np.zeros(3)), tape.const(np.zeros(3)),
+                              tape.const(np.ones(3)), z_s, z_p)
+            return vsum(mul(fm.forward(kp_asset, f, pv), w))
+
+        err = ad.grad_check(loss, [rng.normal(size=f.d_s), rng.normal(size=f.d_p)])
+        assert err < 1e-8
+
+
 class TestEulerNode:
+    """The rotation inside the forward node, on a held template."""
+
     @pytest.mark.parametrize("r", [[0.0, 0.0, 0.0], [0.2, -0.1, 0.3],
                                    [3.0, -1.4, 2.2]])
-    def test_equals_chain_bit_for_bit(self, r):
-        # transposed and applied to points, as fm.forward uses it
+    def test_equals_chain_bit_for_bit(self, field, r):
         rng = np.random.default_rng(2)
         x, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        out = []
-        for build in (fm._euler_var, chain_euler):
-            tape = ad.Tape()
-            rv = tape.leaf(np.array(r))
-            R = build(rv)
-            loss = vsum(mul(chainref.matmul(tape.const(x), chainref.transpose(R)), w))
-            out.append((R.value, tape.backward(loss)[rv]))
-        (v_node, g_node), (v_chain, g_chain) = out
-        assert np.array_equal(v_node, v_chain)
-        assert np.array_equal(g_node, g_chain)
-        np.testing.assert_array_equal(v_node, euler_rotation(np.array(r)))
+        values = [np.array(r), np.zeros(3), np.ones(3), np.zeros(field.d_s), np.zeros(field.d_p)]
+        node, chain = node_and_chain(field, x, values, w, held=x)
+        assert_bit_equal(node, chain)
+        R = np.ascontiguousarray(euler_rotation(np.array(r)).T)
+        np.testing.assert_array_equal(node[1], x @ R)
 
-    def test_one_node_and_gradient_matches_fd(self):
+    def test_one_node_and_gradient_matches_fd(self, asset, field):
         tape = ad.Tape()
-        fm._euler_var(tape.leaf(np.zeros(3)))
-        assert len(tape) == 2
-        w = np.random.default_rng(4).normal(size=(3, 3))
-        assert ad.grad_check(lambda r: vsum(mul(fm._euler_var(r), w)),
-                             [np.array([0.4, -0.7, 1.1])]) < 1e-6
+        pv = fm.lift_params(tape, fm.FootParams.identity(), train=("r",))
+        fm.forward(asset, field, pv, deformed=np.zeros((4, 3)))
+        assert len(tape) == 6
+        rng = np.random.default_rng(4)
+        x, w = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+
+        def loss(r):
+            tape = r.tape
+            pv = fm.ParamVars(r, tape.const(np.zeros(3)), tape.const(np.ones(3)),
+                              tape.const(np.zeros(8)), tape.const(np.zeros(8)))
+            return vsum(mul(fm.forward(asset, field, pv, deformed=x), w))
+
+        assert ad.grad_check(loss, [np.array([0.4, -0.7, 1.1])]) < 1e-6
 
 
 class TestRegistrationNode:
-    @pytest.mark.parametrize("u_grad", [True, False])
-    def test_equals_chain_bit_for_bit(self, u_grad):
-        rng = np.random.default_rng(6)
-        u0, w = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
-        r0, t0, s0 = rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)
-        out = []
-        for build in (fm._register_var, chainref.register):
-            tape = ad.Tape()
-            u = tape.leaf(u0, requires_grad=u_grad)
-            r, t, s = tape.leaf(r0), tape.leaf(t0), tape.leaf(s0)
-            before = len(tape)
-            verts = build(u, fm._euler_var(r), s, t)
-            nodes = len(tape) - before
-            grads = tape.backward(vsum(mul(verts, w)))
-            out.append((nodes, verts.value,
-                        [grads[v] for v in ((u, r, t, s) if u_grad else (r, t, s))]))
-        (n_node, v_node, g_node), (n_chain, v_chain, g_chain) = out
-        assert n_node == 2 and n_chain == 5        # the rotation, then 1 or 4
-        assert np.array_equal(v_node, v_chain)
-        for a, b in zip(g_node, g_chain):
-            assert np.array_equal(a, b)
+    """The whole forward node, with the field live or its template held."""
 
-    def test_gradient_matches_fd(self):
+    @pytest.mark.parametrize("u_grad", [True, False])
+    def test_equals_chain_bit_for_bit(self, asset, field, u_grad):
+        rng = np.random.default_rng(6)
+        X = asset.mesh.vertices
+        values, w = random_values(rng, field), rng.normal(size=X.shape)
+        held = None
+        if not u_grad:
+            held = fm.deform(asset, field, fm.FootParams(*values))
+            scratch = ad.Tape()
+            assert np.array_equal(held, chainref.field(
+                field, X, scratch.const(values[3]), scratch.const(values[4])).value)
+        node, chain = node_and_chain(field, X, values, w, held=held)
+        assert_bit_equal(node, chain)
+        if not u_grad:     # a held template gives the codes no cotangent
+            assert not np.any(node[2][3]) and not np.any(node[2][4])
+
+    def test_gradient_matches_fd(self, asset, suite_field):
         rng = np.random.default_rng(7)
-        u0, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        inputs = [u0, rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)]
-        for build in (fm._register_var, chainref.register):
-            def loss(u, r, t, s):
-                return vsum(mul(build(u, fm._euler_var(r), s, t), w))
+        X = asset.mesh.vertices[asset.keypoint_ids]
+        w = rng.normal(size=X.shape)
+        inputs = [rng.normal(size=3), rng.normal(size=3), rng.uniform(0.9, 1.1, 3)]
+        held = rng.normal(size=X.shape) * 0.1
+        for node in (True, False):
+            def loss(r, t, s):
+                pv = fm.ParamVars(r, t, s, r.tape.const(np.zeros(2)), r.tape.const(np.zeros(2)))
+                return vsum(mul(fm.forward(asset, suite_field, pv, deformed=held) if node
+                                else chain_forward(suite_field, X, pv, held), w))
 
             assert ad.grad_check(loss, inputs) < 1e-6
 
