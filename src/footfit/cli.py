@@ -370,6 +370,8 @@ def _load_cloud(path):
 
 
 def cmd_align(cfg):
+    if not 0 < cfg["lr"] < np.inf or cfg["steps"] < 0:
+        raise ConfigError("lr must be positive and finite and steps non-negative")
     src = _load_cloud(cfg["source"])
     tgt = _load_cloud(cfg["target"])
     report = {}
@@ -408,8 +410,8 @@ def cmd_align(cfg):
 
 
 def cmd_gradcheck(cfg):
-    if cfg["configs"] < 1 or not 0 < cfg["h"] < np.inf:
-        raise ConfigError("configs must be at least 1 and h positive and finite")
+    if cfg["configs"] < 1 or not 0 < cfg["h"] < np.inf or not 0 <= cfg["tol"] < np.inf:
+        raise ConfigError("need configs >= 1, h > 0 and tol >= 0, h and tol finite")
     _echo(cfg, "gradcheck", cfg["out"])
     rows = gradient_suite(configs=cfg["configs"], h=cfg["h"],
                           seed=cfg["seed"])

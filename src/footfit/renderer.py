@@ -77,6 +77,13 @@ class FragmentBuffer:
                          np.zeros((0, 3)), front_faces)
 
 
+def _expand(counts):
+    """Runs of ``counts[k]`` entries each: every entry's run k and its
+    offset within the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
 def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     """Hard visibility in ``camera`` of the triangles ``faces`` whose
     vertices project to ``pix`` (V,2) at depths ``z`` (V,), one view of
@@ -118,9 +125,8 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     n_rows = np.where(j1 >= j0, np.maximum(i1 - i0 + 1, 0), 0).astype(np.int64)
 
     # one entry per (face, row)
-    row_face = np.repeat(np.arange(len(fids)), n_rows)
-    ii = i0[row_face].astype(np.int64) + np.arange(len(row_face)) - np.repeat(
-        np.cumsum(n_rows) - n_rows, n_rows)
+    row_face, di = _expand(n_rows)
+    ii = i0[row_face].astype(np.int64) + di
     py_c = ii + 0.5
     # the columns j with j + 0.5 ≥ end (rise > 0) or ≤ end (rise < 0) of
     # each edge, one more on each side, within the box
@@ -139,9 +145,8 @@ def rasterize(faces, pix, z, camera) -> FragmentBuffer:
     width = np.where(hi >= lo, hi - lo + 1, 0).astype(np.int64)
 
     # one entry per candidate pixel
-    row = np.repeat(np.arange(len(row_face)), width)
-    jj = lo[row].astype(np.int64) + np.arange(len(row)) - np.repeat(
-        np.cumsum(width) - width, width)
+    row, dj = _expand(width)
+    jj = lo[row].astype(np.int64) + dj
     px_c = jj + 0.5
     w0, w1, w2 = (run[row] - rise[row] * (px_c - ax[row]) for run, rise, ax in edges)
     inside = (w0 <= 0) & (w1 <= 0) & (w2 <= 0)   # same sign as the negative area
@@ -358,58 +363,47 @@ def _segment_d2(px, py, ax, ay, abx, aby, denom):
 def _nearest_edge(pc, a, b, radius):
     """Index of the segment (a[e], b[e]) nearest to each point of ``pc``.
 
-    Exact for any ``radius > 0``; the radius only sets the work.  Each
-    segment goes into every cell of a uniform grid (side ``radius``) that
-    its bounding box, grown by ``radius``, touches, so a point's cell holds
-    every segment within ``radius`` of it.  Only those candidates are
-    tested.  A point whose nearest candidate is farther than ``radius``
-    (or that has none) is searched densely over all segments.  Ties in the
-    squared distance go to the lowest segment index, as ``np.argmin`` does.
+    The points are pixel centres ``(j + 0.5, i + 0.5)`` with ``i, j ≥ 0``.
+    Exact for any ``radius > 0``; the radius only sets the work.  A table
+    maps each pixel of the points' extent to its point, and each segment
+    tests only the points in its pixel box: the centres within its
+    bounding box grown by ``radius``, which holds every point within
+    ``radius`` of it.  A point whose nearest candidate is farther than
+    ``radius``, or that has none (so does a point that repeats another's
+    pixel), is searched densely over all segments.  Ties in the squared
+    distance go to the lowest segment index, as ``np.argmin`` does.
     """
     P, E = len(pc), len(a)
     if P == 0:
         return np.zeros(0, dtype=np.int64)
     ab = b - a
     denom = np.maximum(np.sum(ab * ab, axis=1), 1e-30)
-    origin = pc.min(axis=0)
-    pcell = np.floor((pc - origin) / radius).astype(np.int64)
-    gw, gh = pcell.max(axis=0) + 1
-    # grown boxes; the 1e-6 px slack covers rounding at the box edge
+    cell = pc.astype(np.int64)             # (j, i) of each point's pixel
+    org, top = cell.min(axis=0), cell.max(axis=0)
+    ew = top[0] - org[0] + 1
+    slot = np.full((top[1] - org[1] + 1) * ew, -1)
+    slot[(cell[:, 1] - org[1]) * ew + cell[:, 0] - org[0]] = np.arange(P)
+    # pixel boxes clipped to the extent; the 1e-6 px slack covers rounding
+    # at the box edge
     reach = radius + 1e-6
-    lo = np.floor((np.minimum(a, b) - reach - origin) / radius)
-    hi = np.floor((np.maximum(a, b) + reach - origin) / radius)
-    top = np.array([gw - 1, gh - 1])
-    live = np.all((hi >= 0) & (lo <= top), axis=1)
-    lo = np.clip(lo, 0, top).astype(np.int64)
-    hi = np.clip(hi, 0, top).astype(np.int64)
-    nx = hi[:, 0] - lo[:, 0] + 1
-    cells_per_edge = np.where(live, nx * (hi[:, 1] - lo[:, 1] + 1), 0)
-
-    eid = np.repeat(np.arange(E), cells_per_edge)
-    off = np.arange(len(eid)) - np.repeat(np.cumsum(cells_per_edge) - cells_per_edge,
-                                          cells_per_edge)
-    cell = ((lo[eid, 1] + off // nx[eid]) * gw + lo[eid, 0] + off % nx[eid])
-    bucket = eid[np.argsort(cell, kind="stable")]
-    count = np.bincount(cell, minlength=gw * gh)
-    first = np.cumsum(count) - count
-
-    pid = pcell[:, 1] * gw + pcell[:, 0]
-    n = count[pid]
-    n_pairs = int(n.sum())
-    nearest = np.zeros(P, dtype=np.int64)
-    dense = n == 0
-    if n_pairs:
-        seg_start = np.cumsum(n) - n
-        pix = np.repeat(np.arange(P), n)
-        edge = bucket[np.repeat(first[pid] - seg_start, n) + np.arange(n_pairs)]
-        d2 = _segment_d2(pc[pix, 0], pc[pix, 1], a[edge, 0], a[edge, 1],
-                         ab[edge, 0], ab[edge, 1], denom[edge])
-        has = ~dense
-        starts = seg_start[has]
-        best = np.minimum.reduceat(d2, starts)
-        tied = d2 == np.repeat(best, n[has])
-        nearest[has] = np.minimum.reduceat(np.where(tied, edge, E), starts)
-        dense[has] = best > radius * radius
+    lo = np.clip(np.ceil(np.minimum(a, b) - reach - 0.5), org, top + 1)
+    hi = np.clip(np.floor(np.maximum(a, b) + reach - 0.5), org - 1, top)
+    n = (hi - lo + 1).astype(np.int64)
+    lo = lo.astype(np.int64) - org
+    edge, di = _expand(n[:, 1])            # one entry per (edge, box row)
+    first = (lo[edge, 1] + di) * ew + lo[edge, 0]
+    row, dj = _expand(n[edge, 0])          # one per (edge, box pixel)
+    edge, pt = edge[row], slot[first[row] + dj]
+    keep = pt >= 0
+    edge, pt = edge[keep], pt[keep]
+    d2 = _segment_d2(pc[pt, 0], pc[pt, 1], a[edge, 0], a[edge, 1],
+                     ab[edge, 0], ab[edge, 1], denom[edge])
+    best = np.full(P, np.inf)
+    np.minimum.at(best, pt, d2)
+    tied = d2 == best[pt]
+    nearest = np.full(P, E)
+    np.minimum.at(nearest, pt[tied], edge[tied])
+    dense = best > radius * radius
     if dense.any():
         q = pc[dense]
         nearest[dense] = np.argmin(_segment_d2(

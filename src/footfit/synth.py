@@ -62,12 +62,12 @@ class SceneSpec:
     def validate(self):
         if self.n_views < 1:
             raise ValueError("need at least one view")
-        if self.cutoff < 0:
-            raise ValueError("cutoff height must be non-negative")
-        if self.sigma_view_deg < 0:
-            raise ValueError("view noise must be non-negative")
-        if self.kp_sigma <= 0:
-            raise ValueError("keypoint spread must be positive")
+        if not 0 <= self.cutoff < np.inf:
+            raise ValueError("cutoff height must be non-negative and finite")
+        if not 0 <= self.sigma_view_deg < np.inf:
+            raise ValueError("view noise must be non-negative and finite")
+        if not 0 < self.kp_sigma < np.inf:
+            raise ValueError("keypoint spread must be positive and finite")
         self.params.validate()
         return self
 

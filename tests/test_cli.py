@@ -215,6 +215,17 @@ class TestSynth:
                        "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--kp-sigma", "nan"), ("--kp-sigma", "inf"), ("--cutoff", "nan"), ("--noise", "inf"),
+    ])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, model_bin, flag, value):
+        rc = cli.main(["synth", "--model", model_bin, "--out", str(tmp_path / "x"),
+                       "--views", "2", "--width", "160", "--height", "120",
+                       f"{flag}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "x").exists()
+
 
 def _has_glibc():
     try:
@@ -675,6 +686,18 @@ class TestAlign:
                        "--out", str(tmp_path / "al3")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--steps", "-5"),
+    ])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
+        # the clouds do not exist: the arguments are checked before they are read
+        rc = cli.main(["align", "--source", str(tmp_path / "a.npy"),
+                       "--target", str(tmp_path / "b.npy"), "--out", str(tmp_path / "al5"),
+                       f"{flag}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "al5").exists()
+
     @pytest.mark.parametrize("name,raw", [("bad.npy", b"not npy"), ("empty.npy", b""),
                                           ("bad.xyz", b"a b c\n")])
     def test_unreadable_cloud_exits_3(self, tmp_path, capsys, name, raw):
@@ -771,6 +794,7 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("flag, value", [
         ("--configs", "0"), ("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"), ("--h", "inf"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
     ])
     def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
         rc = cli.main(["gradcheck", "--out", str(tmp_path / "gc"), "--configs", "1",

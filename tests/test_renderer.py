@@ -722,9 +722,9 @@ class TestFusedProjection:
 
 
 class TestNearestEdge:
-    def test_matches_dense_on_ac05_scene(self, ac05_views):
+    def test_matches_dense_on_ac05_scene(self, ac05_views, hires_views):
         mesh, cams = ac05_views
-        for cam in cams:
+        for cam in cams + hires_views[1]:
             _, pc, a, b = band_and_contour(mesh, cam)
             assert len(pc) > 1000
             np.testing.assert_array_equal(rd._nearest_edge(pc, a, b, 4.5),
@@ -759,6 +759,45 @@ class TestNearestEdge:
         for radius in (0.5, 2.0, 4.5):
             np.testing.assert_array_equal(rd._nearest_edge(pc, a, b, radius),
                                           dense_nearest(pc, a, b))
+
+    def test_point_exactly_radius_from_segment(self):
+        # vertical segments at x = 1.5 and x = 9.5 over y in [6.5, 18.5]:
+        # (5.5, 12.5) is 4 px from both, (1.5, 22.5) and (9.5, 2.5) are 4 px
+        # from one end each, so at radius 4 each lies on the edge of a box
+        pc = np.array([[5.5, 12.5], [1.5, 22.5], [9.5, 2.5], [5.5, 50.5]])
+        for order in ([1.5, 9.5, 40.5], [9.5, 1.5, 40.5], [40.5, 9.5, 1.5]):
+            x = np.array(order)
+            a = np.stack([x, np.full(3, 6.5)], axis=1)
+            b = np.stack([x, np.full(3, 18.5)], axis=1)
+            got = rd._nearest_edge(pc, a, b, 4.0)
+            np.testing.assert_array_equal(got, dense_nearest(pc, a, b))
+            assert got[0] == min(order.index(1.5), order.index(9.5))
+            assert list(got[1:3]) == [order.index(1.5), order.index(9.5)]
+        # 4e-7 px inside the radius of segment 0's box edge; segment 1's end
+        # is nearer than the radius too, but farther than segment 0
+        a = np.array([[1.5 + 4e-7, 0.5], [7.9, 15.7 - 2e-7]])
+        b = a + np.array([[0.0, 30.0], [3.0, 5.0]])
+        got = rd._nearest_edge(pc[:1], a, b, 4.0)
+        np.testing.assert_array_equal(got, dense_nearest(pc[:1], a, b))
+        assert got[0] == 0
+
+    def test_segment_outside_the_points_extent(self):
+        rng = np.random.default_rng(7)
+        pc = rng.permutation(np.stack(np.meshgrid(np.arange(10, 30), np.arange(5, 25)),
+                                      axis=-1).reshape(-1, 2))[:150] + 0.5
+        # beyond each side of the extent, then one inside it
+        a = np.array([[50.0, 12.0], [2.0, -8.0], [-9.0, 14.0], [15.0, 40.0], [18.0, 13.0]])
+        b = a + np.array([[6.0, 3.0], [4.0, -1.0], [-2.0, 5.0], [-5.0, 2.0], [4.0, 3.0]])
+        for segs in (slice(0, 4), slice(None)):
+            for radius in (2.0, 4.5, 60.0):
+                np.testing.assert_array_equal(
+                    rd._nearest_edge(pc, a[segs], b[segs], radius),
+                    dense_nearest(pc, a[segs], b[segs]))
+
+    def test_empty_point_set(self):
+        a = np.array([[1.0, 2.0], [5.0, 5.0]])
+        got = rd._nearest_edge(np.zeros((0, 2)), a, a + 1.0, 4.5)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestBand:

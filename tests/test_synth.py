@@ -55,7 +55,11 @@ class TestSceneSpec:
         {"cutoff": -0.1},
         {"sigma_view_deg": -3.0},
         {"kp_sigma": 0.0},
-    ], ids=["kw0", "kw1", "kw3", "kw4"])
+        {"cutoff": np.nan}, {"cutoff": np.inf},
+        {"sigma_view_deg": np.nan}, {"sigma_view_deg": np.inf},
+        {"kp_sigma": np.nan}, {"kp_sigma": np.inf},
+    ], ids=["kw0", "kw1", "kw3", "kw4", "cutoff-nan", "cutoff-inf", "noise-nan", "noise-inf",
+            "kp_sigma-nan", "kp_sigma-inf"])
     def test_rejects(self, gt, kw):
         params, _ = gt
         with pytest.raises(ValueError):
